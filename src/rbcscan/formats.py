@@ -11,6 +11,7 @@ equals parse(text) for every valid file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -66,9 +67,13 @@ class ScenarioFile:
 # ---------------------------------------------------------------------------
 
 
+def _reject_constant(name: str) -> Any:
+    raise SchemaError(f"not valid JSON: {name} is not a number")
+
+
 def _decode(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e.msg} (line {e.lineno}, column {e.colno})") from None
 
@@ -94,6 +99,8 @@ def _array(value: Any, path: str) -> list:
 def _num(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}: expected a finite number, got {value}")
     return value
 
 

@@ -10,8 +10,11 @@ a pixel cutoff (32 px by default).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, UsageError
 
@@ -24,6 +27,7 @@ STANDARD_IOU_THRESHOLDS: tuple[float, ...] = tuple((50 + 5 * i) / 100 for i in r
 SMALL_OBJECT_CUTOFF_PX = 32.0
 
 _RECALL_SAMPLES = 101
+_RECALL_POINTS = np.arange(_RECALL_SAMPLES) / (_RECALL_SAMPLES - 1)
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,77 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+def _boxes(items: Sequence[Detection] | Sequence[GroundTruthObject]) -> np.ndarray:
+    """The items' boxes as an (n, 4) float array of (x, y, w, h)."""
+    rows = [(o.bbox.x, o.bbox.y, o.bbox.w, o.bbox.h) for o in items]
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+def _iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou`` of each row of ``a`` with the same row of ``b``, bit for bit:
+    the float operations are those of ``iou``, in the same order."""
+    (ax, ay, aw, ah), (bx, by, bw, bh) = a.T, b.T
+    ax2, ay2 = ax + aw, ay + ah
+    bx2, by2 = bx + bw, by + bh
+    iw = np.minimum(ax2, bx2) - np.maximum(ax, bx)
+    ih = np.minimum(ay2, by2) - np.maximum(ay, by)
+    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+    union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, 0.0)
+
+
+def _greedy_assign(
+    boxes: np.ndarray, group: np.ndarray, scores: np.ndarray, thresholds: Sequence[float]
+) -> np.ndarray:
+    """Greedy matching in every group (one image and class), all thresholds at once.
+
+    ``boxes`` and ``group`` (one integer per group) hold the D detections,
+    whose ``scores`` are given, then the ground truth. The rule is that of
+    ``match_detections``; thresholds are > 0, so IoU 0 never matches. IoUs
+    are computed once per detection and box of a group. Round k matches the
+    k-th detection by score of every group, for all thresholds through a
+    (T, G) taken mask. Returns (T, D) matched ground-truth indices or -1.
+    """
+    n = len(scores)
+    det_group, gt_group = group[:n], group[n:]
+    assigned = np.full((len(thresholds), n), -1, dtype=np.int64)
+    gt_order = np.argsort(gt_group, kind="stable")
+    gt_sorted = gt_group[gt_order]
+    lo = np.searchsorted(gt_sorted, det_group, "left")
+    n_gt = np.searchsorted(gt_sorted, det_group, "right") - lo
+    # By group, then descending score with ties in input order; then by rank.
+    by_score = np.lexsort((-scores, det_group))
+    by_score = by_score[n_gt[by_score] > 0]
+    grouped = det_group[by_score]
+    rank = np.arange(by_score.size) - np.searchsorted(grouped, grouped)
+    by_rank = np.argsort(rank, kind="stable")
+    active, ranks = by_score[by_rank], rank[by_rank]
+    # active[i] owns the pairs seg_start[i]:seg_end[i], one per box of its group.
+    seg_len = n_gt[active]
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    pair_gt = gt_order[np.repeat(lo[active] - seg_start, seg_len) + np.arange(seg_len.sum())]
+    ious = _iou_rows(boxes[np.repeat(active, seg_len)], boxes[n + pair_gt])
+
+    thr = np.asarray(thresholds, dtype=float)[:, None]
+    taken = np.zeros((len(thresholds), len(gt_group)), dtype=bool)
+    bounds = np.searchsorted(ranks, np.arange(ranks.max(initial=-1) + 2)).tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        p0, p1 = seg_start[a], seg_end[b - 1]
+        cols = pair_gt[p0:p1]
+        vals = np.where(taken[:, cols], -1.0, ious[p0:p1])
+        starts = seg_start[a:b] - p0
+        best = np.maximum.reduceat(vals, starts, axis=1)
+        is_best = vals == np.repeat(best, seg_len[a:b], axis=1)
+        first = np.minimum.reduceat(np.where(is_best, np.arange(p1 - p0), p1 - p0), starts, axis=1)
+        t, i = np.nonzero(best >= thr)
+        gt = cols[first[t, i]]
+        taken[t, gt] = True
+        assigned[t, active[a + i]] = gt
+    return assigned
+
+
 def match_detections(
     dets: Sequence[Detection],
     gts: Sequence[GroundTruthObject],
@@ -150,23 +225,11 @@ def match_detections(
     if len(labels) > 1:
         raise UsageError(f"match_detections expects a single class_label, got {sorted(labels)}")
 
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    matched_gt: list[int | None] = [None] * len(dets)
-    gt_taken = [False] * len(gts)
-    for i in order:
-        best_j = None
-        best_iou = 0.0
-        for j, gt in enumerate(gts):
-            if gt_taken[j]:
-                continue
-            v = iou(dets[i].bbox, gt.bbox)
-            if v > best_iou:
-                best_iou = v
-                best_j = j
-        if best_j is not None and best_iou >= iou_threshold:
-            matched_gt[i] = best_j
-            gt_taken[best_j] = True
-    return MatchResult(tuple(matched_gt), tuple(gt_taken))
+    scores = np.array([d.score for d in dets], dtype=float)
+    one_group = np.zeros(len(dets) + len(gts), dtype=np.int64)
+    assigned = _greedy_assign(_boxes((*dets, *gts)), one_group, scores, [iou_threshold])[0].tolist()
+    matched = tuple(j if j >= 0 else None for j in assigned)
+    return MatchResult(matched, tuple(j in matched for j in range(len(gts))))
 
 
 def average_precision(tp_flags: Sequence[bool], total_gt: int) -> float:
@@ -179,104 +242,18 @@ def average_precision(tp_flags: Sequence[bool], total_gt: int) -> float:
     """
     if total_gt < 0:
         raise DomainError(f"total_gt must be >= 0, got {total_gt}")
+    flags = np.asarray(tp_flags, dtype=bool).reshape(-1)
     if total_gt == 0:
-        return 1.0 if not tp_flags else 0.0
+        return 1.0 if not flags.size else 0.0
 
-    precisions: list[float] = []
-    recalls: list[float] = []
-    tp = 0
-    for i, flag in enumerate(tp_flags):
-        if flag:
-            tp += 1
-        precisions.append(tp / (i + 1))
-        recalls.append(tp / total_gt)
-
+    tp = np.cumsum(flags)
+    precision = tp / np.arange(1, flags.size + 1)
     # Monotone envelope: precision at recall r becomes max precision at any
-    # recall >= r.
-    for i in range(len(precisions) - 2, -1, -1):
-        precisions[i] = max(precisions[i], precisions[i + 1])
-
-    total = 0.0
-    idx = 0
-    for k in range(_RECALL_SAMPLES):
-        r = k / (_RECALL_SAMPLES - 1)
-        while idx < len(recalls) and recalls[idx] < r:
-            idx += 1
-        if idx < len(precisions):
-            total += precisions[idx]
-    return total / _RECALL_SAMPLES
-
-
-def _pooled_flags(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthObject],
-    class_label: str,
-    iou_threshold: float,
-) -> tuple[list[bool], int]:
-    """Match per image, then pool flags globally by descending score.
-
-    Score ties across the pool are broken by position in the original
-    detection list, which keeps results independent of how images are
-    partitioned across workers.
-    """
-    det_groups: dict[ImageId, list[tuple[int, Detection]]] = {}
-    for idx, d in enumerate(dets):
-        if d.class_label == class_label:
-            det_groups.setdefault(d.image_id, []).append((idx, d))
-    gt_groups: dict[ImageId, list[GroundTruthObject]] = {}
-    for g in gts:
-        if g.class_label == class_label:
-            gt_groups.setdefault(g.image_id, []).append(g)
-
-    scored: list[tuple[float, int, bool]] = []
-    for image_id, pairs in det_groups.items():
-        image_dets = [d for _, d in pairs]
-        result = match_detections(image_dets, gt_groups.get(image_id, []), iou_threshold)
-        for (orig_idx, d), flag in zip(pairs, result.tp_flags):
-            scored.append((d.score, orig_idx, flag))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    total_gt = sum(len(v) for v in gt_groups.values())
-    return [flag for _, _, flag in scored], total_gt
-
-
-def _small_object_flags(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthObject],
-    class_label: str,
-    small_cutoff_px: float,
-) -> tuple[list[bool], int]:
-    """Flags restricted to small ground truth at IoU 0.50.
-
-    Matching runs against all ground truth first; detections matched to a
-    large (excluded) box are then dropped entirely, so they count neither
-    as hits nor as false positives for the small-object score.
-    """
-    max_area = small_cutoff_px * small_cutoff_px
-    det_groups: dict[ImageId, list[tuple[int, Detection]]] = {}
-    for idx, d in enumerate(dets):
-        if d.class_label == class_label:
-            det_groups.setdefault(d.image_id, []).append((idx, d))
-    gt_groups: dict[ImageId, list[GroundTruthObject]] = {}
-    for g in gts:
-        if g.class_label == class_label:
-            gt_groups.setdefault(g.image_id, []).append(g)
-
-    scored: list[tuple[float, int, bool]] = []
-    total_small = sum(
-        1 for image_gts in gt_groups.values() for g in image_gts if g.bbox.area < max_area
-    )
-    for image_id, pairs in det_groups.items():
-        image_dets = [d for _, d in pairs]
-        image_gts = gt_groups.get(image_id, [])
-        result = match_detections(image_dets, image_gts, 0.5)
-        for (orig_idx, d), gt_idx in zip(pairs, result.matched_gt_index):
-            if gt_idx is None:
-                scored.append((d.score, orig_idx, False))
-            elif image_gts[gt_idx].bbox.area < max_area:
-                scored.append((d.score, orig_idx, True))
-            # matched to an excluded (large) box: ignored
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return [flag for _, _, flag in scored], total_small
+    # recall >= r. Recall points beyond the last flag read the appended 0.
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    sampled = envelope[np.searchsorted(tp / total_gt, _RECALL_POINTS)]
+    # cumsum adds left to right, as a running total does.
+    return float(np.cumsum(sampled)[-1] / _RECALL_SAMPLES)
 
 
 def evaluate(
@@ -289,37 +266,63 @@ def evaluate(
 
     AP at each threshold is computed per class (classes taken from the
     union of detections and ground truth) and averaged; with a single
-    class this is plain AP. ``ap_small`` is always computed at IoU 0.50.
+    class this is plain AP. Detections are matched per image, then pooled
+    by descending score with ties in input order, so the result does not
+    depend on how images are partitioned. ``ap_small`` is always computed
+    at IoU 0.50 on ground truth below the area cutoff; detections matched
+    to a larger box are dropped from it.
     """
     if not thresholds:
         raise UsageError("thresholds must be non-empty")
     for t in thresholds:
         if not 0.0 < t <= 1.0:
             raise UsageError(f"thresholds must be in (0, 1], got {t}")
+    if not (math.isfinite(small_cutoff_px) and small_cutoff_px > 0):
+        raise UsageError(f"small_cutoff_px must be a finite number > 0, got {small_cutoff_px}")
 
     classes = sorted({d.class_label for d in dets} | {g.class_label for g in gts})
-    ap_per_threshold: dict[float, float] = {}
-    for t in thresholds:
-        if classes:
-            aps = []
-            for cls in classes:
-                flags, total_gt = _pooled_flags(dets, gts, cls, t)
-                aps.append(average_precision(flags, total_gt))
-            ap_per_threshold[t] = sum(aps) / len(aps)
-        else:
-            ap_per_threshold[t] = 1.0  # nothing to detect, nothing detected
+    if not classes:  # nothing to detect, nothing detected
+        return EvalResult({t: 1.0 for t in thresholds}, map_value=1.0, ap_small=1.0)
 
-    if classes:
-        small_aps = []
-        for cls in classes:
-            flags, total_small = _small_object_flags(dets, gts, cls, small_cutoff_px)
-            small_aps.append(average_precision(flags, total_small))
-        ap_small = sum(small_aps) / len(small_aps)
-    else:
-        ap_small = 1.0
+    reported = list(dict.fromkeys(thresholds))
+    # ap_small is scored at IoU 0.50, which need not be a reported threshold.
+    levels = reported if 0.5 in reported else [*reported, 0.5]
+    half = levels.index(0.5)
 
+    # Detections, then ground truth: class codes and (image, class) group codes.
+    items, n = (*dets, *gts), len(dets)
+    class_of = {c: k for k, c in enumerate(classes)}
+    image_of: dict[ImageId, int] = {}
+    cls = np.array([class_of[o.class_label] for o in items], dtype=np.int64)
+    img = np.array([image_of.setdefault(o.image_id, len(image_of)) for o in items], dtype=np.int64)
+    group = img * len(classes) + cls
+    boxes = _boxes(items)
+    scores = np.array([d.score for d in dets], dtype=float)
+    assigned = _greedy_assign(boxes, group, scores, levels)
+
+    # Pool each class's detections by descending score, ties in input order.
+    order = np.lexsort((-scores, cls[:n]))
+    assigned = assigned[:, order]
+    bounds = np.searchsorted(cls[:n][order], np.arange(len(classes) + 1)).tolist()
+    # Index -1 (no match) reads the appended False.
+    is_small = np.append(boxes[n:, 2] * boxes[n:, 3] < small_cutoff_px * small_cutoff_px, False)
+    gt_total = np.bincount(cls[n:], minlength=len(classes)).tolist()
+    small_total = np.bincount(cls[n:][is_small[:-1]], minlength=len(classes)).tolist()
+
+    slices = list(zip(bounds[:-1], bounds[1:], gt_total, small_total))
+    ap_per_threshold = {
+        t: sum(average_precision(row[lo:hi] >= 0, n_gt) for lo, hi, n_gt, _ in slices)
+        / len(classes)
+        for t, row in zip(reported, assigned)
+    }
+    small_hit = is_small[assigned[half]]
+    # Detections matched to a large box drop out of the small-object score.
+    kept = small_hit | (assigned[half] < 0)
+    small_aps = [
+        average_precision(small_hit[lo:hi][kept[lo:hi]], n_small) for lo, hi, _, n_small in slices
+    ]
     map_value = sum(ap_per_threshold.values()) / len(ap_per_threshold)
-    return EvalResult(ap_per_threshold=ap_per_threshold, map_value=map_value, ap_small=ap_small)
+    return EvalResult(ap_per_threshold, map_value, ap_small=sum(small_aps) / len(small_aps))
 
 
 def flip_augment(gt: GroundTruthObject, image_width: int) -> GroundTruthObject:

@@ -51,10 +51,10 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.n_cells < 1:
             raise DomainError(f"n_cells must be >= 1, got {self.n_cells}")
-        if self.t_scan_s <= 0:
-            raise DomainError(f"t_scan_s must be > 0, got {self.t_scan_s}")
-        if self.t_detect_s < 0:
-            raise DomainError(f"t_detect_s must be >= 0, got {self.t_detect_s}")
+        if not (math.isfinite(self.t_scan_s) and self.t_scan_s > 0):
+            raise DomainError(f"t_scan_s must be finite and > 0, got {self.t_scan_s}")
+        if not (math.isfinite(self.t_detect_s) and self.t_detect_s >= 0):
+            raise DomainError(f"t_detect_s must be finite and >= 0, got {self.t_detect_s}")
         if not 0.0 <= self.ap <= 1.0:
             raise DomainError(f"ap must be within [0, 1], got {self.ap}")
 

@@ -72,6 +72,13 @@ class TestAnalyticCommand:
         kinds = [row[0] for row in rows[1:]]
         assert kinds == ["curve", "breakeven"]
 
+    @pytest.mark.parametrize("flag", ["--t-scan", "--t-detect"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_timing_is_invariant_error(self, capsys, flag, value):
+        rc, captured = _run(capsys, ["analytic", "--n-cells", "64", flag, value])
+        assert rc == 2
+        assert captured.out == ""
+
     def test_bad_sweep_rejected(self, capsys):
         rc, captured = _run(capsys, ["analytic", "--ap-start", "0.9", "--ap-stop", "0.1"])
         assert rc == 3
@@ -204,6 +211,27 @@ class TestEvalCommand:
         rc, captured = _run(capsys, ["eval", "--ground-truth", str(gt), "--detections", str(det)])
         assert rc == 2
         assert "score" in captured.err
+
+    @pytest.mark.parametrize("cutoff", ["-32", "0", "nan", "inf"])
+    def test_bad_small_cutoff_is_usage_error(self, tmp_path, capsys, cutoff):
+        gt = tmp_path / "gt.json"
+        det = tmp_path / "det.json"
+        gt.write_text(json.dumps(ANNOTATIONS), encoding="utf-8")
+        det.write_text(json.dumps(DETECTIONS), encoding="utf-8")
+        argv = ["eval", "--ground-truth", str(gt), "--detections", str(det)]
+        rc, captured = _run(capsys, argv + [f"--small-cutoff={cutoff}"])
+        assert rc == 3
+        assert "small_cutoff" in captured.err
+
+    def test_non_finite_number_is_schema_error(self, tmp_path, capsys):
+        gt = tmp_path / "gt.json"
+        det = tmp_path / "det.json"
+        objects = [dict(ANNOTATIONS["objects"][0], bbox=[float("nan"), 50, 124, 62])]
+        gt.write_text(json.dumps(dict(ANNOTATIONS, objects=objects)), encoding="utf-8")
+        det.write_text(json.dumps(DETECTIONS), encoding="utf-8")
+        rc, captured = _run(capsys, ["eval", "--ground-truth", str(gt), "--detections", str(det)])
+        assert rc == 1
+        assert "NaN" in captured.err
 
 
 class TestAugmentCommand:

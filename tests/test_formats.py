@@ -141,6 +141,17 @@ class TestAnnotations:
         with pytest.raises(SchemaError, match="width"):
             parse_annotations(text)
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_box_rejected(self, number):
+        # A NaN box would pass the image-bounds check: every comparison
+        # with NaN is false.
+        text = (
+            '{"images": [{"image_id": "a", "width": 100, "height": 100}], "objects": '
+            f'[{{"image_id": "a", "class_label": "x", "bbox": [{number}, 1, 10, 10]}}]}}'
+        )
+        with pytest.raises(SchemaError):
+            parse_annotations(text)
+
 
 class TestDetections:
     def test_parse(self):
@@ -179,6 +190,19 @@ class TestDetections:
     def test_missing_field_rejected(self):
         with pytest.raises(SchemaError, match="detections"):
             parse_detections("{}")
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            '"bbox": [NaN, 1, 10, 10], "score": 0.5',
+            '"bbox": [0, 0, 1e999, 1], "score": 0.5',
+            '"bbox": [0, 0, 1, 1], "score": NaN',
+        ],
+    )
+    def test_non_finite_number_rejected(self, field):
+        text = f'{{"detections": [{{"image_id": "a", "class_label": "x", {field}}}]}}'
+        with pytest.raises(SchemaError):
+            parse_detections(text)
 
 
 class TestProfileFormat:

@@ -1,0 +1,130 @@
+"""Property tests: the array-backed evaluator against the scalar oracle.
+
+``legacy_metrics`` holds the evaluator as it was before matching moved to
+precomputed IoU arrays. Inputs are drawn to hit the cases where a one-pass
+rewrite could drift: several images and classes, classes with only
+detections or only ground truth, images without ground truth, duplicate
+scores, identical and nested boxes (IoU ties), boxes on both sides of the
+small-object cutoff, and threshold lists that omit 0.5 or repeat a value.
+"""
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+import legacy_metrics as legacy
+from rbcscan.metrics import (
+    STANDARD_IOU_THRESHOLDS,
+    BBox,
+    Detection,
+    GroundTruthObject,
+    average_precision,
+    evaluate,
+    match_detections,
+)
+
+TOL = 1e-12
+
+_coord = st.one_of(st.integers(0, 60), st.floats(0, 60, allow_nan=False))
+# Sides up to 64 px put areas on both sides of the default 32 x 32 cutoff.
+_side = st.one_of(st.integers(1, 64), st.floats(0.5, 64), st.just(0))
+_boxes = st.builds(BBox, _coord, _coord, _side, _side)
+_shift = st.integers(-4, 4)
+_inset = st.integers(1, 4)
+_scores = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]), st.floats(0, 1))
+_images = st.sampled_from([0, 1, "0", "b"])
+_labels = st.sampled_from(["phone", "tablet", "watch"])
+_threshold_lists = st.lists(
+    st.one_of(st.sampled_from([0.3, 0.5, 0.75, 1.0]), st.floats(0.01, 1.0)),
+    min_size=1,
+    max_size=5,
+)
+_thresholds = st.one_of(
+    st.just(STANDARD_IOU_THRESHOLDS),
+    _threshold_lists,
+    _threshold_lists.map(lambda ts: ts + ts[:1]),
+)
+
+
+def _moved(box):
+    """The box as is, shifted, or shrunk inside itself."""
+    return st.one_of(
+        st.just(box),
+        st.builds(lambda dx, dy: BBox(box.x + dx, box.y + dy, box.w, box.h), _shift, _shift),
+        st.builds(
+            lambda d: BBox(box.x + d, box.y + d, max(box.w - 2 * d, 0), max(box.h - 2 * d, 0)),
+            _inset,
+        ),
+    )
+
+
+@st.composite
+def _scenes(draw, images=_images, labels=_labels):
+    """Detections and ground truth on a few images and classes.
+
+    Ground truth uses a prefix of the scene's images and a prefix of its
+    classes, random detections a suffix of its classes, so images without
+    ground truth and classes on one side only are common. The other
+    detections sit on annotated boxes: exact copies, shifted, or nested
+    inside, as a detector's hits would.
+    """
+    imgs = draw(st.lists(images, min_size=1, max_size=3, unique=True))
+    labs = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    n_gt_imgs = draw(st.integers(1, len(imgs)))
+    n_gt_labs = draw(st.integers(1, len(labs)))
+    first_det_lab = draw(st.integers(0, len(labs) - 1))
+    gt = st.builds(
+        GroundTruthObject,
+        st.sampled_from(imgs[:n_gt_imgs]),
+        _boxes,
+        st.sampled_from(labs[:n_gt_labs]),
+    )
+    gts = draw(st.lists(gt, max_size=10))
+    # Repeating a few annotations gives a detection equal IoU with two boxes.
+    gts += gts[: draw(st.integers(0, 2))]
+    hits = [
+        Detection(g.image_id, draw(_moved(g.bbox)), draw(_scores), g.class_label)
+        for g in gts
+        if draw(st.booleans())
+    ]
+    det = st.builds(
+        Detection,
+        st.sampled_from(imgs),
+        _boxes,
+        _scores,
+        st.sampled_from(labs[first_det_lab:]),
+    )
+    return draw(st.permutations(hits + draw(st.lists(det, max_size=10)))), gts
+
+
+def _assert_same(got, want):
+    assert list(got.ap_per_threshold) == list(want.ap_per_threshold)
+    for t, ap in want.ap_per_threshold.items():
+        assert abs(got.ap_per_threshold[t] - ap) <= TOL, t
+    assert abs(got.map_value - want.map_value) <= TOL
+    assert abs(got.ap_small - want.ap_small) <= TOL
+
+
+@given(_scenes(), _thresholds)
+def test_evaluate_matches_legacy(scene, thresholds):
+    dets, gts = scene
+    # Drawing a scene costs more than scoring it, so each one is scored a
+    # few ways: identical boxes have IoU exactly 1.0, and the two cutoffs
+    # make most matched boxes large or most of them small.
+    for ts in (thresholds, (0.5, 1.0)):
+        for cutoff in (8.0, 40.5):
+            _assert_same(
+                evaluate(dets, gts, ts, small_cutoff_px=cutoff),
+                legacy.evaluate(dets, gts, ts, small_cutoff_px=cutoff),
+            )
+
+
+@given(_scenes(images=st.just("img"), labels=st.just("phone")), st.floats(0.01, 1.0))
+def test_match_detections_matches_legacy(scene, threshold):
+    dets, gts = scene
+    assert match_detections(dets, gts, threshold) == legacy.match_detections(dets, gts, threshold)
+
+
+@given(st.lists(st.booleans(), max_size=40), st.integers(0, 45))
+def test_average_precision_matches_legacy(flags, total_gt):
+    assert average_precision(flags, total_gt) == legacy.average_precision(flags, total_gt)
+

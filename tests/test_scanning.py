@@ -119,6 +119,11 @@ class TestScanConfigValidation:
             dict(n_cells=4, t_scan_s=0.0),
             dict(n_cells=4, t_scan_s=1.0, t_detect_s=-1.0),
             dict(n_cells=4, t_scan_s=1.0, ap=1.5),
+            dict(n_cells=4, t_scan_s=float("nan")),
+            dict(n_cells=4, t_scan_s=float("inf")),
+            dict(n_cells=4, t_scan_s=1.0, t_detect_s=float("nan")),
+            dict(n_cells=4, t_scan_s=1.0, t_detect_s=float("inf")),
+            dict(n_cells=4, t_scan_s=1.0, ap=float("nan")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
