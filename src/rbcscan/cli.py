@@ -98,6 +98,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Most rows an ``analytic`` sweep may have: an --ap-step of 1e-5 over [0, 1].
+MAX_AP_ROWS = 100_001
+
+
 def _ap_grid(start: float, stop: float, step: float) -> list[float]:
     if not 0.0 <= start <= 1.0 or not 0.0 <= stop <= 1.0:
         raise UsageError("AP sweep bounds must lie within [0, 1]")
@@ -105,10 +109,15 @@ def _ap_grid(start: float, stop: float, step: float) -> list[float]:
         raise UsageError(f"--ap-stop ({stop}) must be >= --ap-start ({start})")
     if start == stop:
         return [round(start, 10)]
-    if step <= 0:
+    if not step > 0:
         raise UsageError(f"--ap-step must be > 0, got {step}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [round(start + i * step, 10) for i in range(count)]
+    # The sweep has floor(span) + 1 rows; span may be inf for a tiny step.
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_AP_ROWS:
+        raise UsageError(
+            f"--ap-step {step} asks for more than {MAX_AP_ROWS} rows from {start} to {stop}"
+        )
+    return [round(start + i * step, 10) for i in range(math.floor(span) + 1)]
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
@@ -134,6 +143,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = formats.parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+    formats.resolve_profile(scenario.profile, Path(args.scenario).parent)
     trials = args.trials if args.trials is not None else scenario.trials
     seed = args.seed if args.seed is not None else scenario.seed
     rows = []

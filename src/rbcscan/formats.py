@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -76,6 +78,14 @@ def _decode(text: str) -> Any:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e.msg} (line {e.lineno}, column {e.colno})") from None
+    except SchemaError:
+        raise
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise SchemaError(
+            f"not valid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise SchemaError("not valid JSON: arrays or objects nested too deeply") from None
 
 
 def _obj(value: Any, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
@@ -99,7 +109,13 @@ def _array(value: Any, path: str) -> list:
 def _num(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise SchemaError(
+            f"{path}: expected a finite number, got an integer too large for a float"
+        ) from None
+    if not finite:
         raise SchemaError(f"{path}: expected a finite number, got {value}")
     return value
 
@@ -143,46 +159,109 @@ def _construct(path: str, factory: Callable, *args, **kwargs):
 # ---------------------------------------------------------------------------
 
 
+# The parsers below take a fast path for a record that is valid: direct type
+# tests and comparisons, no path strings and no per-field helpers. Its tests
+# imply those of the record's descriptive checker (_image, _ground_truth,
+# _detection), so a record it accepts is one the checker accepts, with the
+# same value. Any other record goes to the checker, which accepts it too or
+# names its first fault.
+
+_IMAGE_FIELDS = ("image_id", "width", "height")
+_OBJECT_FIELDS = ("image_id", "class_label", "bbox")
+_DETECTION_FIELDS = ("image_id", "class_label", "bbox", "score")
+_IMAGE_KEYS = frozenset(_IMAGE_FIELDS)
+_OBJECT_KEYS = frozenset(_OBJECT_FIELDS)
+_DETECTION_KEYS = frozenset(_DETECTION_FIELDS)
+_image_fields = itemgetter(*_IMAGE_FIELDS)
+_object_fields = itemgetter(*_OBJECT_FIELDS)
+_detection_fields = itemgetter(*_DETECTION_FIELDS)
+#: A number within +-_FLOAT_MAX is finite and converts to a float.
+_FLOAT_MAX = sys.float_info.max
+
+
+def _image(item: Any, path: str, by_id: dict[ImageId, ImageInfo]) -> ImageInfo:
+    obj = _obj(item, path, _IMAGE_FIELDS)
+    info = ImageInfo(
+        image_id=_image_id(obj["image_id"], f"{path}.image_id"),
+        width=_int(obj["width"], f"{path}.width"),
+        height=_int(obj["height"], f"{path}.height"),
+    )
+    if info.width < 1 or info.height < 1:
+        raise InvariantError(f"{path}: image dimensions must be >= 1")
+    if info.image_id in by_id:
+        raise InvariantError(f"{path}.image_id: duplicate image id {info.image_id!r}")
+    return info
+
+
+def _ground_truth(item: Any, path: str, by_id: dict[ImageId, ImageInfo]) -> GroundTruthObject:
+    obj = _obj(item, path, _OBJECT_FIELDS)
+    image_id = _image_id(obj["image_id"], f"{path}.image_id")
+    info = by_id.get(image_id)
+    if info is None:
+        raise InvariantError(f"{path}.image_id: no such image {image_id!r}")
+    bbox = _bbox(obj["bbox"], f"{path}.bbox")
+    if bbox.x < 0 or bbox.y < 0 or bbox.x + bbox.w > info.width or bbox.y + bbox.h > info.height:
+        raise InvariantError(
+            f"{path}.bbox: box exceeds the {info.width}x{info.height} image bounds"
+        )
+    return GroundTruthObject(
+        image_id=image_id,
+        bbox=bbox,
+        class_label=_str(obj["class_label"], f"{path}.class_label"),
+    )
+
+
 def parse_annotations(text: str) -> AnnotationFile:
     root = _obj(_decode(text), "$", ("images", "objects"), ("split",))
 
     images: list[ImageInfo] = []
     by_id: dict[ImageId, ImageInfo] = {}
     for i, item in enumerate(_array(root["images"], "$.images")):
-        path = f"$.images[{i}]"
-        obj = _obj(item, path, ("image_id", "width", "height"))
-        info = ImageInfo(
-            image_id=_image_id(obj["image_id"], f"{path}.image_id"),
-            width=_int(obj["width"], f"{path}.width"),
-            height=_int(obj["height"], f"{path}.height"),
-        )
-        if info.width < 1 or info.height < 1:
-            raise InvariantError(f"{path}: image dimensions must be >= 1")
-        if info.image_id in by_id:
-            raise InvariantError(f"{path}.image_id: duplicate image id {info.image_id!r}")
+        info = None
+        if type(item) is dict and item.keys() == _IMAGE_KEYS:
+            image_id, width, height = _image_fields(item)
+            if (
+                (type(image_id) is str or type(image_id) is int)
+                and type(width) is int
+                and type(height) is int
+                and width >= 1
+                and height >= 1
+                and image_id not in by_id
+            ):
+                info = ImageInfo(image_id, width, height)
+        if info is None:
+            info = _image(item, f"$.images[{i}]", by_id)
         by_id[info.image_id] = info
         images.append(info)
 
     objects: list[GroundTruthObject] = []
     for i, item in enumerate(_array(root["objects"], "$.objects")):
-        path = f"$.objects[{i}]"
-        obj = _obj(item, path, ("image_id", "class_label", "bbox"))
-        image_id = _image_id(obj["image_id"], f"{path}.image_id")
-        info = by_id.get(image_id)
-        if info is None:
-            raise InvariantError(f"{path}.image_id: no such image {image_id!r}")
-        bbox = _bbox(obj["bbox"], f"{path}.bbox")
-        if bbox.x < 0 or bbox.y < 0 or bbox.x + bbox.w > info.width or bbox.y + bbox.h > info.height:
-            raise InvariantError(
-                f"{path}.bbox: box exceeds the {info.width}x{info.height} image bounds"
-            )
-        objects.append(
-            GroundTruthObject(
-                image_id=image_id,
-                bbox=bbox,
-                class_label=_str(obj["class_label"], f"{path}.class_label"),
-            )
-        )
+        gt = None
+        if type(item) is dict and item.keys() == _OBJECT_KEYS:
+            image_id, label, box = _object_fields(item)
+            info = by_id.get(image_id) if type(image_id) is str or type(image_id) is int else None
+            if info is not None and type(label) is str and type(box) is list and len(box) == 4:
+                x, y, w, h = box
+                width, height = info.width, info.height
+                # The upper bounds on x, w, y and h follow from the two sums;
+                # tested first, they keep an integer too large for a float
+                # out of a sum with a float.
+                if (
+                    (type(x) is float or type(x) is int)
+                    and (type(y) is float or type(y) is int)
+                    and (type(w) is float or type(w) is int)
+                    and (type(h) is float or type(h) is int)
+                    and 0 <= x <= width
+                    and 0 <= w <= width
+                    and x + w <= width
+                    and 0 <= y <= height
+                    and 0 <= h <= height
+                    and y + h <= height
+                ):
+                    gt = GroundTruthObject(image_id, BBox(x, y, w, h), label)
+        if gt is None:
+            gt = _ground_truth(item, f"$.objects[{i}]", by_id)
+        objects.append(gt)
 
     split = None
     if "split" in root:
@@ -220,23 +299,49 @@ def emit_annotations(af: AnnotationFile) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _detection(item: Any, path: str) -> Detection:
+    obj = _obj(item, path, _DETECTION_FIELDS)
+    score = _num(obj["score"], f"{path}.score")
+    if not 0.0 <= score <= 1.0:
+        raise InvariantError(f"{path}.score: must be within [0, 1], got {score}")
+    return Detection(
+        image_id=_image_id(obj["image_id"], f"{path}.image_id"),
+        bbox=_bbox(obj["bbox"], f"{path}.bbox"),
+        score=score,
+        class_label=_str(obj["class_label"], f"{path}.class_label"),
+    )
+
+
 def parse_detections(text: str) -> DetectionFile:
     root = _obj(_decode(text), "$", ("detections",))
     dets: list[Detection] = []
     for i, item in enumerate(_array(root["detections"], "$.detections")):
-        path = f"$.detections[{i}]"
-        obj = _obj(item, path, ("image_id", "class_label", "bbox", "score"))
-        score = _num(obj["score"], f"{path}.score")
-        if not 0.0 <= score <= 1.0:
-            raise InvariantError(f"{path}.score: must be within [0, 1], got {score}")
-        dets.append(
-            Detection(
-                image_id=_image_id(obj["image_id"], f"{path}.image_id"),
-                bbox=_bbox(obj["bbox"], f"{path}.bbox"),
-                score=score,
-                class_label=_str(obj["class_label"], f"{path}.class_label"),
-            )
-        )
+        det = None
+        if type(item) is dict and item.keys() == _DETECTION_KEYS:
+            image_id, label, box, score = _detection_fields(item)
+            if (
+                (type(image_id) is str or type(image_id) is int)
+                and type(label) is str
+                and (type(score) is float or type(score) is int)
+                and 0.0 <= score <= 1.0
+                and type(box) is list
+                and len(box) == 4
+            ):
+                x, y, w, h = box
+                if (
+                    (type(x) is float or type(x) is int)
+                    and (type(y) is float or type(y) is int)
+                    and (type(w) is float or type(w) is int)
+                    and (type(h) is float or type(h) is int)
+                    and -_FLOAT_MAX <= x <= _FLOAT_MAX
+                    and -_FLOAT_MAX <= y <= _FLOAT_MAX
+                    and 0 <= w <= _FLOAT_MAX
+                    and 0 <= h <= _FLOAT_MAX
+                ):
+                    det = Detection(image_id, BBox(x, y, w, h), score, label)
+        if det is None:
+            det = _detection(item, f"$.detections[{i}]")
+        dets.append(det)
     return DetectionFile(detections=tuple(dets))
 
 
@@ -312,13 +417,24 @@ def emit_profile(profile: DetectorProfile) -> str:
 
 
 def resolve_profile(ref: str, base_dir: str | Path | None = None) -> DetectorProfile:
-    """Load a profile reference: a bundled profile name or a file path."""
-    if ref in builtin_profile_names():
+    """Load a profile reference: a bundled profile name or a file path.
+
+    A reference that is neither raises SchemaError naming it.
+    """
+    names = builtin_profile_names()
+    if ref in names:
         return builtin_profile(ref)
     path = Path(ref)
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path
-    return parse_profile(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise SchemaError(
+            f"profile {ref!r} is neither a bundled profile ({', '.join(names)}) "
+            f"nor a readable file: {e.strerror or e} ({path})"
+        ) from None
+    return parse_profile(text)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ class CameraModel:
     ref_height: int
 
     def __post_init__(self) -> None:
-        if self.focal_px <= 0:
-            raise DomainError(f"focal_px must be > 0, got {self.focal_px}")
+        if not (math.isfinite(self.focal_px) and self.focal_px > 0):
+            raise DomainError(f"focal_px must be finite and > 0, got {self.focal_px}")
         if self.ref_width <= 0 or self.ref_height <= 0:
             raise DomainError(
                 f"reference resolution must be positive, got {self.ref_width}x{self.ref_height}"
@@ -52,9 +52,10 @@ class ReceiverSpec:
     class_label: str = "smartphone"
 
     def __post_init__(self) -> None:
-        if self.width_cm <= 0 or self.height_cm <= 0:
+        if not all(math.isfinite(v) and v > 0 for v in (self.width_cm, self.height_cm)):
             raise DomainError(
-                f"receiver dimensions must be > 0, got {self.width_cm}x{self.height_cm} cm"
+                "receiver dimensions must be finite and > 0, got "
+                f"{self.width_cm}x{self.height_cm} cm"
             )
 
 
@@ -88,8 +89,8 @@ class PixelSize:
     h_px: float
 
     def __post_init__(self) -> None:
-        if self.w_px < 0 or self.h_px < 0:
-            raise DomainError(f"pixel size must be >= 0, got ({self.w_px}, {self.h_px})")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.w_px, self.h_px)):
+            raise DomainError(f"pixel size must be finite and >= 0, got ({self.w_px}, {self.h_px})")
 
 
 #: Below this on-image size (long side x short side) the detector is treated
@@ -103,9 +104,9 @@ def calibrate_focal(object_cm: float, distance_cm: float, observed_px: float) ->
 
     Inverts the pinhole relation: focal_px = observed_px * distance_cm / object_cm.
     """
-    if object_cm <= 0 or distance_cm <= 0 or observed_px <= 0:
+    if not all(math.isfinite(v) and v > 0 for v in (object_cm, distance_cm, observed_px)):
         raise DomainError(
-            "calibrate_focal requires positive inputs, got "
+            "calibrate_focal requires finite positive inputs, got "
             f"({object_cm}, {distance_cm}, {observed_px})"
         )
     return observed_px * distance_cm / object_cm
@@ -143,8 +144,8 @@ def project_size(
     Returns continuous pixel values; callers round for display. The output
     resolution must share the camera's reference aspect ratio.
     """
-    if distance_cm <= 0:
-        raise DomainError(f"distance_cm must be > 0, got {distance_cm}")
+    if not (math.isfinite(distance_cm) and distance_cm > 0):
+        raise DomainError(f"distance_cm must be finite and > 0, got {distance_cm}")
     _check_aspect(cam, out_width, out_height)
     scale = out_width / cam.ref_width
     return PixelSize(
@@ -164,8 +165,10 @@ def is_detectable(
     the shorter against the shorter, so orientation does not matter; the
     comparison is inclusive at the boundary.
     """
-    if min_w <= 0 or min_h <= 0:
-        raise DomainError(f"detectability thresholds must be > 0, got ({min_w}, {min_h})")
+    if not all(math.isfinite(v) and v > 0 for v in (min_w, min_h)):
+        raise DomainError(
+            f"detectability thresholds must be finite and > 0, got ({min_w}, {min_h})"
+        )
     long_side, short_side = max(p.w_px, p.h_px), min(p.w_px, p.h_px)
     long_min, short_min = max(min_w, min_h), min(min_w, min_h)
     return long_side >= long_min and short_side >= short_min

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from rbcscan.cli import build_parser, main
-from rbcscan.formats import emit_scenario, parse_annotations, parse_scenario
+from rbcscan.cli import MAX_AP_ROWS, _ap_grid, build_parser, main
+from rbcscan.detector import builtin_profile
+from rbcscan.errors import UsageError
+from rbcscan.formats import emit_profile, emit_scenario, parse_annotations, parse_scenario
 
 SCENARIO = {
     "camera": {"focal_px": 1062.857142857143, "ref_width": 1280, "ref_height": 720},
@@ -83,6 +85,19 @@ class TestAnalyticCommand:
         rc, captured = _run(capsys, ["analytic", "--ap-start", "0.9", "--ap-stop", "0.1"])
         assert rc == 3
 
+    @pytest.mark.parametrize("step", ["nan", "-0.1", "0", "1e-12", "1e-320"])
+    def test_bad_step_is_usage_error(self, capsys, step):
+        rc, captured = _run(capsys, ["analytic", f"--ap-step={step}"])
+        assert rc == 3
+        assert "--ap-step" in captured.err
+        assert captured.out == ""
+
+    def test_row_cap_is_exact(self):
+        # Counted by _ap_grid before any row of the sweep is computed.
+        assert len(_ap_grid(0.0, 1.0, 1 / (MAX_AP_ROWS - 1))) == MAX_AP_ROWS
+        with pytest.raises(UsageError, match="rows"):
+            _ap_grid(0.0, 1.0, 1 / MAX_AP_ROWS)
+
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         rc, captured = _run(capsys, ["analytic", "--output", str(out)])
@@ -128,6 +143,22 @@ class TestSimulateCommand:
         rc, captured = _run(capsys, ["simulate", "--scenario", str(scenario)])
         assert rc == 1
 
+    def test_unresolvable_profile_is_schema_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(SCENARIO, profile="mask-rcnn-smartpone")), "utf-8")
+        rc, captured = _run(capsys, ["simulate", "--scenario", str(scenario)])
+        assert rc == 1
+        assert "'mask-rcnn-smartpone'" in captured.err
+        assert captured.out == ""
+
+    def test_profile_path_is_relative_to_the_scenario(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "custom.json").write_text(emit_profile(builtin_profile()), "utf-8")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(SCENARIO, profile="custom.json")), "utf-8")
+        monkeypatch.chdir(tmp_path.parent)
+        rc, captured = _run(capsys, ["simulate", "--scenario", str(scenario), "--trials", "10"])
+        assert rc == 0, captured.err
+
     def test_invariant_error_exit_code(self, tmp_path, capsys):
         payload = dict(SCENARIO, scan=dict(SCENARIO["scan"], n_cells=63))
         scenario = tmp_path / "scenario.json"
@@ -172,6 +203,28 @@ class TestGeometryCommand:
     def test_aspect_mismatch_is_invariant_error(self, capsys):
         rc, _ = _run(capsys, ["geometry", "--resolutions", "640x480"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--focal-px", "nan"],
+            ["--focal-px", "inf"],
+            ["--distances", "nan"],
+            ["--distances", "120,inf"],
+            ["--distances", "1e-320"],  # finite, but the projected size overflows
+            ["--calibrate", "14", "120", "nan"],
+            ["--calibrate", "inf", "120", "124"],
+            ["--receiver-width-cm", "nan"],
+            ["--receiver-height-cm", "inf"],
+            ["--min-width-px", "nan"],
+            ["--min-height-px", "inf"],
+        ],
+    )
+    def test_non_finite_option_is_invariant_error(self, capsys, option):
+        rc, captured = _run(capsys, ["geometry", *option])
+        assert rc == 2
+        assert "finite" in captured.err
+        assert captured.out == ""
 
 
 class TestEvalCommand:
@@ -232,6 +285,40 @@ class TestEvalCommand:
         rc, captured = _run(capsys, ["eval", "--ground-truth", str(gt), "--detections", str(det)])
         assert rc == 1
         assert "NaN" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            (
+                "--detections",
+                json.dumps(
+                    {"detections": [dict(DETECTIONS["detections"][0], bbox=[10**400, 0, 1, 1])]}
+                ),
+                "detections[0].bbox[0]: expected a finite number, got an integer too large",
+            ),
+            (
+                "--ground-truth",
+                json.dumps(ANNOTATIONS).replace('"width": 1280', '"width": ' + "1" * 5000, 1),
+                "digits",
+            ),
+            (
+                "--detections",
+                '{"detections": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                "nested too deeply",
+            ),
+        ],
+        ids=["too-large-for-a-float", "past-the-digit-limit", "nested-too-deeply"],
+    )
+    def test_json_past_python_limits_is_schema_error(self, tmp_path, capsys, flag, text, message):
+        files = {"--ground-truth": json.dumps(ANNOTATIONS), "--detections": json.dumps(DETECTIONS)}
+        argv = ["eval"]
+        for name, content in {**files, flag: text}.items():
+            path = tmp_path / f"{name[2:]}.json"
+            path.write_text(content, encoding="utf-8")
+            argv += [name, str(path)]
+        rc, captured = _run(capsys, argv)
+        assert rc == 1
+        assert message in captured.err
 
 
 class TestAugmentCommand:

@@ -1,0 +1,287 @@
+"""Property tests: the fast-path parsers against the field-at-a-time oracle.
+
+``legacy_formats`` holds ``parse_annotations`` and ``parse_detections`` as
+they were before valid records skipped the per-field checkers. Documents
+are drawn valid, then given at most one fault: a field of the wrong type, a
+bool for a number, a missing or unknown key, a negative width or height, a
+box outside its image, an unknown or duplicate image id, a float, bool or
+list in place of an image id, a score out of range, a record or box of the
+wrong shape, or an integer too large for a float. Both parsers must return
+the same values or raise the same class with the same message; for the
+last fault the oracle raises ``OverflowError`` and the new parser
+``SchemaError``.
+
+The round-trip properties ``parse(emit(parse(x))) == parse(x)`` cover all
+four file formats.
+"""
+
+import json
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import legacy_formats as legacy
+from rbcscan.errors import RbcScanError, SchemaError
+from rbcscan.formats import (
+    emit_annotations,
+    emit_detections,
+    emit_profile,
+    emit_scenario,
+    parse_annotations,
+    parse_detections,
+    parse_profile,
+    parse_scenario,
+)
+
+#: Above the largest float, yet rounds to it: finite for ``math.isfinite``.
+BEYOND_FLOAT_MAX = 2**1024 - 2**971 + 1
+#: Too large for a float: ``math.isfinite`` raises ``OverflowError``.
+HUGE = 10**400
+
+_ids = st.one_of(st.integers(-3, 30), st.text("ab1", max_size=2))
+_labels = st.sampled_from(["phone", "tablet", ""])
+_real = st.one_of(
+    st.integers(-50, 300),
+    st.floats(-50, 300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([sys.float_info.max, -sys.float_info.max, BEYOND_FLOAT_MAX, -0.0]),
+)
+_scores = st.one_of(st.sampled_from([0, 1, 0.0, 1.0]), st.floats(0, 1))
+
+
+def _upto(limit):
+    """A number in [0, limit], an integer when it fits."""
+    return st.one_of(st.integers(0, int(limit)), st.floats(0, limit))
+
+
+def _shuffled(draw, record):
+    return dict(draw(st.permutations(list(record.items()))))
+
+
+@st.composite
+def _annotation_docs(draw):
+    images = [
+        {"image_id": i, "width": draw(st.integers(1, 100)), "height": draw(st.integers(1, 100))}
+        for i in draw(st.lists(_ids, unique=True, min_size=1, max_size=4))
+    ]
+    objects = []
+    for _ in range(draw(st.integers(1, 6))):
+        im = draw(st.sampled_from(images))
+        x, y = draw(_upto(im["width"])), draw(_upto(im["height"]))
+        # x + w may still round past the edge: then both parsers reject it.
+        box = [x, y, draw(_upto(im["width"] - x)), draw(_upto(im["height"] - y))]
+        objects.append({"image_id": im["image_id"], "class_label": draw(_labels), "bbox": box})
+    doc = {
+        "images": [_shuffled(draw, r) for r in images],
+        "objects": [_shuffled(draw, r) for r in objects],
+    }
+    if draw(st.booleans()):
+        doc["split"] = {k: draw(st.integers(0, 9)) for k in ("train", "dev", "test")}
+    return doc
+
+
+@st.composite
+def _detection_docs(draw):
+    def detection():
+        box = [draw(_real), draw(_real), draw(_upto(300)), draw(_upto(300))]
+        if draw(st.booleans()):  # any finite extent at all
+            box[2:] = [abs(draw(_real)), abs(draw(_real))]
+        record = {"image_id": draw(_ids), "class_label": draw(_labels), "bbox": box}
+        return _shuffled(draw, dict(record, score=draw(_scores)))
+
+    return {"detections": [detection() for _ in range(draw(st.integers(1, 6)))]}
+
+
+_ALL = ("images", "objects", "detections")
+#: Each fault, with the record lists it applies to.
+FAULTS = {
+    "type": _ALL,
+    "bool": _ALL,
+    "missing": _ALL,
+    "unknown": _ALL,
+    "record": _ALL,
+    "huge": _ALL,
+    "box type": ("objects", "detections"),
+    "arity": ("objects", "detections"),
+    "negative": ("objects", "detections"),
+    "shifted": ("objects",),
+    "outside": ("objects",),
+    "unknown id": ("objects",),
+    "id lookalike": ("objects",),
+    "duplicate id": ("images",),
+    "score": ("detections",),
+}
+
+
+def _cases(*lists):
+    return [(None, lists[0])] + [
+        (fault, name) for fault, names in FAULTS.items() for name in names if name in lists
+    ]
+
+
+@st.composite
+def _with_one_fault(draw, docs, fault, name):
+    """A document with the fault, if any, in one record of the named list."""
+    doc = draw(docs)
+    if fault is None:
+        return doc
+    i = draw(st.integers(0, len(doc[name]) - 1))
+    record = doc[name][i]
+    box = record.get("bbox", [])
+    numbers = [(box, k) for k in range(len(box))] + [
+        (record, key) for key in ("width", "height", "score") if key in record
+    ]
+    if fault in ("type", "box type"):
+        slots = [(record, key) for key in record] if fault == "type" else numbers[:4]
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(st.sampled_from([None, "1", [], {}, [1, 2, 3, 4], 1.5, 3]))
+    elif fault in ("bool", "huge"):
+        container, key = draw(st.sampled_from(numbers))
+        value = st.booleans() if fault == "bool" else st.sampled_from([HUGE, -HUGE])
+        container[key] = draw(value)
+    elif fault == "missing":
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif fault == "unknown":
+        record[draw(st.sampled_from(["mask", "Score", "image"]))] = 1
+    elif fault == "record":
+        doc[name][i] = draw(st.sampled_from([None, 1, "x", [], box]))
+    elif fault == "arity":
+        record["bbox"] = draw(st.sampled_from([[], box[:3], box + [1]]))
+    elif fault == "negative":
+        box[draw(st.integers(2, 3))] = -draw(st.sampled_from([1, 0.5, 1e-300]))
+    elif fault == "shifted":
+        box[draw(st.integers(0, 3))] += draw(st.sampled_from([-1e-9, -1, 200, 1e300]))
+    elif fault == "outside":  # x and w each within the image, x + w not
+        image = next(im for im in doc["images"] if im["image_id"] == record["image_id"])
+        k = draw(st.integers(0, 1))
+        side = image[("width", "height")[k]]
+        box[k + 2] = draw(st.integers(1, side))
+        box[k] = side - box[k + 2] + draw(st.sampled_from([1, 2**-30]))
+    elif fault == "unknown id":
+        record["image_id"] = "ghost"
+    elif fault == "id lookalike":  # equal to an image id, or unhashable
+        image_id = record["image_id"]
+        record["image_id"] = draw(
+            st.sampled_from([float(image_id), True] if type(image_id) is int else [[image_id]])
+        )
+    elif fault == "duplicate id":
+        record["image_id"] = doc[name][i - 1]["image_id"]  # its own id when alone
+    elif fault == "score":
+        record["score"] = draw(st.sampled_from([1.5, -0.25, 1.0000000000000002, -1e-300, 2]))
+    return doc
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (RbcScanError, OverflowError) as e:
+        return type(e), str(e)
+
+
+def _assert_agrees(parse, oracle, doc):
+    text = json.dumps(doc)
+    got, want = _outcome(parse, text), _outcome(oracle, text)
+    if isinstance(want, tuple) and want[0] is OverflowError:
+        assert isinstance(got, tuple) and got[0] is SchemaError, got
+        assert "too large for a float" in got[1]
+        return
+    assert got == want
+    # == holds between 1 and 1.0; repr tells them apart.
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("fault, name", _cases("images", "objects"))
+@settings(max_examples=15)
+@given(data=st.data())
+def test_parse_annotations_matches_legacy(fault, name, data):
+    doc = data.draw(_with_one_fault(_annotation_docs(), fault, name))
+    _assert_agrees(parse_annotations, legacy.parse_annotations, doc)
+
+
+@pytest.mark.parametrize("fault, name", _cases("detections"))
+@settings(max_examples=15)
+@given(data=st.data())
+def test_parse_detections_matches_legacy(fault, name, data):
+    doc = data.draw(_with_one_fault(_detection_docs(), fault, name))
+    _assert_agrees(parse_detections, legacy.parse_detections, doc)
+
+
+# ---------------------------------------------------------------------------
+# round trips
+# ---------------------------------------------------------------------------
+
+_positive = st.one_of(st.integers(1, 10**6), st.floats(1e-6, 1e6))
+_unit = st.one_of(st.sampled_from([0, 1]), st.floats(0, 1))
+
+
+@st.composite
+def _profile_docs(draw):
+    thresholds = sorted(draw(st.lists(st.floats(0, 1), min_size=1, max_size=5, unique=True)))
+    aps = sorted((draw(_unit) for _ in thresholds), reverse=True)
+    doc = {
+        "name": draw(st.text(max_size=5)),
+        "per_image_latency_s": draw(st.one_of(st.just(0), _positive)),
+        "ap_vs_iou": [[t, ap] for t, ap in zip(thresholds, aps)],
+    }
+    if draw(st.booleans()):
+        triple = st.tuples(_positive, st.text(min_size=1, max_size=3), _unit).map(list)
+        doc["ap_vs_distance"] = draw(st.lists(triple, max_size=3))
+    if draw(st.booleans()):
+        doc["notes"] = draw(st.text(max_size=5))
+    return doc
+
+
+@st.composite
+def _scenario_docs(draw):
+    rows, cols = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    return {
+        "camera": {
+            "focal_px": draw(_positive),
+            "ref_width": draw(st.integers(1, 4000)),
+            "ref_height": draw(st.integers(1, 4000)),
+        },
+        "grid": {
+            "rows": rows,
+            "cols": cols,
+            "image_width": draw(st.integers(1, 4000)),
+            "image_height": draw(st.integers(1, 4000)),
+        },
+        "scan": {
+            "n_cells": rows * cols,
+            "t_scan_s": draw(_positive),
+            "t_detect_s": draw(st.one_of(st.just(0), _positive)),
+            "ap": draw(_unit),
+        },
+        "profile": draw(st.text(max_size=5)),
+        "trials": draw(st.integers(1, 10**9)),
+        "seed": draw(st.integers(-(2**63), 2**63)),
+    }
+
+
+@given(_annotation_docs())
+def test_annotations_round_trip(doc):
+    try:
+        first = parse_annotations(json.dumps(doc))
+    except RbcScanError:  # a float sum rounded past the image edge
+        return
+    assert parse_annotations(emit_annotations(first)) == first
+
+
+@given(_detection_docs())
+def test_detections_round_trip(doc):
+    first = parse_detections(json.dumps(doc))
+    assert parse_detections(emit_detections(first)) == first
+
+
+@given(_profile_docs())
+def test_profile_round_trip(doc):
+    first = parse_profile(json.dumps(doc))
+    assert parse_profile(emit_profile(first)) == first
+
+
+@given(_scenario_docs())
+def test_scenario_round_trip(doc):
+    first = parse_scenario(json.dumps(doc))
+    assert parse_scenario(emit_scenario(first)) == first
