@@ -55,13 +55,8 @@ from .metrics import (
 )
 from .scanning import (
     ScanConfig,
-    ScanTrialResult,
     SimulationSummary,
-    Strategy,
     breakeven_ap,
-    guided_multi_trial,
-    sample_trial_guided,
-    sample_trial_traditional,
     simulate_guided,
     simulate_guided_multi,
     simulate_traditional,

@@ -15,15 +15,17 @@ measurements.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .geometry import CellGrid, bbox_center, cell_center, cell_of_point
+from .geometry import CellGrid, bbox_center, cell_of_point
 from .metrics import BBox, Detection, GroundTruthObject
 
 #: Score ranges for synthesized detections, (low, high).
@@ -169,41 +171,79 @@ def sample_detections(
 ) -> list[Detection]:
     """Synthesize one detection per receiver, right or wrong per the profile.
 
-    A right detection keeps the receiver's box; a wrong one moves the box
-    center to the center of a uniformly chosen other cell. Draw order is
+    A right detection keeps the receiver's box object; a wrong one moves the
+    box center to the center of a uniformly chosen other cell. Draw order is
     fixed (four arrays: correctness uniforms, wrong-cell picks, correct
     scores, wrong scores), so output is fully determined by
     (scene, profile, iou_threshold, rng_seed).
+
+    The wrong detections' true cells, shifted cells and moved corners are
+    computed as arrays over the wrong subset, with the float operations of
+    `cell_of_point`, `cell_center` and `BBox(cx - w / 2, ...)` in the same
+    order, so every value is bit-identical to mapping one receiver at a
+    time. A wrong receiver whose center lies off the image (a zero-width
+    box on the right edge) raises `cell_of_point`'s DomainError, after the
+    detections of the receivers before it are built.
     """
     p = ap_at(profile, iou_threshold)
-    n_cells = scene.grid.n_cells
+    grid = scene.grid
+    n_cells = grid.n_cells
     if n_cells < 2 and p < 1.0:
         raise UsageError("a grid with a single cell cannot host a wrong detection")
-    n = len(scene.receivers)
+    receivers = scene.receivers
+    n = len(receivers)
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     correct = rng.random(n) < p
     wrong_raw = rng.integers(0, max(1, n_cells - 1), size=n)
     correct_scores = rng.uniform(*correct_score_range, size=n)
     wrong_scores = rng.uniform(*wrong_score_range, size=n)
 
-    out: list[Detection] = []
-    for i, (gt, _dist) in enumerate(scene.receivers):
-        b = gt.bbox
-        if correct[i]:
-            det_box = b
-            score = float(correct_scores[i])
-        else:
-            true_cell = cell_of_point(scene.grid, *bbox_center(b))
-            wrong_cell = int(wrong_raw[i])
-            if wrong_cell >= true_cell:
-                wrong_cell += 1
-            cx, cy = cell_center(scene.grid, wrong_cell)
-            det_box = BBox(cx - b.w / 2, cy - b.h / 2, b.w, b.h)
-            score = float(wrong_scores[i])
-        out.append(
-            Detection(image_id=gt.image_id, bbox=det_box, score=score, class_label=gt.class_label)
-        )
+    wrong = np.flatnonzero(~correct)
+    boxes = [receivers[i][0].bbox for i in wrong.tolist()]
+    xywh = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    w, h = xywh[:, 2], xywh[:, 3]
+    cx = xywh[:, 0] + w / 2
+    cy = xywh[:, 1] + h / 2
+    width, height, cols, rows = grid.image_width, grid.image_height, grid.cols, grid.rows
+    inside = (0 <= cx) & (cx < width) & (0 <= cy) & (cy < height)
+    stop = n if inside.all() else int(wrong[inside.argmin()])
+    # Off-image centers (NaN included) stand at 0 so the integer casts stay
+    # defined; no detection is built from them.
+    col = np.minimum(cols - 1, np.floor(np.where(inside, cx, 0) * cols / width)).astype(np.int64)
+    row = np.minimum(rows - 1, np.floor(np.where(inside, cy, 0) * rows / height)).astype(np.int64)
+    true_cell = row * cols + col
+    wrong_cell = wrong_raw[wrong]
+    wrong_cell += wrong_cell >= true_cell
+    wrong_row, wrong_col = np.divmod(wrong_cell, cols)
+    det_x = (wrong_col + 0.5) * width / cols - w / 2
+    det_y = (wrong_row + 0.5) * height / rows - h / 2
+
+    det_boxes = [gt.bbox for gt, _dist in receivers[:stop]]
+    for i, b, x, y in zip(wrong.tolist(), boxes, det_x.tolist(), det_y.tolist()):
+        if i >= stop:
+            break
+        det_boxes[i] = BBox(x, y, b.w, b.h)
+    scores = np.where(correct, correct_scores, wrong_scores).tolist()
+    # Positional arguments: keywords cost a sixth of the loop.
+    out = [
+        Detection(gt.image_id, box, score, gt.class_label)
+        for (gt, _dist), box, score in zip(receivers, det_boxes, scores)
+    ]
+    if stop < n:
+        cell_of_point(grid, *bbox_center(receivers[stop][0].bbox))
     return out
+
+
+def _nearest_cell(grid: CellGrid, x: float, y: float) -> int:
+    """The cell nearest to a point off the image: the point clamped into it.
+
+    The far edges are clamped to the largest coordinates inside the image,
+    which cell_of_point excludes from it. A NaN coordinate passes min() and
+    max() unchanged, so cell_of_point rejects it.
+    """
+    x = min(max(x, 0.0), math.nextafter(grid.image_width, 0))
+    y = min(max(y, 0.0), math.nextafter(grid.image_height, 0))
+    return cell_of_point(grid, x, y)
 
 
 def detections_to_candidates(dets: Sequence[Detection], grid: CellGrid) -> list[int]:
@@ -211,15 +251,26 @@ def detections_to_candidates(dets: Sequence[Detection], grid: CellGrid) -> list[
 
     Detection centers map to cell indices; duplicates collapse to the
     first occurrence after ordering by descending score (ties keep input
-    order).
+    order). A detection box may extend past the image, so a center off the
+    image maps to the nearest edge cell; a NaN center raises DomainError.
     """
     if len({d.image_id for d in dets}) > 1:
         raise UsageError("detections_to_candidates expects detections from a single image")
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    cols, rows = grid.cols, grid.rows
+    width, height = grid.image_width, grid.image_height
     seen: set[int] = set()
     out: list[int] = []
-    for i in order:
-        cell = cell_of_point(grid, *bbox_center(dets[i].bbox))
+    for d in sorted(dets, key=attrgetter("score"), reverse=True):
+        b = d.bbox
+        x = b.x + b.w / 2
+        y = b.y + b.h / 2
+        if 0 <= x < width and 0 <= y < height:
+            # cell_of_point's arithmetic, inline because it runs per detection.
+            col = math.floor(x * cols / width)
+            row = math.floor(y * rows / height)
+            cell = (row if row < rows else rows - 1) * cols + (col if col < cols else cols - 1)
+        else:
+            cell = _nearest_cell(grid, x, y)
         if cell not in seen:
             seen.add(cell)
             out.append(cell)

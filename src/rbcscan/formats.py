@@ -419,7 +419,9 @@ def emit_profile(profile: DetectorProfile) -> str:
 def resolve_profile(ref: str, base_dir: str | Path | None = None) -> DetectorProfile:
     """Load a profile reference: a bundled profile name or a file path.
 
-    A reference that is neither raises SchemaError naming it.
+    A reference that is neither raises SchemaError naming it; a file that
+    does not parse as a profile raises its parse error, prefixed with the
+    reference and the resolved path.
     """
     names = builtin_profile_names()
     if ref in names:
@@ -434,7 +436,10 @@ def resolve_profile(ref: str, base_dir: str | Path | None = None) -> DetectorPro
             f"profile {ref!r} is neither a bundled profile ({', '.join(names)}) "
             f"nor a readable file: {e.strerror or e} ({path})"
         ) from None
-    return parse_profile(text)
+    try:
+        return parse_profile(text)
+    except (SchemaError, DomainError) as e:
+        raise type(e)(f"profile {ref!r} ({path}): {e}") from None
 
 
 # ---------------------------------------------------------------------------

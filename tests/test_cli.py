@@ -159,6 +159,27 @@ class TestSimulateCommand:
         rc, captured = _run(capsys, ["simulate", "--scenario", str(scenario), "--trials", "10"])
         assert rc == 0, captured.err
 
+    def test_bad_profile_file_is_named_in_the_error(self, tmp_path, capsys):
+        (tmp_path / "custom.json").write_text(json.dumps({"name": "x"}), "utf-8")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(SCENARIO, profile="custom.json")), "utf-8")
+        rc, captured = _run(capsys, ["simulate", "--scenario", str(scenario)])
+        assert rc == 1
+        assert captured.err == (
+            f"error: profile 'custom.json' ({tmp_path / 'custom.json'}): "
+            "$.per_image_latency_s: required field is missing\n"
+        )
+        assert captured.out == ""
+
+    def test_invalid_profile_values_keep_their_exit_code(self, tmp_path, capsys):
+        profile = json.loads(emit_profile(builtin_profile()))
+        (tmp_path / "custom.json").write_text(json.dumps(dict(profile, per_image_latency_s=-1)), "utf-8")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(SCENARIO, profile="custom.json")), "utf-8")
+        rc, captured = _run(capsys, ["simulate", "--scenario", str(scenario)])
+        assert rc == 2
+        assert captured.err.startswith(f"error: profile 'custom.json' ({tmp_path / 'custom.json'}): $: ")
+
     def test_invariant_error_exit_code(self, tmp_path, capsys):
         payload = dict(SCENARIO, scan=dict(SCENARIO["scan"], n_cells=63))
         scenario = tmp_path / "scenario.json"

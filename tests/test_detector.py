@@ -192,6 +192,19 @@ class TestSampleDetections:
         dets = sample_detections(scene, _profile([(0.5, 1.0)]), 0.5, rng_seed=1)
         assert len(dets) == 1
 
+    def test_correct_detection_keeps_the_receiver_box(self):
+        scene = self._scene([3, 4])
+        dets = sample_detections(scene, _profile([(0.5, 1.0)]), 0.5, rng_seed=1)
+        assert all(det.bbox is gt.bbox for det, (gt, _) in zip(dets, scene.receivers))
+
+    def test_wrong_receiver_centered_off_image_is_rejected(self):
+        # A zero-width box on the right edge has its center on the excluded edge.
+        grid = CellGrid(1, 2, 200, 100)
+        gt = GroundTruthObject(image_id=0, bbox=BBox(200, 10, 0, 5))
+        scene = SyntheticScene(grid=grid, receivers=((gt, 120.0),))
+        with pytest.raises(DomainError, match=r"point \(200\.0, 12\.5\) outside image 200x100"):
+            sample_detections(scene, _profile([(0.5, 0.0)]), 0.5, rng_seed=1)
+
 
 def _detected_cell_of_gt(gt):
     return cell_of_point(GRID, *bbox_center(gt.bbox))
@@ -219,6 +232,26 @@ class TestDetectionsToCandidates:
 
     def test_empty_input(self):
         assert detections_to_candidates([], GRID) == []
+
+    @pytest.mark.parametrize(
+        "box,cell",
+        [
+            (BBox(-100, 10, 124, 62), 0),  # center (-38, 41), left of the image
+            (BBox(1270, 300, 124, 62), 31),  # right of row 3
+            (BBox(600, -80, 124, 62), 4),  # above column 4
+            (BBox(600, 700, 124, 62), 60),  # below column 4
+            (BBox(-500, 900, 10, 10), 56),  # past the bottom-left corner
+            (BBox(1280, 720, 0, 0), 63),  # on the excluded far corner
+            (BBox(float("inf"), 0, 0, 0), 7),
+        ],
+    )
+    def test_center_off_image_maps_to_nearest_edge_cell(self, box, cell):
+        assert detections_to_candidates([Detection(image_id=1, bbox=box, score=0.9)], GRID) == [cell]
+
+    def test_nan_center_rejected(self):
+        det = Detection(image_id=1, bbox=BBox(float("nan"), 10, 124, 62), score=0.9)
+        with pytest.raises(DomainError):
+            detections_to_candidates([det], GRID)
 
     def test_mixed_images_rejected(self):
         dets = [self._det(1, 0.9, image_id="a"), self._det(2, 0.8, image_id="b")]

@@ -1,15 +1,10 @@
-import numpy as np
 import pytest
 
 from oracles import expected_time_guided, expected_time_traditional
 from rbcscan.errors import DomainError, UsageError
 from rbcscan.scanning import (
     ScanConfig,
-    Strategy,
     breakeven_ap,
-    guided_multi_trial,
-    sample_trial_guided,
-    sample_trial_traditional,
     simulate_guided,
     simulate_guided_multi,
     simulate_traditional,
@@ -95,20 +90,6 @@ class TestBreakeven:
     def test_requires_two_cells(self):
         with pytest.raises(UsageError):
             breakeven_ap(ScanConfig(1, 2.0))
-
-
-class TestTrialResultInvariants:
-    def test_rejects_zero_cells(self):
-        from rbcscan.scanning import ScanTrialResult
-
-        with pytest.raises(DomainError):
-            ScanTrialResult(cells_scanned=0, elapsed_s=0.0, found=True, strategy=Strategy.GUIDED)
-
-    def test_rejects_negative_elapsed(self):
-        from rbcscan.scanning import ScanTrialResult
-
-        with pytest.raises(DomainError):
-            ScanTrialResult(cells_scanned=1, elapsed_s=-1.0, found=True, strategy=Strategy.GUIDED)
 
 
 class TestScanConfigValidation:
@@ -202,65 +183,50 @@ class TestMonteCarloAgreesWithAnalytic:
         assert abs(summary.mean_time_s - summary.analytic_time_s) <= 4 * summary.stderr_s + 1e-9
 
 
-class TestTrialSamplers:
-    def test_traditional_trial_identities(self):
-        rng = np.random.Generator(np.random.PCG64(17))
-        for _ in range(1000):
-            trial = sample_trial_traditional(REFERENCE_CFG, rng)
-            assert 1 <= trial.cells_scanned <= REFERENCE_CFG.n_cells
-            assert trial.elapsed_s == trial.cells_scanned * REFERENCE_CFG.t_scan_s
-            assert trial.found
-            assert trial.strategy is Strategy.TRADITIONAL
-
-    def test_guided_trial_identities(self):
-        rng = np.random.Generator(np.random.PCG64(18))
-        for _ in range(1000):
-            trial = sample_trial_guided(REFERENCE_CFG, rng)
-            assert 1 <= trial.cells_scanned <= REFERENCE_CFG.n_cells
-            assert trial.elapsed_s == REFERENCE_CFG.t_detect_s + trial.cells_scanned * REFERENCE_CFG.t_scan_s
-            assert trial.found
-            assert trial.strategy is Strategy.GUIDED
-
-    def test_guided_trial_certain_candidate(self):
-        rng = np.random.Generator(np.random.PCG64(19))
-        cfg = ScanConfig(64, 2.0, 0.2, 1.0)
-        for _ in range(100):
-            assert sample_trial_guided(cfg, rng).cells_scanned == 1
+def _scans(cfg, candidates, true_cells):
+    """Cells scanned in the episode, from its time t_detect_s + k * t_scan_s."""
+    summary = simulate_guided_multi(cfg, candidates, true_cells, rng_seed=0, trials=1)
+    k = round((summary.mean_time_s - cfg.t_detect_s) / cfg.t_scan_s)
+    assert summary.mean_time_s == cfg.t_detect_s + k * cfg.t_scan_s
+    return k
 
 
 class TestGuidedMulti:
     def test_candidate_is_true_cell(self):
-        trial = guided_multi_trial(REFERENCE_CFG, [12], {12})
-        assert trial.cells_scanned == 1
-        assert trial.elapsed_s == REFERENCE_CFG.t_detect_s + REFERENCE_CFG.t_scan_s
+        assert _scans(REFERENCE_CFG, [12], {12}) == 1
 
     def test_second_candidate_hits(self):
-        trial = guided_multi_trial(REFERENCE_CFG, [5, 9], {9})
-        assert trial.cells_scanned == 2
-        assert trial.elapsed_s == REFERENCE_CFG.t_detect_s + 2 * REFERENCE_CFG.t_scan_s
+        assert _scans(REFERENCE_CFG, [5, 9], {9}) == 2
 
     def test_candidate_hit_precedes_remainder(self):
-        trial = guided_multi_trial(REFERENCE_CFG, [3], {3, 0})
-        assert trial.cells_scanned == 1
+        assert _scans(REFERENCE_CFG, [3], {3, 0}) == 1
 
     def test_remainder_scanned_in_ascending_order(self):
         cfg = ScanConfig(4, 1.0, 0.5)
         # Scan order with candidate 2 is [2, 0, 1, 3].
-        assert guided_multi_trial(cfg, [2], {0}).cells_scanned == 2
-        assert guided_multi_trial(cfg, [2], {1}).cells_scanned == 3
-        assert guided_multi_trial(cfg, [2], {3}).cells_scanned == 4
+        assert _scans(cfg, [2], {0}) == 2
+        assert _scans(cfg, [2], {1}) == 3
+        assert _scans(cfg, [2], {3}) == 4
+
+    def test_remainder_skips_every_candidate(self):
+        cfg = ScanConfig(8, 1.0)
+        # Scan order with candidates [5, 1, 6] is [5, 1, 6, 0, 2, 3, 4, 7].
+        assert [_scans(cfg, [5, 1, 6], {t}) for t in (0, 2, 3, 4, 7)] == [4, 5, 6, 7, 8]
 
     def test_disjoint_candidates_mean_matches_enumeration(self):
         # Receiver uniform over the non-candidate cells of a 4-cell grid:
         # positions 2, 3, 4 after the wasted candidate, mean 3 scans.
         cfg = ScanConfig(4, 1.0, 0.5)
-        elapsed = [guided_multi_trial(cfg, [2], {t}).elapsed_s for t in (0, 1, 3)]
+        elapsed = [
+            simulate_guided_multi(cfg, [2], {t}, rng_seed=0, trials=1).mean_time_s
+            for t in (0, 1, 3)
+        ]
         assert sum(elapsed) / 3 == cfg.t_detect_s + 3 * cfg.t_scan_s
 
     def test_multiple_true_cells_first_hit_ends_trial(self):
         cfg = ScanConfig(8, 1.0)
         # Order: [6, 0, 1, 2, 3, 4, 5, 7]; true cells {4, 7} -> 4 found 6th.
-        assert guided_multi_trial(cfg, [6], {4, 7}).cells_scanned == 6
+        assert _scans(cfg, [6], {4, 7}) == 6
 
     def test_summary_wraps_deterministic_trial(self):
         summary = simulate_guided_multi(REFERENCE_CFG, [5, 9], {9}, rng_seed=1, trials=100)
@@ -275,7 +241,7 @@ class TestGuidedMulti:
     )
     def test_bad_inputs_rejected(self, candidates, true_cells):
         with pytest.raises(UsageError):
-            guided_multi_trial(ScanConfig(8, 1.0), candidates, true_cells)
+            simulate_guided_multi(ScanConfig(8, 1.0), candidates, true_cells, rng_seed=0, trials=1)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(UsageError):
