@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import formats, geometry, metrics, scanning
@@ -127,16 +128,12 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     t1 = scanning.t1_analytic(base)
     rows = []
     for ap in _ap_grid(args.ap_start, args.ap_stop, args.ap_step):
-        cfg = scanning.ScanConfig(
-            n_cells=base.n_cells, t_scan_s=base.t_scan_s, t_detect_s=base.t_detect_s, ap=ap
-        )
-        rows.append(["curve", _fmt(ap), _fmt(t1), _fmt(scanning.t2_analytic(cfg))])
+        t2 = scanning.t2_analytic(replace(base, ap=ap))
+        rows.append(["curve", _fmt(ap), _fmt(t1), _fmt(t2)])
     ap_star, in_range = scanning.breakeven_ap(base)
-    star_cfg = scanning.ScanConfig(
-        n_cells=base.n_cells, t_scan_s=base.t_scan_s, t_detect_s=base.t_detect_s, ap=ap_star
-    )
     kind = "breakeven" if in_range else "breakeven_clamped"
-    rows.append([kind, _fmt(ap_star), _fmt(t1), _fmt(scanning.t2_analytic(star_cfg))])
+    t2_star = scanning.t2_analytic(replace(base, ap=ap_star))
+    rows.append([kind, _fmt(ap_star), _fmt(t1), _fmt(t2_star)])
     _write_output(_csv_text(["kind", "ap", "t1_s", "t2_s"], rows), args.output)
     return 0
 
@@ -225,16 +222,10 @@ def cmd_augment(args: argparse.Namespace) -> int:
         formats.ImageInfo(image_id=derived[im.image_id], width=im.width, height=im.height)
         for im in af.images
     ]
-    flipped_objects = []
-    for gt in af.objects:
-        mirrored = metrics.flip_augment(gt, widths[gt.image_id])
-        flipped_objects.append(
-            metrics.GroundTruthObject(
-                image_id=derived[gt.image_id],
-                bbox=mirrored.bbox,
-                class_label=mirrored.class_label,
-            )
-        )
+    flipped_objects = [
+        replace(metrics.flip_augment(gt, widths[gt.image_id]), image_id=derived[gt.image_id])
+        for gt in af.objects
+    ]
     doubled = formats.AnnotationFile(
         images=af.images + tuple(flipped_images),
         objects=af.objects + tuple(flipped_objects),

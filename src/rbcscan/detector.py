@@ -4,8 +4,9 @@ When no real detection files are available, `sample_detections` stands in
 for the camera-side detector: each receiver yields exactly one detection
 whose box center lands in the receiver's true scan cell with probability
 equal to the profile's AP at the chosen IoU threshold, and in a uniformly
-chosen other cell otherwise. Correct detections score uniform [0.8, 1.0],
-wrong ones uniform [0.5, 0.8]; both distributions are overridable.
+chosen other cell otherwise. Correct detections score uniform
+`CORRECT_SCORE_RANGE` [0.8, 1.0], wrong ones uniform `WRONG_SCORE_RANGE`
+[0.5, 0.8].
 
 The bundled profile under ``profiles/`` is an approximate reconstruction
 (see its ``notes`` field); only its anchor points are backed by reported
@@ -14,7 +15,6 @@ measurements.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -49,7 +49,7 @@ class DetectorProfile:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if self.per_image_latency_s < 0:
+        if not self.per_image_latency_s >= 0:
             raise DomainError(f"per_image_latency_s must be >= 0, got {self.per_image_latency_s}")
         if not self.ap_vs_iou:
             raise DomainError("ap_vs_iou must have at least one knot")
@@ -57,13 +57,13 @@ class DetectorProfile:
         for t, ap in self.ap_vs_iou:
             if not 0.0 <= ap <= 1.0:
                 raise DomainError(f"ap value {ap} outside [0, 1] in ap_vs_iou")
-            if prev_t is not None and t <= prev_t:
+            if prev_t is not None and not t > prev_t:
                 raise DomainError(f"ap_vs_iou thresholds must be strictly increasing at {t}")
             if prev_ap is not None and ap > prev_ap:
                 raise DomainError(f"ap_vs_iou must be non-increasing, rises to {ap} at {t}")
             prev_t, prev_ap = t, ap
         for dist, tag, ap in self.ap_vs_distance:
-            if dist <= 0:
+            if not dist > 0:
                 raise DomainError(f"distance {dist} in ap_vs_distance must be > 0")
             if not tag:
                 raise DomainError("image_size_tag in ap_vs_distance must be non-empty")
@@ -102,12 +102,17 @@ class SyntheticScene:
     def __post_init__(self) -> None:
         for gt, dist in self.receivers:
             b = gt.bbox
-            if b.x < 0 or b.y < 0 or b.x + b.w > self.grid.image_width or b.y + b.h > self.grid.image_height:
+            if not (
+                0 <= b.x
+                and 0 <= b.y
+                and b.x + b.w <= self.grid.image_width
+                and b.y + b.h <= self.grid.image_height
+            ):
                 raise DomainError(
                     f"receiver box for image {gt.image_id!r} exceeds the "
                     f"{self.grid.image_width}x{self.grid.image_height} image"
                 )
-            if dist <= 0:
+            if not dist > 0:
                 raise DomainError(f"receiver distance must be > 0, got {dist}")
 
 
@@ -141,24 +146,18 @@ def builtin_profile_names() -> tuple[str, ...]:
 
 
 def builtin_profile(name: str = "mask-rcnn-smartphone") -> DetectorProfile:
-    """Load a bundled profile by name."""
+    """Load a bundled profile by name, through the profile file parser."""
+    from .formats import parse_profile  # formats imports this module
+
     fname = name.replace("-", "_") + ".json"
     path = resources.files(__package__).joinpath("profiles").joinpath(fname)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise UsageError(
             f"unknown builtin profile {name!r}; available: {', '.join(builtin_profile_names())}"
         ) from None
-    return DetectorProfile(
-        name=payload["name"],
-        per_image_latency_s=payload["per_image_latency_s"],
-        ap_vs_iou=tuple((float(t), float(ap)) for t, ap in payload["ap_vs_iou"]),
-        ap_vs_distance=tuple(
-            (float(d), str(tag), float(ap)) for d, tag, ap in payload.get("ap_vs_distance", [])
-        ),
-        notes=payload.get("notes", ""),
-    )
+    return parse_profile(text)
 
 
 def sample_detections(
@@ -166,8 +165,6 @@ def sample_detections(
     profile: DetectorProfile,
     iou_threshold: float,
     rng_seed: int,
-    correct_score_range: tuple[float, float] = CORRECT_SCORE_RANGE,
-    wrong_score_range: tuple[float, float] = WRONG_SCORE_RANGE,
 ) -> list[Detection]:
     """Synthesize one detection per receiver, right or wrong per the profile.
 
@@ -182,8 +179,7 @@ def sample_detections(
     `cell_of_point`, `cell_center` and `BBox(cx - w / 2, ...)` in the same
     order, so every value is bit-identical to mapping one receiver at a
     time. A wrong receiver whose center lies off the image (a zero-width
-    box on the right edge) raises `cell_of_point`'s DomainError, after the
-    detections of the receivers before it are built.
+    box on the right edge) raises `cell_of_point`'s DomainError.
     """
     p = ap_at(profile, iou_threshold)
     grid = scene.grid
@@ -195,8 +191,8 @@ def sample_detections(
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     correct = rng.random(n) < p
     wrong_raw = rng.integers(0, max(1, n_cells - 1), size=n)
-    correct_scores = rng.uniform(*correct_score_range, size=n)
-    wrong_scores = rng.uniform(*wrong_score_range, size=n)
+    correct_scores = rng.uniform(*CORRECT_SCORE_RANGE, size=n)
+    wrong_scores = rng.uniform(*WRONG_SCORE_RANGE, size=n)
 
     wrong = np.flatnonzero(~correct)
     boxes = [receivers[i][0].bbox for i in wrong.tolist()]
@@ -206,11 +202,10 @@ def sample_detections(
     cy = xywh[:, 1] + h / 2
     width, height, cols, rows = grid.image_width, grid.image_height, grid.cols, grid.rows
     inside = (0 <= cx) & (cx < width) & (0 <= cy) & (cy < height)
-    stop = n if inside.all() else int(wrong[inside.argmin()])
-    # Off-image centers (NaN included) stand at 0 so the integer casts stay
-    # defined; no detection is built from them.
-    col = np.minimum(cols - 1, np.floor(np.where(inside, cx, 0) * cols / width)).astype(np.int64)
-    row = np.minimum(rows - 1, np.floor(np.where(inside, cy, 0) * rows / height)).astype(np.int64)
+    if not inside.all():
+        cell_of_point(grid, *bbox_center(boxes[inside.argmin()]))
+    col = np.minimum(cols - 1, np.floor(cx * cols / width)).astype(np.int64)
+    row = np.minimum(rows - 1, np.floor(cy * rows / height)).astype(np.int64)
     true_cell = row * cols + col
     wrong_cell = wrong_raw[wrong]
     wrong_cell += wrong_cell >= true_cell
@@ -218,20 +213,15 @@ def sample_detections(
     det_x = (wrong_col + 0.5) * width / cols - w / 2
     det_y = (wrong_row + 0.5) * height / rows - h / 2
 
-    det_boxes = [gt.bbox for gt, _dist in receivers[:stop]]
+    det_boxes = [gt.bbox for gt, _dist in receivers]
     for i, b, x, y in zip(wrong.tolist(), boxes, det_x.tolist(), det_y.tolist()):
-        if i >= stop:
-            break
         det_boxes[i] = BBox(x, y, b.w, b.h)
     scores = np.where(correct, correct_scores, wrong_scores).tolist()
     # Positional arguments: keywords cost a sixth of the loop.
-    out = [
+    return [
         Detection(gt.image_id, box, score, gt.class_label)
         for (gt, _dist), box, score in zip(receivers, det_boxes, scores)
     ]
-    if stop < n:
-        cell_of_point(grid, *bbox_center(receivers[stop][0].bbox))
-    return out
 
 
 def _nearest_cell(grid: CellGrid, x: float, y: float) -> int:

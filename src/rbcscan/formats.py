@@ -159,12 +159,11 @@ def _construct(path: str, factory: Callable, *args, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-# The parsers below take a fast path for a record that is valid: direct type
-# tests and comparisons, no path strings and no per-field helpers. Its tests
-# imply those of the record's descriptive checker (_image, _ground_truth,
-# _detection), so a record it accepts is one the checker accepts, with the
-# same value. Any other record goes to the checker, which accepts it too or
-# names its first fault.
+# Each record is checked in one pass, field by field in a fixed order. A
+# field gets a direct type() or bound test; only a value that fails it goes
+# to the field's helper (_obj, _num, _image_id, _bbox, ...), which names the
+# fault with its path or accepts a number the bound test is too strict for.
+# Path strings are built only then.
 
 _IMAGE_FIELDS = ("image_id", "width", "height")
 _OBJECT_FIELDS = ("image_id", "class_label", "bbox")
@@ -179,36 +178,22 @@ _detection_fields = itemgetter(*_DETECTION_FIELDS)
 _FLOAT_MAX = sys.float_info.max
 
 
-def _image(item: Any, path: str, by_id: dict[ImageId, ImageInfo]) -> ImageInfo:
-    obj = _obj(item, path, _IMAGE_FIELDS)
-    info = ImageInfo(
-        image_id=_image_id(obj["image_id"], f"{path}.image_id"),
-        width=_int(obj["width"], f"{path}.width"),
-        height=_int(obj["height"], f"{path}.height"),
-    )
-    if info.width < 1 or info.height < 1:
-        raise InvariantError(f"{path}: image dimensions must be >= 1")
-    if info.image_id in by_id:
-        raise InvariantError(f"{path}.image_id: duplicate image id {info.image_id!r}")
-    return info
-
-
-def _ground_truth(item: Any, path: str, by_id: dict[ImageId, ImageInfo]) -> GroundTruthObject:
-    obj = _obj(item, path, _OBJECT_FIELDS)
-    image_id = _image_id(obj["image_id"], f"{path}.image_id")
-    info = by_id.get(image_id)
-    if info is None:
-        raise InvariantError(f"{path}.image_id: no such image {image_id!r}")
-    bbox = _bbox(obj["bbox"], f"{path}.bbox")
-    if bbox.x < 0 or bbox.y < 0 or bbox.x + bbox.w > info.width or bbox.y + bbox.h > info.height:
-        raise InvariantError(
-            f"{path}.bbox: box exceeds the {info.width}x{info.height} image bounds"
-        )
-    return GroundTruthObject(
-        image_id=image_id,
-        bbox=bbox,
-        class_label=_str(obj["class_label"], f"{path}.class_label"),
-    )
+def _record_bbox(value: Any, records: str, i: int) -> BBox:
+    """Record i's bbox: direct tests, or _bbox and the field path if one fails."""
+    if type(value) is list and len(value) == 4:
+        x, y, w, h = value
+        if (
+            (type(x) is float or type(x) is int)
+            and (type(y) is float or type(y) is int)
+            and (type(w) is float or type(w) is int)
+            and (type(h) is float or type(h) is int)
+            and -_FLOAT_MAX <= x <= _FLOAT_MAX
+            and -_FLOAT_MAX <= y <= _FLOAT_MAX
+            and 0 <= w <= _FLOAT_MAX
+            and 0 <= h <= _FLOAT_MAX
+        ):
+            return BBox(x, y, w, h)
+    return _bbox(value, f"{records}[{i}].bbox")
 
 
 def parse_annotations(text: str) -> AnnotationFile:
@@ -217,51 +202,40 @@ def parse_annotations(text: str) -> AnnotationFile:
     images: list[ImageInfo] = []
     by_id: dict[ImageId, ImageInfo] = {}
     for i, item in enumerate(_array(root["images"], "$.images")):
-        info = None
-        if type(item) is dict and item.keys() == _IMAGE_KEYS:
-            image_id, width, height = _image_fields(item)
-            if (
-                (type(image_id) is str or type(image_id) is int)
-                and type(width) is int
-                and type(height) is int
-                and width >= 1
-                and height >= 1
-                and image_id not in by_id
-            ):
-                info = ImageInfo(image_id, width, height)
-        if info is None:
-            info = _image(item, f"$.images[{i}]", by_id)
-        by_id[info.image_id] = info
+        if type(item) is not dict or item.keys() != _IMAGE_KEYS:
+            _obj(item, f"$.images[{i}]", _IMAGE_FIELDS)
+        image_id, width, height = _image_fields(item)
+        if type(image_id) is not str and type(image_id) is not int:
+            _image_id(image_id, f"$.images[{i}].image_id")
+        if type(width) is not int:
+            _int(width, f"$.images[{i}].width")
+        if type(height) is not int:
+            _int(height, f"$.images[{i}].height")
+        if width < 1 or height < 1:
+            raise InvariantError(f"$.images[{i}]: image dimensions must be >= 1")
+        if image_id in by_id:
+            raise InvariantError(f"$.images[{i}].image_id: duplicate image id {image_id!r}")
+        info = by_id[image_id] = ImageInfo(image_id, width, height)
         images.append(info)
 
     objects: list[GroundTruthObject] = []
     for i, item in enumerate(_array(root["objects"], "$.objects")):
-        gt = None
-        if type(item) is dict and item.keys() == _OBJECT_KEYS:
-            image_id, label, box = _object_fields(item)
-            info = by_id.get(image_id) if type(image_id) is str or type(image_id) is int else None
-            if info is not None and type(label) is str and type(box) is list and len(box) == 4:
-                x, y, w, h = box
-                width, height = info.width, info.height
-                # The upper bounds on x, w, y and h follow from the two sums;
-                # tested first, they keep an integer too large for a float
-                # out of a sum with a float.
-                if (
-                    (type(x) is float or type(x) is int)
-                    and (type(y) is float or type(y) is int)
-                    and (type(w) is float or type(w) is int)
-                    and (type(h) is float or type(h) is int)
-                    and 0 <= x <= width
-                    and 0 <= w <= width
-                    and x + w <= width
-                    and 0 <= y <= height
-                    and 0 <= h <= height
-                    and y + h <= height
-                ):
-                    gt = GroundTruthObject(image_id, BBox(x, y, w, h), label)
-        if gt is None:
-            gt = _ground_truth(item, f"$.objects[{i}]", by_id)
-        objects.append(gt)
+        if type(item) is not dict or item.keys() != _OBJECT_KEYS:
+            _obj(item, f"$.objects[{i}]", _OBJECT_FIELDS)
+        image_id, label, box = _object_fields(item)
+        if type(image_id) is not str and type(image_id) is not int:
+            _image_id(image_id, f"$.objects[{i}].image_id")
+        info = by_id.get(image_id)
+        if info is None:
+            raise InvariantError(f"$.objects[{i}].image_id: no such image {image_id!r}")
+        bbox = _record_bbox(box, "$.objects", i)
+        if bbox.x < 0 or bbox.y < 0 or bbox.x + bbox.w > info.width or bbox.y + bbox.h > info.height:
+            raise InvariantError(
+                f"$.objects[{i}].bbox: box exceeds the {info.width}x{info.height} image bounds"
+            )
+        if type(label) is not str:
+            _str(label, f"$.objects[{i}].class_label")
+        objects.append(GroundTruthObject(image_id, bbox, label))
 
     split = None
     if "split" in root:
@@ -299,49 +273,23 @@ def emit_annotations(af: AnnotationFile) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _detection(item: Any, path: str) -> Detection:
-    obj = _obj(item, path, _DETECTION_FIELDS)
-    score = _num(obj["score"], f"{path}.score")
-    if not 0.0 <= score <= 1.0:
-        raise InvariantError(f"{path}.score: must be within [0, 1], got {score}")
-    return Detection(
-        image_id=_image_id(obj["image_id"], f"{path}.image_id"),
-        bbox=_bbox(obj["bbox"], f"{path}.bbox"),
-        score=score,
-        class_label=_str(obj["class_label"], f"{path}.class_label"),
-    )
-
-
 def parse_detections(text: str) -> DetectionFile:
     root = _obj(_decode(text), "$", ("detections",))
     dets: list[Detection] = []
     for i, item in enumerate(_array(root["detections"], "$.detections")):
-        det = None
-        if type(item) is dict and item.keys() == _DETECTION_KEYS:
-            image_id, label, box, score = _detection_fields(item)
-            if (
-                (type(image_id) is str or type(image_id) is int)
-                and type(label) is str
-                and (type(score) is float or type(score) is int)
-                and 0.0 <= score <= 1.0
-                and type(box) is list
-                and len(box) == 4
-            ):
-                x, y, w, h = box
-                if (
-                    (type(x) is float or type(x) is int)
-                    and (type(y) is float or type(y) is int)
-                    and (type(w) is float or type(w) is int)
-                    and (type(h) is float or type(h) is int)
-                    and -_FLOAT_MAX <= x <= _FLOAT_MAX
-                    and -_FLOAT_MAX <= y <= _FLOAT_MAX
-                    and 0 <= w <= _FLOAT_MAX
-                    and 0 <= h <= _FLOAT_MAX
-                ):
-                    det = Detection(image_id, BBox(x, y, w, h), score, label)
-        if det is None:
-            det = _detection(item, f"$.detections[{i}]")
-        dets.append(det)
+        if type(item) is not dict or item.keys() != _DETECTION_KEYS:
+            _obj(item, f"$.detections[{i}]", _DETECTION_FIELDS)
+        image_id, label, box, score = _detection_fields(item)
+        if not ((type(score) is float or type(score) is int) and 0.0 <= score <= 1.0):
+            path = f"$.detections[{i}].score"
+            if not 0.0 <= _num(score, path) <= 1.0:
+                raise InvariantError(f"{path}: must be within [0, 1], got {score}")
+        if type(image_id) is not str and type(image_id) is not int:
+            _image_id(image_id, f"$.detections[{i}].image_id")
+        bbox = _record_bbox(box, "$.detections", i)
+        if type(label) is not str:
+            _str(label, f"$.detections[{i}].class_label")
+        dets.append(Detection(image_id, bbox, score, label))
     return DetectionFile(detections=tuple(dets))
 
 

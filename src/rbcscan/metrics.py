@@ -44,7 +44,7 @@ class BBox:
     h: float
 
     def __post_init__(self) -> None:
-        if self.w < 0 or self.h < 0:
+        if not (self.w >= 0 and self.h >= 0):
             raise DomainError(f"box width/height must be >= 0, got ({self.w}, {self.h})")
 
     @property

@@ -1,3 +1,7 @@
+import json
+import math
+from importlib import resources
+
 import pytest
 
 from rbcscan.detector import (
@@ -10,6 +14,7 @@ from rbcscan.detector import (
     detections_to_candidates,
     sample_detections,
 )
+from rbcscan import formats
 from rbcscan.errors import DomainError, UsageError
 from rbcscan.geometry import CellGrid, bbox_center, cell_center, cell_of_point
 from rbcscan.metrics import BBox, Detection, GroundTruthObject
@@ -78,6 +83,19 @@ class TestProfileValidation:
         with pytest.raises(DomainError):
             _profile([])
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(per_image_latency_s=math.nan),
+            dict(ap_vs_distance=((math.nan, "1280x720", 0.5),)),
+            dict(ap_vs_iou=((0.5, 0.5), (math.nan, 0.4))),
+        ],
+    )
+    def test_rejects_nan(self, kwargs):
+        fields = dict(name="x", per_image_latency_s=0.1, ap_vs_iou=((0.5, 0.5),))
+        with pytest.raises(DomainError):
+            DetectorProfile(**dict(fields, **kwargs))
+
     def test_rejects_bad_distance_entry(self):
         with pytest.raises(DomainError):
             DetectorProfile(
@@ -113,6 +131,35 @@ class TestBuiltinProfile:
         with pytest.raises(UsageError):
             builtin_profile("no-such-profile")
 
+    def test_loaded_through_the_profile_parser(self, monkeypatch):
+        calls = []
+        parse = formats.parse_profile
+
+        def spy(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(formats, "parse_profile", spy)
+        profile = builtin_profile("mask-rcnn-smartphone")
+        assert len(calls) == 1 and profile == parse(calls[0])
+
+    def test_same_profile_as_a_direct_build_from_the_json(self):
+        path = resources.files("rbcscan").joinpath("profiles", "mask_rcnn_smartphone.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        direct = DetectorProfile(
+            name=payload["name"],
+            per_image_latency_s=payload["per_image_latency_s"],
+            ap_vs_iou=tuple((float(t), float(ap)) for t, ap in payload["ap_vs_iou"]),
+            ap_vs_distance=tuple(
+                (float(d), str(tag), float(ap)) for d, tag, ap in payload["ap_vs_distance"]
+            ),
+            notes=payload["notes"],
+        )
+        profile = builtin_profile()
+        assert profile == direct
+        for t, _ in direct.ap_vs_iou:
+            assert ap_at(profile, t) == ap_at(direct, t)
+
 
 class TestFrameworkBenchmarks:
     def test_reference_rows(self):
@@ -134,6 +181,19 @@ class TestSyntheticScene:
         gt = _receiver_in_cell(GRID, 0, image_id=0)
         with pytest.raises(DomainError):
             SyntheticScene(grid=GRID, receivers=((gt, 0.0),))
+
+    @pytest.mark.parametrize(
+        "box, distance",
+        [
+            (BBox(math.nan, 10, 5, 5), 120.0),
+            (BBox(10, math.nan, 5, 5), 120.0),
+            (BBox(10, 10, 5, 5), math.nan),
+        ],
+    )
+    def test_rejects_nan(self, box, distance):
+        gt = GroundTruthObject(image_id=0, bbox=box)
+        with pytest.raises(DomainError):
+            SyntheticScene(grid=GRID, receivers=((gt, distance),))
 
 
 class TestSampleDetections:

@@ -1,15 +1,17 @@
-"""Property tests: the fast-path parsers against the field-at-a-time oracle.
+"""Property tests: the one-pass record parsers against the field-at-a-time oracle.
 
 ``legacy_formats`` holds ``parse_annotations`` and ``parse_detections`` as
-they were before valid records skipped the per-field checkers. Documents
-are drawn valid, then given at most one fault: a field of the wrong type, a
-bool for a number, a missing or unknown key, a negative width or height, a
-box outside its image, an unknown or duplicate image id, a float, bool or
-list in place of an image id, a score out of range, a record or box of the
-wrong shape, or an integer too large for a float. Both parsers must return
-the same values or raise the same class with the same message; for the
-last fault the oracle raises ``OverflowError`` and the new parser
-``SchemaError``.
+they were before each record was checked in one pass of direct type and
+bound tests. Documents are drawn valid, then given one fault or two faults
+in the same record: a field of the wrong type, a bool for a number, a
+missing or unknown key, a negative width or height, a box outside its
+image, an image side below 1, an unknown or duplicate image id, a float,
+bool or list in place of an image id, a score out of range, a box of the
+wrong shape, or an integer too large for a float; a record of the wrong
+shape is always the only fault. Both parsers must return the same values
+or raise the same class with the same message, so with two faults they
+must name the same one, the first in check order; where the oracle raises
+``OverflowError`` the new parser raises ``SchemaError``.
 
 The round-trip properties ``parse(emit(parse(x))) == parse(x)`` cover all
 four file formats.
@@ -17,6 +19,7 @@ four file formats.
 
 import json
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +114,7 @@ FAULTS = {
     "unknown id": ("objects",),
     "id lookalike": ("objects",),
     "duplicate id": ("images",),
+    "size": ("images",),
     "score": ("detections",),
 }
 
@@ -121,26 +125,49 @@ def _cases(*lists):
     ]
 
 
+def _pairs(*lists):
+    """Every two distinct faults that can share a record of the named lists."""
+    return [
+        (pair, name)
+        for name in lists
+        for pair in combinations([f for f, names in FAULTS.items() if name in names], 2)
+        if "record" not in pair
+    ]
+
+
 @st.composite
-def _with_one_fault(draw, docs, fault, name):
-    """A document with the fault, if any, in one record of the named list."""
+def _with_faults(draw, docs, faults, name):
+    """A document with the faults, if any, all in one record of the named list.
+
+    Each fault is applied to the record as the faults before it left it; a
+    fault with nothing left to act on (no box to shift, say) is skipped.
+    """
     doc = draw(docs)
-    if fault is None:
+    if not faults:
         return doc
     i = draw(st.integers(0, len(doc[name]) - 1))
+    for fault in faults:
+        _apply(draw, doc, name, i, fault)
+    return doc
+
+
+def _apply(draw, doc, name, i, fault):
     record = doc[name][i]
-    box = record.get("bbox", [])
+    box = record.get("bbox")
+    box = box if type(box) is list else []
     numbers = [(box, k) for k in range(len(box))] + [
         (record, key) for key in ("width", "height", "score") if key in record
     ]
     if fault in ("type", "box type"):
         slots = [(record, key) for key in record] if fault == "type" else numbers[:4]
-        container, key = draw(st.sampled_from(slots))
-        container[key] = draw(st.sampled_from([None, "1", [], {}, [1, 2, 3, 4], 1.5, 3]))
+        if slots:
+            container, key = draw(st.sampled_from(slots))
+            container[key] = draw(st.sampled_from([None, "1", [], {}, [1, 2, 3, 4], 1.5, 3]))
     elif fault in ("bool", "huge"):
-        container, key = draw(st.sampled_from(numbers))
-        value = st.booleans() if fault == "bool" else st.sampled_from([HUGE, -HUGE])
-        container[key] = draw(value)
+        if numbers:
+            container, key = draw(st.sampled_from(numbers))
+            value = st.booleans() if fault == "bool" else st.sampled_from([HUGE, -HUGE])
+            container[key] = draw(value)
     elif fault == "missing":
         del record[draw(st.sampled_from(sorted(record)))]
     elif fault == "unknown":
@@ -150,27 +177,36 @@ def _with_one_fault(draw, docs, fault, name):
     elif fault == "arity":
         record["bbox"] = draw(st.sampled_from([[], box[:3], box + [1]]))
     elif fault == "negative":
-        box[draw(st.integers(2, 3))] = -draw(st.sampled_from([1, 0.5, 1e-300]))
+        if len(box) >= 4:
+            box[draw(st.integers(2, 3))] = -draw(st.sampled_from([1, 0.5, 1e-300]))
     elif fault == "shifted":
-        box[draw(st.integers(0, 3))] += draw(st.sampled_from([-1e-9, -1, 200, 1e300]))
+        # A shifted bool or huge integer would lose its fault or overflow.
+        slots = [
+            k for k, v in enumerate(box[:4]) if type(v) in (int, float) and abs(v) < 1e300
+        ]
+        if slots:
+            box[draw(st.sampled_from(slots))] += draw(st.sampled_from([-1e-9, -1, 200, 1e300]))
     elif fault == "outside":  # x and w each within the image, x + w not
-        image = next(im for im in doc["images"] if im["image_id"] == record["image_id"])
-        k = draw(st.integers(0, 1))
-        side = image[("width", "height")[k]]
-        box[k + 2] = draw(st.integers(1, side))
-        box[k] = side - box[k + 2] + draw(st.sampled_from([1, 2**-30]))
+        image_id = record.get("image_id")
+        image = next((im for im in doc["images"] if im["image_id"] == image_id), None)
+        if image is not None and len(box) >= 4:
+            k = draw(st.integers(0, 1))
+            side = image[("width", "height")[k]]
+            box[k + 2] = draw(st.integers(1, side))
+            box[k] = side - box[k + 2] + draw(st.sampled_from([1, 2**-30]))
     elif fault == "unknown id":
         record["image_id"] = "ghost"
     elif fault == "id lookalike":  # equal to an image id, or unhashable
-        image_id = record["image_id"]
+        image_id = record.get("image_id")
         record["image_id"] = draw(
             st.sampled_from([float(image_id), True] if type(image_id) is int else [[image_id]])
         )
     elif fault == "duplicate id":
-        record["image_id"] = doc[name][i - 1]["image_id"]  # its own id when alone
+        record["image_id"] = doc[name][i - 1].get("image_id")  # its own id when alone
+    elif fault == "size":
+        record[draw(st.sampled_from(["width", "height"]))] = draw(st.sampled_from([0, -1]))
     elif fault == "score":
         record["score"] = draw(st.sampled_from([1.5, -0.25, 1.0000000000000002, -1e-300, 2]))
-    return doc
 
 
 def _outcome(parse, text):
@@ -196,7 +232,7 @@ def _assert_agrees(parse, oracle, doc):
 @settings(max_examples=15)
 @given(data=st.data())
 def test_parse_annotations_matches_legacy(fault, name, data):
-    doc = data.draw(_with_one_fault(_annotation_docs(), fault, name))
+    doc = data.draw(_with_faults(_annotation_docs(), (fault,) if fault else (), name))
     _assert_agrees(parse_annotations, legacy.parse_annotations, doc)
 
 
@@ -204,7 +240,27 @@ def test_parse_annotations_matches_legacy(fault, name, data):
 @settings(max_examples=15)
 @given(data=st.data())
 def test_parse_detections_matches_legacy(fault, name, data):
-    doc = data.draw(_with_one_fault(_detection_docs(), fault, name))
+    doc = data.draw(_with_faults(_detection_docs(), (fault,) if fault else (), name))
+    _assert_agrees(parse_detections, legacy.parse_detections, doc)
+
+
+def _pair_id(case):
+    return "+".join(case) if isinstance(case, tuple) else case
+
+
+@pytest.mark.parametrize("faults, name", _pairs("images", "objects"), ids=_pair_id)
+@settings(max_examples=5)
+@given(data=st.data())
+def test_parse_annotations_two_faults_match_legacy(faults, name, data):
+    doc = data.draw(_with_faults(_annotation_docs(), faults, name))
+    _assert_agrees(parse_annotations, legacy.parse_annotations, doc)
+
+
+@pytest.mark.parametrize("faults, name", _pairs("detections"), ids=_pair_id)
+@settings(max_examples=5)
+@given(data=st.data())
+def test_parse_detections_two_faults_match_legacy(faults, name, data):
+    doc = data.draw(_with_faults(_detection_docs(), faults, name))
     _assert_agrees(parse_detections, legacy.parse_detections, doc)
 
 

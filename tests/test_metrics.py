@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -348,6 +349,11 @@ class TestTypeInvariants:
     def test_negative_box_rejected(self):
         with pytest.raises(DomainError):
             BBox(0, 0, -1, 5)
+
+    @pytest.mark.parametrize("w, h", [(math.nan, 1), (1, math.nan), (math.nan, math.nan)])
+    def test_nan_extent_rejected(self, w, h):
+        with pytest.raises(DomainError, match="width/height must be >= 0"):
+            BBox(0, 0, w, h)
 
     def test_score_out_of_range_rejected(self):
         with pytest.raises(DomainError):
