@@ -8,9 +8,7 @@ the CLI live in `formats` and `cli`.
 """
 
 from .detector import (
-    FRAMEWORK_BENCHMARKS,
     DetectorProfile,
-    FrameworkBenchmark,
     SyntheticScene,
     ap_at,
     builtin_profile,
@@ -19,7 +17,6 @@ from .detector import (
     sample_detections,
 )
 from .errors import (
-    ConfigurationError,
     DomainError,
     InvariantError,
     RbcScanError,
@@ -43,6 +40,7 @@ from .metrics import (
     SMALL_OBJECT_CUTOFF_PX,
     STANDARD_IOU_THRESHOLDS,
     BBox,
+    Columns,
     Detection,
     EvalResult,
     GroundTruthObject,

@@ -90,7 +90,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else list(metrics.STANDARD_IOU_THRESHOLDS)
     )
     result = metrics.evaluate(
-        dets.detections, gts.objects, thresholds, small_cutoff_px=args.small_cutoff
+        dets.columns, gts.columns, thresholds, small_cutoff_px=args.small_cutoff
     )
     rows = [["ap", _fmt(t), _fmt(ap)] for t, ap in result.ap_per_threshold.items()]
     rows.append(["map", "", _fmt(result.map_value)])

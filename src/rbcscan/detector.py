@@ -53,13 +53,14 @@ class DetectorProfile:
             raise DomainError(f"per_image_latency_s must be >= 0, got {self.per_image_latency_s}")
         if not self.ap_vs_iou:
             raise DomainError("ap_vs_iou must have at least one knot")
-        prev_t, prev_ap = None, None
+        # The first knot is compared with -inf, so a NaN there fails too.
+        prev_t, prev_ap = -math.inf, math.inf
         for t, ap in self.ap_vs_iou:
             if not 0.0 <= ap <= 1.0:
                 raise DomainError(f"ap value {ap} outside [0, 1] in ap_vs_iou")
-            if prev_t is not None and not t > prev_t:
+            if not t > prev_t:
                 raise DomainError(f"ap_vs_iou thresholds must be strictly increasing at {t}")
-            if prev_ap is not None and ap > prev_ap:
+            if ap > prev_ap:
                 raise DomainError(f"ap_vs_iou must be non-increasing, rises to {ap} at {t}")
             prev_t, prev_ap = t, ap
         for dist, tag, ap in self.ap_vs_distance:
@@ -69,27 +70,6 @@ class DetectorProfile:
                 raise DomainError("image_size_tag in ap_vs_distance must be non-empty")
             if not 0.0 <= ap <= 1.0:
                 raise DomainError(f"ap value {ap} outside [0, 1] in ap_vs_distance")
-
-
-@dataclass(frozen=True)
-class FrameworkBenchmark:
-    """COCO-benchmark results for a detection framework."""
-
-    name: str
-    backbone: str
-    coco_map: float
-    coco_ap_small: float
-    per_image_latency_s: float
-
-
-#: Reference comparison of the four mainstream frameworks (COCO dataset,
-#: Tesla M40): mean AP, small-object AP, per-image detection time.
-FRAMEWORK_BENCHMARKS: tuple[FrameworkBenchmark, ...] = (
-    FrameworkBenchmark("faster-rcnn", "ResNet-101-FPN", 0.362, 0.182, 0.175),
-    FrameworkBenchmark("mask-rcnn", "ResNet-101-FPN", 0.382, 0.201, 0.195),
-    FrameworkBenchmark("ssd513", "ResNet-101", 0.312, 0.102, 0.125),
-    FrameworkBenchmark("yolov3", "Darknet-53", 0.330, 0.183, 0.051),
-)
 
 
 @dataclass(frozen=True)

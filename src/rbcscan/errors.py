@@ -22,9 +22,5 @@ class InvariantError(DomainError):
     """A parsed file is well-formed but violates a documented invariant."""
 
 
-class ConfigurationError(DomainError):
-    """Components are individually valid but mutually inconsistent."""
-
-
 class UsageError(RbcScanError, ValueError):
     """The caller invoked an operation in an unsupported way."""

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable
@@ -21,7 +22,7 @@ from typing import Any, Callable
 from .detector import DetectorProfile, builtin_profile, builtin_profile_names
 from .errors import DomainError, InvariantError, SchemaError
 from .geometry import CameraModel, CellGrid
-from .metrics import BBox, Detection, GroundTruthObject, ImageId
+from .metrics import BBox, Columns, Detection, GroundTruthObject, ImageId
 from .scanning import ScanConfig
 
 _SPLIT_KEYS = ("train", "dev", "test")
@@ -36,20 +37,81 @@ class ImageInfo:
     height: int
 
 
-@dataclass(frozen=True)
-class AnnotationFile:
+class _RecordFile:
+    """Equality and repr over the record fields ``_FIELDS``, as a dataclass's.
+
+    A parsed file holds its records as ``columns`` of the values read from
+    the file, which is what ``metrics.evaluate`` scores; the tuple of record
+    objects is built from those values on first access. A file built from
+    record objects makes its columns from them on first access instead.
+    """
+
+    _FIELDS: tuple[str, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+
+class AnnotationFile(_RecordFile):
     """Ground-truth annotations plus optional dataset-split metadata."""
 
-    images: tuple[ImageInfo, ...]
-    objects: tuple[GroundTruthObject, ...]
-    split: dict[str, int] | None = None
+    _FIELDS = ("images", "objects", "split")
+
+    def __init__(
+        self,
+        images: tuple[ImageInfo, ...],
+        objects: tuple[GroundTruthObject, ...],
+        split: dict[str, int] | None = None,
+    ) -> None:
+        self.images, self.objects, self.split = images, objects, split
+
+    @classmethod
+    def _of_columns(
+        cls, images: tuple[ImageInfo, ...], columns: Columns, split: dict[str, int] | None
+    ) -> AnnotationFile:
+        af = cls.__new__(cls)
+        af.images, af.columns, af.split = images, columns, split
+        return af
+
+    @cached_property
+    def objects(self) -> tuple[GroundTruthObject, ...]:
+        c = self.columns
+        return tuple(map(GroundTruthObject, c.image_ids, [BBox(*b) for b in c.boxes], c.labels))
+
+    @cached_property
+    def columns(self) -> Columns:
+        return Columns.of(self.objects)
 
 
-@dataclass(frozen=True)
-class DetectionFile:
+class DetectionFile(_RecordFile):
     """Detector output: scored boxes, grouped by image identifier."""
 
-    detections: tuple[Detection, ...]
+    _FIELDS = ("detections",)
+
+    def __init__(self, detections: tuple[Detection, ...]) -> None:
+        self.detections = detections
+
+    @classmethod
+    def _of_columns(cls, columns: Columns) -> DetectionFile:
+        df = cls.__new__(cls)
+        df.columns = columns
+        return df
+
+    @cached_property
+    def detections(self) -> tuple[Detection, ...]:
+        c = self.columns
+        boxes = [BBox(*b) for b in c.boxes]
+        return tuple(map(Detection, c.image_ids, boxes, c.scores, c.labels))
+
+    @cached_property
+    def columns(self) -> Columns:
+        return Columns.of(self.detections)
 
 
 @dataclass(frozen=True)
@@ -138,12 +200,13 @@ def _image_id(value: Any, path: str) -> ImageId:
     return value
 
 
-def _bbox(value: Any, path: str) -> BBox:
+def _bbox(value: Any, path: str) -> list:
     arr = _array(value, path)
     if len(arr) != 4:
         raise SchemaError(f"{path}: expected [x, y, w, h], got {len(arr)} elements")
     x, y, w, h = (_num(v, f"{path}[{i}]") for i, v in enumerate(arr))
-    return _construct(path, BBox, x, y, w, h)
+    _construct(path, BBox, x, y, w, h)  # BBox's own width/height check
+    return arr
 
 
 def _construct(path: str, factory: Callable, *args, **kwargs):
@@ -163,7 +226,9 @@ def _construct(path: str, factory: Callable, *args, **kwargs):
 # field gets a direct type() or bound test; only a value that fails it goes
 # to the field's helper (_obj, _num, _image_id, _bbox, ...), which names the
 # fault with its path or accepts a number the bound test is too strict for.
-# Path strings are built only then.
+# Path strings are built only then. A checked record's field values, in
+# Columns field order, go into the file's columns as they are; no record
+# object is built.
 
 _IMAGE_FIELDS = ("image_id", "width", "height")
 _OBJECT_FIELDS = ("image_id", "class_label", "bbox")
@@ -178,8 +243,9 @@ _detection_fields = itemgetter(*_DETECTION_FIELDS)
 _FLOAT_MAX = sys.float_info.max
 
 
-def _record_bbox(value: Any, records: str, i: int) -> BBox:
-    """Record i's bbox: direct tests, or _bbox and the field path if one fails."""
+def _record_bbox(value: Any, records: str, i: int) -> list:
+    """Record i's checked bbox list: direct tests, or _bbox and the field path
+    if one fails."""
     if type(value) is list and len(value) == 4:
         x, y, w, h = value
         if (
@@ -192,7 +258,7 @@ def _record_bbox(value: Any, records: str, i: int) -> BBox:
             and 0 <= w <= _FLOAT_MAX
             and 0 <= h <= _FLOAT_MAX
         ):
-            return BBox(x, y, w, h)
+            return value
     return _bbox(value, f"{records}[{i}].bbox")
 
 
@@ -218,24 +284,24 @@ def parse_annotations(text: str) -> AnnotationFile:
         info = by_id[image_id] = ImageInfo(image_id, width, height)
         images.append(info)
 
-    objects: list[GroundTruthObject] = []
+    objects: list[tuple] = []
     for i, item in enumerate(_array(root["objects"], "$.objects")):
         if type(item) is not dict or item.keys() != _OBJECT_KEYS:
             _obj(item, f"$.objects[{i}]", _OBJECT_FIELDS)
-        image_id, label, box = _object_fields(item)
+        fields = image_id, label, box = _object_fields(item)
         if type(image_id) is not str and type(image_id) is not int:
             _image_id(image_id, f"$.objects[{i}].image_id")
         info = by_id.get(image_id)
         if info is None:
             raise InvariantError(f"$.objects[{i}].image_id: no such image {image_id!r}")
-        bbox = _record_bbox(box, "$.objects", i)
-        if bbox.x < 0 or bbox.y < 0 or bbox.x + bbox.w > info.width or bbox.y + bbox.h > info.height:
+        x, y, w, h = _record_bbox(box, "$.objects", i)
+        if x < 0 or y < 0 or x + w > info.width or y + h > info.height:
             raise InvariantError(
                 f"$.objects[{i}].bbox: box exceeds the {info.width}x{info.height} image bounds"
             )
         if type(label) is not str:
             _str(label, f"$.objects[{i}].class_label")
-        objects.append(GroundTruthObject(image_id, bbox, label))
+        objects.append(fields)
 
     split = None
     if "split" in root:
@@ -245,7 +311,7 @@ def parse_annotations(text: str) -> AnnotationFile:
             if v < 0:
                 raise InvariantError(f"$.split.{k}: counts must be >= 0")
 
-    return AnnotationFile(images=tuple(images), objects=tuple(objects), split=split)
+    return AnnotationFile._of_columns(tuple(images), Columns(*zip(*objects)), split)
 
 
 def emit_annotations(af: AnnotationFile) -> str:
@@ -275,22 +341,22 @@ def emit_annotations(af: AnnotationFile) -> str:
 
 def parse_detections(text: str) -> DetectionFile:
     root = _obj(_decode(text), "$", ("detections",))
-    dets: list[Detection] = []
+    dets: list[tuple] = []
     for i, item in enumerate(_array(root["detections"], "$.detections")):
         if type(item) is not dict or item.keys() != _DETECTION_KEYS:
             _obj(item, f"$.detections[{i}]", _DETECTION_FIELDS)
-        image_id, label, box, score = _detection_fields(item)
+        fields = image_id, label, box, score = _detection_fields(item)
         if not ((type(score) is float or type(score) is int) and 0.0 <= score <= 1.0):
             path = f"$.detections[{i}].score"
             if not 0.0 <= _num(score, path) <= 1.0:
                 raise InvariantError(f"{path}: must be within [0, 1], got {score}")
         if type(image_id) is not str and type(image_id) is not int:
             _image_id(image_id, f"$.detections[{i}].image_id")
-        bbox = _record_bbox(box, "$.detections", i)
+        _record_bbox(box, "$.detections", i)
         if type(label) is not str:
             _str(label, f"$.detections[{i}].class_label")
-        dets.append(Detection(image_id, bbox, score, label))
-    return DetectionFile(detections=tuple(dets))
+        dets.append(fields)
+    return DetectionFile._of_columns(Columns(*zip(*dets)))
 
 
 def emit_detections(df: DetectionFile) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .metrics import BBox
 
 
@@ -126,7 +126,7 @@ def _check_aspect(cam: CameraModel, out_width: int, out_height: int) -> None:
         raise DomainError(f"output resolution must be positive, got {out_width}x{out_height}")
     # Integer cross-multiplication keeps the comparison exact.
     if out_width * cam.ref_height != out_height * cam.ref_width:
-        raise ConfigurationError(
+        raise DomainError(
             f"output resolution {out_width}x{out_height} does not match the camera's "
             f"{cam.ref_width}x{cam.ref_height} aspect ratio"
         )

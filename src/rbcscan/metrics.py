@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +74,39 @@ class GroundTruthObject:
     image_id: ImageId
     bbox: BBox
     class_label: str = "smartphone"
+
+
+@dataclass(frozen=True)
+class Columns:
+    """Detections or ground-truth objects as columns, one entry per record.
+
+    ``boxes`` holds each record's ``[x, y, w, h]`` numbers as given;
+    ``scores`` is filled for detections and empty for ground truth, and
+    ``Columns()`` holds no records. The parsers in ``formats`` fill these
+    columns straight from the file, and ``evaluate`` scores from them.
+    """
+
+    image_ids: Sequence[ImageId] = ()
+    labels: Sequence[str] = ()
+    boxes: Sequence[Sequence[float]] = ()
+    scores: Sequence[float] = ()
+
+    def __post_init__(self) -> None:
+        n = len(self.image_ids)
+        if not (len(self.labels) == len(self.boxes) == n and len(self.scores) in (0, n)):
+            raise UsageError("columns must have one entry per record")
+
+    @classmethod
+    def of(cls, records: Sequence[Detection] | Sequence[GroundTruthObject]) -> Columns:
+        """The records' fields as columns; ``records`` are all detections or all ground truth."""
+        boxes = [(b.x, b.y, b.w, b.h) for b in (r.bbox for r in records)]
+        scored = bool(records) and isinstance(records[0], Detection)
+        return cls(
+            [r.image_id for r in records],
+            [r.class_label for r in records],
+            boxes,
+            [d.score for d in records] if scored else (),
+        )
 
 
 @dataclass(frozen=True)
@@ -257,8 +291,8 @@ def average_precision(tp_flags: Sequence[bool], total_gt: int) -> float:
 
 
 def evaluate(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthObject],
+    dets: Columns | Sequence[Detection],
+    gts: Columns | Sequence[GroundTruthObject],
     thresholds: Sequence[float] = STANDARD_IOU_THRESHOLDS,
     small_cutoff_px: float = SMALL_OBJECT_CUTOFF_PX,
 ) -> EvalResult:
@@ -270,7 +304,8 @@ def evaluate(
     by descending score with ties in input order, so the result does not
     depend on how images are partitioned. ``ap_small`` is always computed
     at IoU 0.50 on ground truth below the area cutoff; detections matched
-    to a larger box are dropped from it.
+    to a larger box are dropped from it. Records given as objects are
+    turned into ``Columns`` first.
     """
     if not thresholds:
         raise UsageError("thresholds must be non-empty")
@@ -280,7 +315,15 @@ def evaluate(
     if not (math.isfinite(small_cutoff_px) and small_cutoff_px > 0):
         raise UsageError(f"small_cutoff_px must be a finite number > 0, got {small_cutoff_px}")
 
-    classes = sorted({d.class_label for d in dets} | {g.class_label for g in gts})
+    if not isinstance(dets, Columns):
+        dets = Columns.of(dets)
+    if not isinstance(gts, Columns):
+        gts = Columns.of(gts)
+    n = len(dets.labels)
+    if len(dets.scores) != n:
+        raise UsageError("every detection needs a score")
+
+    classes = sorted({*dets.labels, *gts.labels})
     if not classes:  # nothing to detect, nothing detected
         return EvalResult({t: 1.0 for t in thresholds}, map_value=1.0, ap_small=1.0)
 
@@ -289,15 +332,17 @@ def evaluate(
     levels = reported if 0.5 in reported else [*reported, 0.5]
     half = levels.index(0.5)
 
-    # Detections, then ground truth: class codes and (image, class) group codes.
-    items, n = (*dets, *gts), len(dets)
-    class_of = {c: k for k, c in enumerate(classes)}
-    image_of: dict[ImageId, int] = {}
-    cls = np.array([class_of[o.class_label] for o in items], dtype=np.int64)
-    img = np.array([image_of.setdefault(o.image_id, len(image_of)) for o in items], dtype=np.int64)
+    # Detections, then ground truth: class codes and (image, class) group
+    # codes, images numbered in order of first appearance.
+    size = n + len(gts.labels)
+    class_of = dict(zip(classes, count()))
+    image_ids = [*dets.image_ids, *gts.image_ids]
+    image_of = dict(zip(dict.fromkeys(image_ids), count()))
+    cls = np.fromiter(map(class_of.__getitem__, chain(dets.labels, gts.labels)), np.int64, size)
+    img = np.fromiter(map(image_of.__getitem__, image_ids), np.int64, size)
     group = img * len(classes) + cls
-    boxes = _boxes(items)
-    scores = np.array([d.score for d in dets], dtype=float)
+    boxes = np.array([*dets.boxes, *gts.boxes], dtype=float).reshape(-1, 4)
+    scores = np.array(dets.scores, dtype=float)
     assigned = _greedy_assign(boxes, group, scores, levels)
 
     # Pool each class's detections by descending score, ties in input order.

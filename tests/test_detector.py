@@ -5,7 +5,6 @@ from importlib import resources
 import pytest
 
 from rbcscan.detector import (
-    FRAMEWORK_BENCHMARKS,
     DetectorProfile,
     SyntheticScene,
     ap_at,
@@ -89,6 +88,7 @@ class TestProfileValidation:
             dict(per_image_latency_s=math.nan),
             dict(ap_vs_distance=((math.nan, "1280x720", 0.5),)),
             dict(ap_vs_iou=((0.5, 0.5), (math.nan, 0.4))),
+            dict(ap_vs_iou=((math.nan, 0.5),)),
         ],
     )
     def test_rejects_nan(self, kwargs):
@@ -159,16 +159,6 @@ class TestBuiltinProfile:
         assert profile == direct
         for t, _ in direct.ap_vs_iou:
             assert ap_at(profile, t) == ap_at(direct, t)
-
-
-class TestFrameworkBenchmarks:
-    def test_reference_rows(self):
-        by_name = {b.name: b for b in FRAMEWORK_BENCHMARKS}
-        mask = by_name["mask-rcnn"]
-        assert (mask.coco_map, mask.coco_ap_small, mask.per_image_latency_s) == (0.382, 0.201, 0.195)
-        assert by_name["yolov3"].per_image_latency_s == 0.051
-        assert by_name["faster-rcnn"].backbone == "ResNet-101-FPN"
-        assert by_name["ssd513"].coco_ap_small == 0.102
 
 
 class TestSyntheticScene:

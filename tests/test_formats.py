@@ -20,7 +20,7 @@ from rbcscan.formats import (
     resolve_profile,
 )
 from rbcscan.geometry import CameraModel, CellGrid
-from rbcscan.metrics import BBox, Detection, GroundTruthObject
+from rbcscan.metrics import BBox, Columns, Detection, GroundTruthObject
 from rbcscan.scanning import ScanConfig
 
 ANNOTATIONS_TEXT = """
@@ -268,6 +268,56 @@ class TestScenario:
         payload["grid"]["shape"] = "square"
         with pytest.raises(SchemaError, match="shape"):
             parse_scenario(json.dumps(payload))
+
+
+class TestRecordColumns:
+    """Parsed files hold columns; their record tuples equal tuple-built ones."""
+
+    OBJECTS = (
+        GroundTruthObject("img1", BBox(100, 50, 124, 62), "smartphone"),
+        GroundTruthObject(2, BBox(10, 10.5, 62, 31), "smartphone"),
+    )
+    DETECTIONS = (Detection("img1", BBox(98, 51, 126, 60), 0.91, "smartphone"),)
+
+    def test_parsed_annotations_equal_tuple_built(self):
+        af = parse_annotations(ANNOTATIONS_TEXT)
+        built = AnnotationFile(
+            images=(ImageInfo("img1", 1280, 720), ImageInfo(2, 640, 360)),
+            objects=self.OBJECTS,
+            split={"train": 1600, "dev": 800, "test": 800},
+        )
+        assert af == built and built == af
+        assert repr(af) == repr(built)
+        assert af != AnnotationFile(images=built.images, objects=self.OBJECTS[:1], split=built.split)
+
+    def test_parsed_detections_equal_tuple_built(self):
+        df = parse_detections(DETECTIONS_TEXT)
+        built = DetectionFile(detections=self.DETECTIONS)
+        assert df == built and built == df
+        assert repr(df) == repr(built)
+        assert df != DetectionFile(detections=())
+
+    def test_records_keep_the_file_values(self):
+        # An integer stays an integer: repr tells 1 from 1.0.
+        af = parse_annotations(ANNOTATIONS_TEXT)
+        assert repr(af.objects[1].bbox) == "BBox(x=10, y=10.5, w=62, h=31)"
+        assert af.columns == Columns(
+            ("img1", 2), ("smartphone", "smartphone"), ([100, 50, 124, 62], [10, 10.5, 62, 31])
+        )
+        df = parse_detections(DETECTIONS_TEXT)
+        assert df.columns == Columns(("img1",), ("smartphone",), ([98, 51, 126, 60],), (0.91,))
+
+    def test_lengths(self):
+        assert len(parse_annotations(ANNOTATIONS_TEXT).objects) == 2
+        assert len(parse_detections(DETECTIONS_TEXT).detections) == 1
+        empty = parse_annotations('{"images": [], "objects": []}')
+        assert len(empty.objects) == 0 and empty.columns == Columns()
+        assert len(parse_detections('{"detections": []}').detections) == 0
+
+    def test_tuple_built_files_have_columns(self):
+        assert DetectionFile(self.DETECTIONS).columns == Columns.of(self.DETECTIONS)
+        af = AnnotationFile(images=(), objects=self.OBJECTS)
+        assert af.columns == Columns.of(self.OBJECTS)
 
 
 class TestEmitters:

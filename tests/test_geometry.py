@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rbcscan.errors import ConfigurationError, DomainError
+from rbcscan.errors import DomainError
 from rbcscan.geometry import (
     CameraModel,
     CellGrid,
@@ -21,6 +21,8 @@ from rbcscan.metrics import BBox
 
 # Frozen from the pinhole relation f = p * Z / X: 124 px * 120 cm / 14 cm.
 CALIBRATED_FOCAL_PX = 14880 / 14
+#: The message of a resolution whose aspect ratio differs from the camera's.
+ASPECT_MISMATCH = r"does not match the camera's \d+x\d+ aspect ratio"
 
 
 class TestCalibrateFocal:
@@ -95,9 +97,9 @@ class TestProjectSize:
             assert abs(size.w_px - observed) / observed < 1e-9
 
     def test_aspect_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError, match=ASPECT_MISMATCH):
             project_size(self.cam, self.phone, 120, 1280, 721)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError, match=ASPECT_MISMATCH):
             project_size(self.cam, self.phone, 120, 640, 480)
 
     def test_bad_distance_rejected(self):
@@ -232,5 +234,5 @@ class TestModelValidation:
             PixelSize(-1, 5)
 
     def test_scaled_to_rejects_aspect_change(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError, match=ASPECT_MISMATCH):
             reference_camera().scaled_to(640, 480)

@@ -9,6 +9,7 @@ from rbcscan.errors import DomainError, UsageError
 from rbcscan.metrics import (
     STANDARD_IOU_THRESHOLDS,
     BBox,
+    Columns,
     Detection,
     GroundTruthObject,
     average_precision,
@@ -306,6 +307,35 @@ class TestEvaluate:
         expected = average_precision([f for _, _, f in pooled], len(gts))
         got = evaluate(dets, gts, thresholds=[0.5]).ap_per_threshold[0.5]
         assert got == expected
+
+
+class TestColumns:
+    DETS = [_det(0, 0, 50, 50, 0.9), _det(3, 1, 40, 50, 0.4, image_id=2, label="laptop")]
+    GTS = [_gt(0, 0, 50, 50), _gt(0, 0, 40, 50, image_id=2, label="laptop")]
+
+    def test_of_records(self):
+        assert Columns.of(self.DETS) == Columns(
+            ["img", 2], ["smartphone", "laptop"], [(0, 0, 50, 50), (3, 1, 40, 50)], [0.9, 0.4]
+        )
+        assert Columns.of(self.GTS).scores == ()
+        assert Columns.of([]) == Columns([], [], [])
+
+    def test_evaluate_reads_columns_as_records(self):
+        cols = Columns(("img", 2), ("smartphone", "laptop"), ([0, 0, 50, 50], [3, 1, 40, 50]),
+                       (0.9, 0.4))
+        want = evaluate(self.DETS, self.GTS)
+        assert evaluate(cols, Columns.of(self.GTS)) == want
+        assert evaluate(cols, self.GTS) == evaluate(self.DETS, Columns.of(self.GTS)) == want
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(UsageError, match="one entry per record"):
+            Columns(["img"], ["smartphone"], [])
+        with pytest.raises(UsageError, match="one entry per record"):
+            Columns(["img"], ["smartphone"], [(0, 0, 1, 1)], [0.5, 0.5])
+
+    def test_detections_without_scores_rejected(self):
+        with pytest.raises(UsageError, match="score"):
+            evaluate(Columns.of(self.GTS), self.GTS)
 
 
 class TestFlipAugment:

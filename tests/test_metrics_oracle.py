@@ -6,12 +6,19 @@ rewrite could drift: several images and classes, classes with only
 detections or only ground truth, images without ground truth, duplicate
 scores, identical and nested boxes (IoU ties), boxes on both sides of the
 small-object cutoff, and threshold lists that omit 0.5 or repeat a value.
+The same scenes, written as files, check the parsers' columns end to end:
+parsed by ``rbcscan.formats`` and scored from its columns, they must give
+the result the legacy parsers' record objects give the legacy evaluator.
 """
+
+import json
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import legacy_formats
 import legacy_metrics as legacy
+from rbcscan import formats
 from rbcscan.metrics import (
     STANDARD_IOU_THRESHOLDS,
     BBox,
@@ -116,6 +123,50 @@ def test_evaluate_matches_legacy(scene, thresholds):
                 evaluate(dets, gts, ts, small_cutoff_px=cutoff),
                 legacy.evaluate(dets, gts, ts, small_cutoff_px=cutoff),
             )
+
+
+def _documents(dets, gts):
+    """The scene as annotation and detection file texts.
+
+    Every image of the scene is annotated, at a size that holds any drawn
+    ground-truth box; detections may name images without ground truth.
+    """
+    ids = dict.fromkeys([*(g.image_id for g in gts), *(d.image_id for d in dets)])
+    annotations = {
+        "images": [{"image_id": i, "width": 128, "height": 128} for i in ids],
+        "objects": [
+            {"image_id": g.image_id, "class_label": g.class_label, "bbox": _xywh(g.bbox)}
+            for g in gts
+        ],
+    }
+    detections = {
+        "detections": [
+            {
+                "image_id": d.image_id,
+                "class_label": d.class_label,
+                "bbox": _xywh(d.bbox),
+                "score": d.score,
+            }
+            for d in dets
+        ]
+    }
+    return json.dumps(annotations), json.dumps(detections)
+
+
+def _xywh(b):
+    return [b.x, b.y, b.w, b.h]
+
+
+@given(_scenes(), _thresholds)
+def test_evaluate_on_parsed_columns_matches_legacy(scene, thresholds):
+    annotations, detections = _documents(*scene)
+    af, df = formats.parse_annotations(annotations), formats.parse_detections(detections)
+    legacy_af = legacy_formats.parse_annotations(annotations)
+    legacy_df = legacy_formats.parse_detections(detections)
+    for cutoff in (8.0, 40.5):
+        assert evaluate(df.columns, af.columns, thresholds, small_cutoff_px=cutoff) == (
+            legacy.evaluate(legacy_df.detections, legacy_af.objects, thresholds, cutoff)
+        )
 
 
 @given(_scenes(images=st.just("img"), labels=st.just("phone")), st.floats(0.01, 1.0))
