@@ -222,14 +222,15 @@ def cmd_augment(args: argparse.Namespace) -> int:
         formats.ImageInfo(image_id=derived[im.image_id], width=im.width, height=im.height)
         for im in af.images
     ]
+    objects = af.objects
     flipped_objects = [
         replace(metrics.flip_augment(gt, widths[gt.image_id]), image_id=derived[gt.image_id])
-        for gt in af.objects
+        for gt in objects
     ]
     doubled = formats.AnnotationFile(
-        images=af.images + tuple(flipped_images),
-        objects=af.objects + tuple(flipped_objects),
-        split=af.split,
+        af.images + tuple(flipped_images),
+        metrics.Columns.of(objects + tuple(flipped_objects)),
+        af.split,
     )
     _write_output(formats.emit_annotations(doubled), args.output)
     return 0

@@ -14,7 +14,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable
@@ -37,81 +36,36 @@ class ImageInfo:
     height: int
 
 
-class _RecordFile:
-    """Equality and repr over the record fields ``_FIELDS``, as a dataclass's.
+@dataclass(frozen=True)
+class AnnotationFile:
+    """Ground-truth annotations plus optional dataset-split metadata.
 
-    A parsed file holds its records as ``columns`` of the values read from
-    the file, which is what ``metrics.evaluate`` scores; the tuple of record
-    objects is built from those values on first access. A file built from
-    record objects makes its columns from them on first access instead.
+    ``columns`` holds the objects' fields as read from the file, which is
+    what ``metrics.evaluate`` scores; ``objects`` builds the record tuple
+    from them.
     """
 
-    _FIELDS: tuple[str, ...]
+    images: tuple[ImageInfo, ...]
+    columns: Columns
+    split: dict[str, int] | None = None
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
-        return f"{type(self).__name__}({fields})"
-
-
-class AnnotationFile(_RecordFile):
-    """Ground-truth annotations plus optional dataset-split metadata."""
-
-    _FIELDS = ("images", "objects", "split")
-
-    def __init__(
-        self,
-        images: tuple[ImageInfo, ...],
-        objects: tuple[GroundTruthObject, ...],
-        split: dict[str, int] | None = None,
-    ) -> None:
-        self.images, self.objects, self.split = images, objects, split
-
-    @classmethod
-    def _of_columns(
-        cls, images: tuple[ImageInfo, ...], columns: Columns, split: dict[str, int] | None
-    ) -> AnnotationFile:
-        af = cls.__new__(cls)
-        af.images, af.columns, af.split = images, columns, split
-        return af
-
-    @cached_property
+    @property
     def objects(self) -> tuple[GroundTruthObject, ...]:
         c = self.columns
         return tuple(map(GroundTruthObject, c.image_ids, [BBox(*b) for b in c.boxes], c.labels))
 
-    @cached_property
-    def columns(self) -> Columns:
-        return Columns.of(self.objects)
 
+@dataclass(frozen=True)
+class DetectionFile:
+    """Detector output: scored boxes, held as ``columns`` like ``AnnotationFile``'s."""
 
-class DetectionFile(_RecordFile):
-    """Detector output: scored boxes, grouped by image identifier."""
+    columns: Columns
 
-    _FIELDS = ("detections",)
-
-    def __init__(self, detections: tuple[Detection, ...]) -> None:
-        self.detections = detections
-
-    @classmethod
-    def _of_columns(cls, columns: Columns) -> DetectionFile:
-        df = cls.__new__(cls)
-        df.columns = columns
-        return df
-
-    @cached_property
+    @property
     def detections(self) -> tuple[Detection, ...]:
         c = self.columns
         boxes = [BBox(*b) for b in c.boxes]
         return tuple(map(Detection, c.image_ids, boxes, c.scores, c.labels))
-
-    @cached_property
-    def columns(self) -> Columns:
-        return Columns.of(self.detections)
 
 
 @dataclass(frozen=True)
@@ -311,22 +265,19 @@ def parse_annotations(text: str) -> AnnotationFile:
             if v < 0:
                 raise InvariantError(f"$.split.{k}: counts must be >= 0")
 
-    return AnnotationFile._of_columns(tuple(images), Columns(*zip(*objects)), split)
+    return AnnotationFile(tuple(images), Columns(*zip(*objects)), split)
 
 
 def emit_annotations(af: AnnotationFile) -> str:
+    c = af.columns
     payload: dict[str, Any] = {
         "images": [
             {"image_id": im.image_id, "width": im.width, "height": im.height}
             for im in af.images
         ],
         "objects": [
-            {
-                "image_id": gt.image_id,
-                "class_label": gt.class_label,
-                "bbox": [gt.bbox.x, gt.bbox.y, gt.bbox.w, gt.bbox.h],
-            }
-            for gt in af.objects
+            {"image_id": image_id, "class_label": label, "bbox": box}
+            for image_id, label, box in zip(c.image_ids, c.labels, c.boxes)
         ],
     }
     if af.split is not None:
@@ -356,19 +307,15 @@ def parse_detections(text: str) -> DetectionFile:
         if type(label) is not str:
             _str(label, f"$.detections[{i}].class_label")
         dets.append(fields)
-    return DetectionFile._of_columns(Columns(*zip(*dets)))
+    return DetectionFile(Columns(*zip(*dets)))
 
 
 def emit_detections(df: DetectionFile) -> str:
+    c = df.columns
     payload = {
         "detections": [
-            {
-                "image_id": d.image_id,
-                "class_label": d.class_label,
-                "bbox": [d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h],
-                "score": d.score,
-            }
-            for d in df.detections
+            {"image_id": image_id, "class_label": label, "bbox": box, "score": score}
+            for image_id, label, box, score in zip(c.image_ids, c.labels, c.boxes, c.scores)
         ]
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -503,6 +450,9 @@ def parse_scenario(text: str) -> ScenarioFile:
     trials = _int(root["trials"], "$.trials")
     if trials < 1:
         raise InvariantError(f"$.trials: must be >= 1, got {trials}")
+    seed = _int(root["seed"], "$.seed")
+    if seed < 0:
+        raise InvariantError(f"$.seed: must be >= 0, got {seed}")
 
     return ScenarioFile(
         camera=camera,
@@ -510,7 +460,7 @@ def parse_scenario(text: str) -> ScenarioFile:
         scan=scan,
         profile=_str(root["profile"], "$.profile"),
         trials=trials,
-        seed=_int(root["seed"], "$.seed"),
+        seed=seed,
     )
 
 

@@ -37,11 +37,6 @@ class CameraModel:
                 f"reference resolution must be positive, got {self.ref_width}x{self.ref_height}"
             )
 
-    def scaled_to(self, width: int, height: int) -> "CameraModel":
-        """The same camera expressed at another resolution of equal aspect ratio."""
-        _check_aspect(self, width, height)
-        return CameraModel(self.focal_px * (width / self.ref_width), width, height)
-
 
 @dataclass(frozen=True)
 class ReceiverSpec:
@@ -49,7 +44,6 @@ class ReceiverSpec:
 
     width_cm: float
     height_cm: float
-    class_label: str = "smartphone"
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) and v > 0 for v in (self.width_cm, self.height_cm)):

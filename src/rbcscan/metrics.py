@@ -98,14 +98,15 @@ class Columns:
 
     @classmethod
     def of(cls, records: Sequence[Detection] | Sequence[GroundTruthObject]) -> Columns:
-        """The records' fields as columns; ``records`` are all detections or all ground truth."""
-        boxes = [(b.x, b.y, b.w, b.h) for b in (r.bbox for r in records)]
+        """The records' fields as columns, in the parsers' shape: tuples, each
+        box an ``[x, y, w, h]`` list. ``records`` are all detections or all
+        ground truth."""
         scored = bool(records) and isinstance(records[0], Detection)
         return cls(
-            [r.image_id for r in records],
-            [r.class_label for r in records],
-            boxes,
-            [d.score for d in records] if scored else (),
+            tuple(r.image_id for r in records),
+            tuple(r.class_label for r in records),
+            tuple([b.x, b.y, b.w, b.h] for b in (r.bbox for r in records)),
+            tuple(d.score for d in records) if scored else (),
         )
 
 

@@ -26,6 +26,8 @@ import numpy as np
 from .errors import DomainError, UsageError
 
 _BATCH_TRIALS = 1 << 16
+#: Cell positions are drawn as int64.
+_MAX_CELLS = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,15 @@ class ScanConfig:
             raise DomainError(f"t_detect_s must be finite and >= 0, got {self.t_detect_s}")
         if not 0.0 <= self.ap <= 1.0:
             raise DomainError(f"ap must be within [0, 1], got {self.ap}")
+        # The longest scan plus detection bounds every time computed from it.
+        try:
+            longest = self.t_detect_s + (1 + self.n_cells) * self.t_scan_s
+        except OverflowError:
+            longest = math.inf
+        if not math.isfinite(longest):
+            raise DomainError(
+                "scan times overflow: t_detect_s + (1 + n_cells) * t_scan_s is not finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -118,6 +129,15 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     )
 
 
+def _check_run(cfg: ScanConfig, rng_seed: int, trials: int) -> None:
+    if trials < 1:
+        raise UsageError(f"trials must be >= 1, got {trials}")
+    if rng_seed < 0:
+        raise UsageError(f"seed must be >= 0, got {rng_seed}")
+    if cfg.n_cells >= _MAX_CELLS:
+        raise UsageError(f"simulation needs n_cells < 2**63, got {cfg.n_cells}")
+
+
 def _batch_sizes(trials: int) -> Iterable[int]:
     full, rest = divmod(trials, _BATCH_TRIALS)
     for _ in range(full):
@@ -127,6 +147,11 @@ def _batch_sizes(trials: int) -> Iterable[int]:
 
 
 def _summarize(total: float, total_sq: float, trials: int, analytic: float | None) -> SimulationSummary:
+    if not (math.isfinite(total) and math.isfinite(total_sq)):
+        raise DomainError(
+            f"simulated times overflow: the sum of {trials} times or of their squares "
+            "is not a finite float"
+        )
     mean = total / trials
     if trials > 1:
         var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
@@ -147,8 +172,7 @@ def simulate_traditional(cfg: ScanConfig, rng_seed: int, trials: int) -> Simulat
     the scan stops on reaching it, costing position * T_s. Deterministic
     for a fixed seed.
     """
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
+    _check_run(cfg, rng_seed, trials)
     total = 0.0
     total_sq = 0.0
     for batch_index, size in enumerate(_batch_sizes(trials)):
@@ -156,7 +180,8 @@ def simulate_traditional(cfg: ScanConfig, rng_seed: int, trials: int) -> Simulat
         cells = rng.integers(1, cfg.n_cells + 1, size=size)
         elapsed = cells * cfg.t_scan_s
         total += float(elapsed.sum())
-        total_sq += float(np.square(elapsed).sum())
+        with np.errstate(over="ignore"):  # _summarize reports an overflow
+            total_sq += float(np.square(elapsed).sum())
     return _summarize(total, total_sq, trials, t1_analytic(cfg))
 
 
@@ -169,8 +194,7 @@ def simulate_guided(cfg: ScanConfig, rng_seed: int, trials: int) -> SimulationSu
     {1..N-1}. Each batch draws the correctness uniforms first, then the
     miss offsets (the latter are discarded for correct trials).
     """
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
+    _check_run(cfg, rng_seed, trials)
     if cfg.n_cells < 2:
         raise UsageError(f"guided scanning requires n_cells >= 2, got {cfg.n_cells}")
     total = 0.0
@@ -182,7 +206,8 @@ def simulate_guided(cfg: ScanConfig, rng_seed: int, trials: int) -> SimulationSu
         cells = np.where(correct, 1, 1 + miss_offset)
         elapsed = cfg.t_detect_s + cells * cfg.t_scan_s
         total += float(elapsed.sum())
-        total_sq += float(np.square(elapsed).sum())
+        with np.errstate(over="ignore"):  # _summarize reports an overflow
+            total_sq += float(np.square(elapsed).sum())
     return _summarize(total, total_sq, trials, t2_analytic(cfg))
 
 

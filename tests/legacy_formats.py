@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 from rbcscan.errors import DomainError, InvariantError, SchemaError
 from rbcscan.formats import AnnotationFile, DetectionFile, ImageInfo
-from rbcscan.metrics import BBox, Detection, GroundTruthObject, ImageId
+from rbcscan.metrics import BBox, Columns, Detection, GroundTruthObject, ImageId
 
 _SPLIT_KEYS = ("train", "dev", "test")
 
@@ -142,7 +142,7 @@ def parse_annotations(text: str) -> AnnotationFile:
             if v < 0:
                 raise InvariantError(f"$.split.{k}: counts must be >= 0")
 
-    return AnnotationFile(images=tuple(images), objects=tuple(objects), split=split)
+    return AnnotationFile(tuple(images), Columns.of(objects), split)
 
 
 def parse_detections(text: str) -> DetectionFile:
@@ -162,6 +162,6 @@ def parse_detections(text: str) -> DetectionFile:
                 class_label=_str(obj["class_label"], f"{path}.class_label"),
             )
         )
-    return DetectionFile(detections=tuple(dets))
+    return DetectionFile(Columns.of(dets))
 
 

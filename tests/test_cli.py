@@ -132,6 +132,17 @@ class TestSimulateCommand:
         assert rc3 == 0
         assert third.out != first.out
 
+    def test_negative_seed(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(SCENARIO), encoding="utf-8")
+        rc, captured = _run(capsys, ["simulate", "--scenario", str(scenario), "--seed", "-1"])
+        assert (rc, captured.out) == (3, "")
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        scenario.write_text(json.dumps(dict(SCENARIO, seed=-5)), encoding="utf-8")
+        rc, captured = _run(capsys, ["simulate", "--scenario", str(scenario)])
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == "error: $.seed: must be >= 0, got -5\n"
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc, captured = _run(capsys, ["simulate", "--scenario", str(tmp_path / "none.json")])
         assert rc == 1
@@ -179,6 +190,37 @@ class TestSimulateCommand:
         rc, captured = _run(capsys, ["simulate", "--scenario", str(scenario)])
         assert rc == 2
         assert captured.err.startswith(f"error: profile 'custom.json' ({tmp_path / 'custom.json'}): $: ")
+
+    @pytest.mark.parametrize(
+        "argv, scenario, code, message",
+        [
+            (["analytic", "--t-scan", "1e308"], None, 2, "scan times overflow"),
+            (["analytic", "--n-cells", str(10**400)], None, 2, "scan times overflow"),
+            (["simulate"], {"scan": {"t_scan_s": 1e308}}, 2, "$.scan: scan times overflow"),
+            (["simulate"], {"scan": {"t_scan_s": 1e200}}, 2, "simulated times overflow"),
+            (
+                ["simulate"],
+                {"grid": {"rows": 2**40, "cols": 2**30}, "scan": {"n_cells": 2**70}},
+                3,
+                "simulation needs n_cells < 2**63",
+            ),
+        ],
+        ids=["analytic-t-scan", "analytic-n-cells", "t-scan-1e308", "t-scan-1e200", "huge-grid"],
+    )
+    def test_overflow_is_an_error_not_a_row(self, tmp_path, capsys, argv, scenario, code, message):
+        if scenario is not None:
+            payload = {
+                **SCENARIO,
+                "trials": 10,
+                **{k: dict(SCENARIO[k], **v) for k, v in scenario.items()},
+            }
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            argv = [*argv, "--scenario", str(path)]
+        rc, captured = _run(capsys, argv)
+        assert (rc, captured.out) == (code, "")
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
 
     def test_invariant_error_exit_code(self, tmp_path, capsys):
         payload = dict(SCENARIO, scan=dict(SCENARIO["scan"], n_cells=63))

@@ -263,6 +263,14 @@ class TestScenario:
         with pytest.raises(InvariantError, match="trials"):
             parse_scenario(json.dumps(payload))
 
+    def test_negative_seed_rejected(self):
+        payload = json.loads(SCENARIO_TEXT)
+        payload["seed"] = -5
+        with pytest.raises(InvariantError, match=r"^\$\.seed: must be >= 0, got -5$"):
+            parse_scenario(json.dumps(payload))
+        payload["seed"] = 0
+        assert parse_scenario(json.dumps(payload)).seed == 0
+
     def test_unknown_field_rejected(self):
         payload = json.loads(SCENARIO_TEXT)
         payload["grid"]["shape"] = "square"
@@ -283,19 +291,19 @@ class TestRecordColumns:
         af = parse_annotations(ANNOTATIONS_TEXT)
         built = AnnotationFile(
             images=(ImageInfo("img1", 1280, 720), ImageInfo(2, 640, 360)),
-            objects=self.OBJECTS,
+            columns=Columns.of(self.OBJECTS),
             split={"train": 1600, "dev": 800, "test": 800},
         )
         assert af == built and built == af
         assert repr(af) == repr(built)
-        assert af != AnnotationFile(images=built.images, objects=self.OBJECTS[:1], split=built.split)
+        assert af != AnnotationFile(built.images, Columns.of(self.OBJECTS[:1]), built.split)
 
     def test_parsed_detections_equal_tuple_built(self):
         df = parse_detections(DETECTIONS_TEXT)
-        built = DetectionFile(detections=self.DETECTIONS)
+        built = DetectionFile(Columns.of(self.DETECTIONS))
         assert df == built and built == df
         assert repr(df) == repr(built)
-        assert df != DetectionFile(detections=())
+        assert df != DetectionFile(Columns())
 
     def test_records_keep_the_file_values(self):
         # An integer stays an integer: repr tells 1 from 1.0.
@@ -315,16 +323,16 @@ class TestRecordColumns:
         assert len(parse_detections('{"detections": []}').detections) == 0
 
     def test_tuple_built_files_have_columns(self):
-        assert DetectionFile(self.DETECTIONS).columns == Columns.of(self.DETECTIONS)
-        af = AnnotationFile(images=(), objects=self.OBJECTS)
-        assert af.columns == Columns.of(self.OBJECTS)
+        assert DetectionFile(Columns.of(self.DETECTIONS)).detections == self.DETECTIONS
+        af = AnnotationFile(images=(), columns=Columns.of(self.OBJECTS))
+        assert af.objects == self.OBJECTS
 
 
 class TestEmitters:
     def test_emit_annotations_canonical(self):
         af = AnnotationFile(
             images=(ImageInfo("a", 100, 50),),
-            objects=(GroundTruthObject(image_id="a", bbox=BBox(1, 2, 3, 4)),),
+            columns=Columns.of((GroundTruthObject(image_id="a", bbox=BBox(1, 2, 3, 4)),)),
             split=None,
         )
         text = emit_annotations(af)
@@ -333,7 +341,7 @@ class TestEmitters:
 
     def test_emit_detections_preserves_float_scores(self):
         df = DetectionFile(
-            detections=(Detection(image_id=7, bbox=BBox(0.25, 0.5, 1.125, 2.0), score=1 / 3),)
+            Columns.of((Detection(image_id=7, bbox=BBox(0.25, 0.5, 1.125, 2.0), score=1 / 3),))
         )
         assert parse_detections(emit_detections(df)) == df
 

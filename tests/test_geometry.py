@@ -108,12 +108,6 @@ class TestProjectSize:
         with pytest.raises(DomainError):
             project_size(self.cam, self.phone, -5, 1280, 720)
 
-    def test_scaled_to_matches_projection(self):
-        half_cam = self.cam.scaled_to(640, 360)
-        direct = project_size(half_cam, self.phone, 120, 640, 360)
-        via_scale = project_size(self.cam, self.phone, 120, 640, 360)
-        assert direct.w_px == pytest.approx(via_scale.w_px, rel=1e-12)
-
 
 class TestIsDetectable:
     def test_large_phone(self):
@@ -232,7 +226,3 @@ class TestModelValidation:
     def test_pixel_size_rejects_negative(self):
         with pytest.raises(DomainError):
             PixelSize(-1, 5)
-
-    def test_scaled_to_rejects_aspect_change(self):
-        with pytest.raises(DomainError, match=ASPECT_MISMATCH):
-            reference_camera().scaled_to(640, 480)

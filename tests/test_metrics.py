@@ -315,10 +315,10 @@ class TestColumns:
 
     def test_of_records(self):
         assert Columns.of(self.DETS) == Columns(
-            ["img", 2], ["smartphone", "laptop"], [(0, 0, 50, 50), (3, 1, 40, 50)], [0.9, 0.4]
+            ("img", 2), ("smartphone", "laptop"), ([0, 0, 50, 50], [3, 1, 40, 50]), (0.9, 0.4)
         )
         assert Columns.of(self.GTS).scores == ()
-        assert Columns.of([]) == Columns([], [], [])
+        assert Columns.of([]) == Columns()
 
     def test_evaluate_reads_columns_as_records(self):
         cols = Columns(("img", 2), ("smartphone", "laptop"), ([0, 0, 50, 50], [3, 1, 40, 50]),

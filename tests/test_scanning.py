@@ -105,6 +105,9 @@ class TestScanConfigValidation:
             dict(n_cells=4, t_scan_s=1.0, t_detect_s=float("nan")),
             dict(n_cells=4, t_scan_s=1.0, t_detect_s=float("inf")),
             dict(n_cells=4, t_scan_s=1.0, ap=float("nan")),
+            dict(n_cells=64, t_scan_s=1e308),
+            dict(n_cells=1, t_scan_s=1e308, t_detect_s=1e308),
+            dict(n_cells=10**400, t_scan_s=1.0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -162,6 +165,22 @@ class TestSimulateGuided:
     def test_zero_trials_rejected(self):
         with pytest.raises(UsageError):
             simulate_guided(REFERENCE_CFG, rng_seed=1, trials=0)
+
+
+@pytest.mark.parametrize("simulate", [simulate_traditional, simulate_guided])
+class TestSimulationLimits:
+    def test_negative_seed_rejected(self, simulate):
+        with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
+            simulate(REFERENCE_CFG, rng_seed=-1, trials=10)
+
+    def test_cells_past_int64_rejected(self, simulate):
+        with pytest.raises(UsageError, match=r"n_cells < 2\*\*63"):
+            simulate(ScanConfig(2**63, 1.0), rng_seed=1, trials=10)
+        assert simulate(ScanConfig(2**63 - 1, 1.0), rng_seed=1, trials=10).trials == 10
+
+    def test_overflowing_squares_rejected(self, simulate):
+        with pytest.raises(DomainError, match="overflow"):
+            simulate(ScanConfig(64, 1e200), rng_seed=1, trials=10)
 
 
 class TestMonteCarloAgreesWithAnalytic:
