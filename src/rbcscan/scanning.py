@@ -12,14 +12,16 @@ Simulations draw from numpy's PCG64. Trials are processed in batches of
 65536; batch b of a run seeded with s uses the stream
 SeedSequence(entropy=s, spawn_key=(b,)), so batches may be computed
 concurrently and merged in batch order with results bit-identical to a
-sequential run.
+sequential run. Both strategies share one batch loop: the mean comes from
+the full times (T_d plus the scans), the standard error from the scan
+times alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -67,6 +69,9 @@ class ScanConfig:
 class SimulationSummary:
     """Aggregate of repeated trials, paired with the analytic expectation.
 
+    ``mean_time_s`` is the mean of the full times, detection included;
+    ``stderr_s`` is the standard error of the scan times (scan count * T_s),
+    which have the same spread without T_d's cancellation.
     ``analytic_time_s`` is None where no closed form exists (multi-candidate
     scans).
     """
@@ -146,21 +151,67 @@ def _batch_sizes(trials: int) -> Iterable[int]:
         yield rest
 
 
-def _summarize(total: float, total_sq: float, trials: int, analytic: float | None) -> SimulationSummary:
+def _traditional_scans(rng: np.random.Generator, size: int, cfg: ScanConfig) -> np.ndarray:
+    return rng.integers(1, cfg.n_cells + 1, size=size)
+
+
+def _guided_scans(rng: np.random.Generator, size: int, cfg: ScanConfig) -> np.ndarray:
+    missed = rng.random(size) >= cfg.ap
+    scans = rng.integers(1, cfg.n_cells, size=size)
+    # 1 + offset * missed: np.where on a random mask mispredicts a branch
+    # per element, the multiply has none.
+    scans *= missed
+    scans += 1
+    return scans
+
+
+def _simulate(
+    cfg: ScanConfig,
+    rng_seed: int,
+    trials: int,
+    draw_scans: Callable[[np.random.Generator, int, ScanConfig], np.ndarray],
+    t_detect_s: float,
+    analytic: float,
+) -> SimulationSummary:
+    """Run the batches of one strategy, whose ``draw_scans`` gives each trial's scan count.
+
+    A trial takes t_detect_s + scans * T_s. The mean is the sum of those
+    full times over trials. The spread is taken from the scan counts: the
+    constant t_detect_s does not change it, and at T_d >> N * T_s its
+    square would swamp the variance in a running sum of squared times.
+    """
+    t_scan = cfg.t_scan_s
+    total = 0.0
+    count_sum = 0.0
+    count_sq = 0.0
+    with np.errstate(over="ignore"):  # the check below reports an overflow
+        for batch_index, size in enumerate(_batch_sizes(trials)):
+            counts = draw_scans(_batch_rng(rng_seed, batch_index), size, cfg).astype(np.float64)
+            count_sum += float(counts.sum())
+            # einsum, not np.dot: a BLAS dot of this size wakes BLAS threads.
+            count_sq += float(np.einsum("i,i->", counts, counts))
+            times = np.multiply(counts, t_scan, out=counts)
+            if t_detect_s:
+                times += t_detect_s
+            total += float(times.sum())
+    # The run must keep the sum of squared full times finite (the documented
+    # overflow bound), though the spread no longer uses it.
+    total_sq = count_sq * t_scan * t_scan + t_detect_s * (
+        2 * t_scan * count_sum + trials * t_detect_s
+    )
     if not (math.isfinite(total) and math.isfinite(total_sq)):
         raise DomainError(
             f"simulated times overflow: the sum of {trials} times or of their squares "
             "is not a finite float"
         )
-    mean = total / trials
     if trials > 1:
-        var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+        var = max(0.0, (count_sq - count_sum * (count_sum / trials)) / (trials - 1))
     else:
         var = 0.0
     return SimulationSummary(
         trials=trials,
-        mean_time_s=mean,
-        stderr_s=math.sqrt(var / trials),
+        mean_time_s=total / trials,
+        stderr_s=t_scan * math.sqrt(var / trials),
         analytic_time_s=analytic,
     )
 
@@ -173,16 +224,7 @@ def simulate_traditional(cfg: ScanConfig, rng_seed: int, trials: int) -> Simulat
     for a fixed seed.
     """
     _check_run(cfg, rng_seed, trials)
-    total = 0.0
-    total_sq = 0.0
-    for batch_index, size in enumerate(_batch_sizes(trials)):
-        rng = _batch_rng(rng_seed, batch_index)
-        cells = rng.integers(1, cfg.n_cells + 1, size=size)
-        elapsed = cells * cfg.t_scan_s
-        total += float(elapsed.sum())
-        with np.errstate(over="ignore"):  # _summarize reports an overflow
-            total_sq += float(np.square(elapsed).sum())
-    return _summarize(total, total_sq, trials, t1_analytic(cfg))
+    return _simulate(cfg, rng_seed, trials, _traditional_scans, 0.0, t1_analytic(cfg))
 
 
 def simulate_guided(cfg: ScanConfig, rng_seed: int, trials: int) -> SimulationSummary:
@@ -197,18 +239,7 @@ def simulate_guided(cfg: ScanConfig, rng_seed: int, trials: int) -> SimulationSu
     _check_run(cfg, rng_seed, trials)
     if cfg.n_cells < 2:
         raise UsageError(f"guided scanning requires n_cells >= 2, got {cfg.n_cells}")
-    total = 0.0
-    total_sq = 0.0
-    for batch_index, size in enumerate(_batch_sizes(trials)):
-        rng = _batch_rng(rng_seed, batch_index)
-        correct = rng.random(size) < cfg.ap
-        miss_offset = rng.integers(1, cfg.n_cells, size=size)
-        cells = np.where(correct, 1, 1 + miss_offset)
-        elapsed = cfg.t_detect_s + cells * cfg.t_scan_s
-        total += float(elapsed.sum())
-        with np.errstate(over="ignore"):  # _summarize reports an overflow
-            total_sq += float(np.square(elapsed).sum())
-    return _summarize(total, total_sq, trials, t2_analytic(cfg))
+    return _simulate(cfg, rng_seed, trials, _guided_scans, cfg.t_detect_s, t2_analytic(cfg))
 
 
 def simulate_guided_multi(

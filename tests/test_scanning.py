@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from oracles import expected_time_guided, expected_time_traditional
+from rbcscan import scanning
 from rbcscan.errors import DomainError, UsageError
 from rbcscan.scanning import (
     ScanConfig,
@@ -165,6 +167,29 @@ class TestSimulateGuided:
     def test_zero_trials_rejected(self):
         with pytest.raises(UsageError):
             simulate_guided(REFERENCE_CFG, rng_seed=1, trials=0)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ScanConfig(64, 1e-3, 1e6, 0.7), ScanConfig(16, 1e-2, 1e8, 0.7)],
+        ids=["td-1e6", "td-1e8"],
+    )
+    def test_stderr_exact_when_detection_time_dominates(self, cfg):
+        # A sum of squared full times cancels when T_d >> N * T_s; the
+        # reference is the two-pass standard error, in long double, of the
+        # simulator's own draws.
+        trials = 10**6
+        times = []
+        for batch, start in enumerate(range(0, trials, 1 << 16)):
+            size = min(1 << 16, trials - start)
+            rng = scanning._batch_rng(3, batch)
+            correct = rng.random(size) < cfg.ap
+            scans = np.where(correct, 1, 1 + rng.integers(1, cfg.n_cells, size=size))
+            times.append(np.longdouble(cfg.t_detect_s) + scans * np.longdouble(cfg.t_scan_s))
+        dev = np.concatenate(times)
+        dev -= dev.mean()
+        exact = float(np.sqrt(dev @ dev / (trials - 1) / trials))
+        summary = simulate_guided(cfg, rng_seed=3, trials=trials)
+        assert summary.stderr_s == pytest.approx(exact, rel=1e-6)
 
 
 @pytest.mark.parametrize("simulate", [simulate_traditional, simulate_guided])
