@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import formats, geometry, metrics, scanning
 from .errors import DomainError, SchemaError, UsageError
+from .formats import MAX_TRIALS
 
 _DEFAULT_DISTANCES_CM = (120.0, 200.0, 250.0, 350.0)
 _DEFAULT_RESOLUTIONS = ((1280, 720), (640, 360))
@@ -142,6 +143,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = formats.parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     formats.resolve_profile(scenario.profile, Path(args.scenario).parent)
     trials = args.trials if args.trials is not None else scenario.trials
+    if trials > MAX_TRIALS:  # parse_scenario already holds the scenario's count to it
+        raise UsageError(f"--trials must be <= {MAX_TRIALS} per strategy, got {trials}")
     seed = args.seed if args.seed is not None else scenario.seed
     rows = []
     for name, summary in (
@@ -224,7 +227,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     ]
     objects = af.objects
     flipped_objects = [
-        replace(metrics.flip_augment(gt, widths[gt.image_id]), image_id=derived[gt.image_id])
+        metrics.flip_augment(gt, widths[gt.image_id])._replace(image_id=derived[gt.image_id])
         for gt in objects
     ]
     doubled = formats.AnnotationFile(

@@ -19,7 +19,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -80,20 +81,25 @@ class SyntheticScene:
     receivers: tuple[tuple[GroundTruthObject, float], ...]
 
     def __post_init__(self) -> None:
-        for gt, dist in self.receivers:
-            b = gt.bbox
-            if not (
-                0 <= b.x
-                and 0 <= b.y
-                and b.x + b.w <= self.grid.image_width
-                and b.y + b.h <= self.grid.image_height
-            ):
+        # One pass over all receivers, as float64 like sample_detections'
+        # arithmetic; NaN fails every comparison. The first bad receiver is
+        # reported, its box checked before its distance.
+        receivers = self.receivers
+        n = len(receivers)
+        boxes = np.fromiter(chain.from_iterable(gt.bbox for gt, _ in receivers), np.float64, 4 * n)
+        x, y, w, h = boxes.reshape(n, 4).T
+        dist = np.fromiter(map(itemgetter(1), receivers), np.float64, n)
+        width, height = self.grid.image_width, self.grid.image_height
+        box_ok = (0 <= x) & (0 <= y) & (x + w <= width) & (y + h <= height)
+        bad = ~(box_ok & (dist > 0))
+        if bad.any():
+            i = int(bad.argmax())
+            if not box_ok[i]:
                 raise DomainError(
-                    f"receiver box for image {gt.image_id!r} exceeds the "
-                    f"{self.grid.image_width}x{self.grid.image_height} image"
+                    f"receiver box for image {receivers[i][0].image_id!r} exceeds the "
+                    f"{width}x{height} image"
                 )
-            if not dist > 0:
-                raise DomainError(f"receiver distance must be > 0, got {dist}")
+            raise DomainError(f"receiver distance must be > 0, got {receivers[i][1]}")
 
 
 def ap_at(profile: DetectorProfile, iou_threshold: float) -> float:
@@ -176,7 +182,7 @@ def sample_detections(
 
     wrong = np.flatnonzero(~correct)
     boxes = [receivers[i][0].bbox for i in wrong.tolist()]
-    xywh = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    xywh = np.fromiter(chain.from_iterable(boxes), np.float64, 4 * len(boxes)).reshape(-1, 4)
     w, h = xywh[:, 2], xywh[:, 3]
     cx = xywh[:, 0] + w / 2
     cy = xywh[:, 1] + h / 2
@@ -224,13 +230,15 @@ def detections_to_candidates(dets: Sequence[Detection], grid: CellGrid) -> list[
     order). A detection box may extend past the image, so a center off the
     image maps to the nearest edge cell; a NaN center raises DomainError.
     """
-    if len({d.image_id for d in dets}) > 1:
-        raise UsageError("detections_to_candidates expects detections from a single image")
+    if len(dets) > 1:
+        if len({d.image_id for d in dets}) > 1:
+            raise UsageError("detections_to_candidates expects detections from a single image")
+        dets = sorted(dets, key=attrgetter("score"), reverse=True)
     cols, rows = grid.cols, grid.rows
     width, height = grid.image_width, grid.image_height
     seen: set[int] = set()
     out: list[int] = []
-    for d in sorted(dets, key=attrgetter("score"), reverse=True):
+    for d in dets:
         b = d.bbox
         x = b.x + b.w / 2
         y = b.y + b.h / 2

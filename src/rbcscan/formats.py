@@ -26,6 +26,11 @@ from .scanning import ScanConfig
 
 _SPLIT_KEYS = ("train", "dev", "test")
 
+#: Most Monte Carlo trials per strategy a scenario (or ``simulate --trials``)
+#: may ask for: both strategies then run in about half a minute on two
+#: cores, where an unbounded count could run for hours with no output.
+MAX_TRIALS = 10**9
+
 
 @dataclass(frozen=True)
 class ImageInfo:
@@ -450,6 +455,8 @@ def parse_scenario(text: str) -> ScenarioFile:
     trials = _int(root["trials"], "$.trials")
     if trials < 1:
         raise InvariantError(f"$.trials: must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise InvariantError(f"$.trials: must be <= {MAX_TRIALS}, got {trials}")
     seed = _int(root["seed"], "$.seed")
     if seed < 0:
         raise InvariantError(f"$.seed: must be >= 0, got {seed}")

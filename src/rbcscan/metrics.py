@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,44 +31,64 @@ _RECALL_SAMPLES = 101
 _RECALL_POINTS = np.arange(_RECALL_SAMPLES) / (_RECALL_SAMPLES - 1)
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned rectangle in pixel coordinates, top-left origin, y down.
-
-    Boxes follow the minimum-circumscribed-rectangle convention: (x, y) is
-    the top-left corner and w, h extend right and down.
-    """
-
+class _BBoxFields(NamedTuple):
     x: float
     y: float
     w: float
     h: float
 
-    def __post_init__(self) -> None:
-        if not (self.w >= 0 and self.h >= 0):
-            raise DomainError(f"box width/height must be >= 0, got ({self.w}, {self.h})")
+
+class BBox(_BBoxFields):
+    """Axis-aligned rectangle in pixel coordinates, top-left origin, y down.
+
+    Boxes follow the minimum-circumscribed-rectangle convention: (x, y) is
+    the top-left corner and w, h extend right and down. A box is the tuple
+    ``(x, y, w, h)``, so a list of boxes converts to an (n, 4) array.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, w: float, h: float) -> BBox:
+        if not (w >= 0 and h >= 0):
+            raise DomainError(f"box width/height must be >= 0, got ({w}, {h})")
+        return tuple.__new__(cls, (x, y, w, h))
+
+    @classmethod
+    def _make(cls, iterable) -> BBox:
+        # namedtuple's _make, which _replace calls, skips __new__.
+        return cls(*super()._make(iterable))
 
     @property
     def area(self) -> float:
         return self.w * self.h
 
 
-@dataclass(frozen=True)
-class Detection:
-    """A scored, labeled box predicted for one image."""
-
+class _DetectionFields(NamedTuple):
     image_id: ImageId
     bbox: BBox
     score: float
     class_label: str = "smartphone"
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise DomainError(f"detection score must be within [0, 1], got {self.score}")
+
+class Detection(_DetectionFields):
+    """A scored, labeled box predicted for one image."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, image_id: ImageId, bbox: BBox, score: float, class_label: str = "smartphone"
+    ) -> Detection:
+        if not 0.0 <= score <= 1.0:
+            raise DomainError(f"detection score must be within [0, 1], got {score}")
+        return tuple.__new__(cls, (image_id, bbox, score, class_label))
+
+    @classmethod
+    def _make(cls, iterable) -> Detection:
+        # namedtuple's _make, which _replace calls, skips __new__.
+        return cls(*super()._make(iterable))
 
 
-@dataclass(frozen=True)
-class GroundTruthObject:
+class GroundTruthObject(NamedTuple):
     """An annotated, labeled box for one image."""
 
     image_id: ImageId
@@ -105,7 +125,7 @@ class Columns:
         return cls(
             tuple(r.image_id for r in records),
             tuple(r.class_label for r in records),
-            tuple([b.x, b.y, b.w, b.h] for b in (r.bbox for r in records)),
+            tuple(list(r.bbox) for r in records),
             tuple(d.score for d in records) if scored else (),
         )
 
@@ -170,8 +190,7 @@ def iou(a: BBox, b: BBox) -> float:
 
 def _boxes(items: Sequence[Detection] | Sequence[GroundTruthObject]) -> np.ndarray:
     """The items' boxes as an (n, 4) float array of (x, y, w, h)."""
-    rows = [(o.bbox.x, o.bbox.y, o.bbox.w, o.bbox.h) for o in items]
-    return np.array(rows, dtype=float).reshape(-1, 4)
+    return np.array([o.bbox for o in items], dtype=float).reshape(-1, 4)
 
 
 def _iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

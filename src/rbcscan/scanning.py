@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,8 +65,14 @@ class ScanConfig:
             )
 
 
-@dataclass(frozen=True)
-class SimulationSummary:
+class _SummaryFields(NamedTuple):
+    trials: int
+    mean_time_s: float
+    stderr_s: float
+    analytic_time_s: float | None
+
+
+class SimulationSummary(_SummaryFields):
     """Aggregate of repeated trials, paired with the analytic expectation.
 
     ``mean_time_s`` is the mean of the full times, detection included;
@@ -76,16 +82,21 @@ class SimulationSummary:
     scans).
     """
 
-    trials: int
-    mean_time_s: float
-    stderr_s: float
-    analytic_time_s: float | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if self.stderr_s < 0:
-            raise DomainError(f"stderr_s must be >= 0, got {self.stderr_s}")
+    def __new__(
+        cls, trials: int, mean_time_s: float, stderr_s: float, analytic_time_s: float | None
+    ) -> SimulationSummary:
+        if trials < 1:
+            raise DomainError(f"trials must be >= 1, got {trials}")
+        if stderr_s < 0:
+            raise DomainError(f"stderr_s must be >= 0, got {stderr_s}")
+        return tuple.__new__(cls, (trials, mean_time_s, stderr_s, analytic_time_s))
+
+    @classmethod
+    def _make(cls, iterable) -> SimulationSummary:
+        # namedtuple's _make, which _replace calls, skips __new__.
+        return cls(*super()._make(iterable))
 
 
 def t1_analytic(cfg: ScanConfig) -> float:
@@ -265,7 +276,7 @@ def simulate_guided_multi(
     n = cfg.n_cells
     if not candidate_cells:
         raise UsageError("candidate_cells must be non-empty")
-    if len(set(candidate_cells)) != len(candidate_cells):
+    if len(candidate_cells) > 1 and len(set(candidate_cells)) != len(candidate_cells):
         raise UsageError(f"candidate_cells must be distinct, got {list(candidate_cells)}")
     for c in candidate_cells:
         if not 0 <= c < n:
@@ -284,7 +295,7 @@ def simulate_guided_multi(
         # first in the ascending remainder: at rank t + 1 less the candidates
         # below it, after all the candidates.
         t = min(tset)
-        rank = len(candidate_cells) + t + 1 - sum(c < t for c in candidate_cells)
+        rank = len(candidate_cells) + t + 1 - len([c for c in candidate_cells if c < t])
     # Positional: trials, mean_time_s, stderr_s, analytic_time_s (keywords
     # cost a third of a call).
     return SimulationSummary(trials, cfg.t_detect_s + rank * cfg.t_scan_s, 0.0, None)

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
-from rbcscan.cli import MAX_AP_ROWS, _ap_grid, build_parser, main
+from rbcscan import scanning
+from rbcscan.cli import MAX_AP_ROWS, MAX_TRIALS, _ap_grid, build_parser, main
 from rbcscan.detector import builtin_profile
 from rbcscan.errors import UsageError
 from rbcscan.formats import emit_profile, emit_scenario, parse_annotations, parse_scenario
@@ -142,6 +144,37 @@ class TestSimulateCommand:
         rc, captured = _run(capsys, ["simulate", "--scenario", str(scenario)])
         assert (rc, captured.out) == (2, "")
         assert captured.err == "error: $.seed: must be >= 0, got -5\n"
+
+    @pytest.mark.parametrize(
+        "option, scenario_trials, code, message",
+        [
+            (MAX_TRIALS + 1, 10, 3, f"--trials must be <= {MAX_TRIALS} per strategy, got {MAX_TRIALS + 1}"),
+            (10**12, 10, 3, f"--trials must be <= {MAX_TRIALS} per strategy, got {10**12}"),
+            (None, MAX_TRIALS + 1, 2, f"$.trials: must be <= {MAX_TRIALS}, got {MAX_TRIALS + 1}"),
+            (10, MAX_TRIALS + 1, 2, f"$.trials: must be <= {MAX_TRIALS}, got {MAX_TRIALS + 1}"),
+        ],
+        ids=["option-just-above", "option-1e12", "scenario", "scenario-despite-option"],
+    )
+    def test_trial_count_is_bounded(
+        self, tmp_path, capsys, monkeypatch, option, scenario_trials, code, message
+    ):
+        assert MAX_TRIALS == 10**9
+
+        def must_not_run(*args):  # an unbounded run would take hours, not fail
+            raise AssertionError("simulated past the trial bound")
+
+        monkeypatch.setattr(scanning, "simulate_traditional", must_not_run)
+        monkeypatch.setattr(scanning, "simulate_guided", must_not_run)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(SCENARIO, trials=scenario_trials)), encoding="utf-8")
+        argv = ["simulate", "--scenario", str(scenario)]
+        if option is not None:
+            argv += ["--trials", str(option)]
+        start = time.perf_counter()
+        rc, captured = _run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (rc, captured.out) == (code, "")
+        assert captured.err == f"error: {message}\n"
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc, captured = _run(capsys, ["simulate", "--scenario", str(tmp_path / "none.json")])

@@ -185,6 +185,41 @@ class TestSyntheticScene:
         with pytest.raises(DomainError):
             SyntheticScene(grid=GRID, receivers=((gt, distance),))
 
+    @pytest.mark.parametrize(
+        "receivers, message",
+        [
+            # Receiver 0's distance fails before receiver 1's box.
+            (
+                [(BBox(10, 10, 5, 5), 0.0), (BBox(1200, 700, 124, 62), 120.0)],
+                "receiver distance must be > 0, got 0.0",
+            ),
+            # A receiver's box is checked before its own distance.
+            (
+                [(BBox(10, 10, 5, 5), 120.0), (BBox(1200, 700, 124, 62), -1.0)],
+                "receiver box for image 1 exceeds the 1280x720 image",
+            ),
+            (
+                [(BBox(10, 10, 5, 5), 120.0), (BBox(math.nan, 10, 5, 5), 120.0)],
+                "receiver box for image 1 exceeds the 1280x720 image",
+            ),
+            (
+                [(BBox(0, 0, 1280, 720), math.inf), (BBox(10, 10, 5, 5), math.nan)],
+                "receiver distance must be > 0, got nan",
+            ),
+        ],
+        ids=["distance-before-later-box", "box-before-own-distance", "nan-box", "nan-distance"],
+    )
+    def test_first_bad_receiver_is_reported(self, receivers, message):
+        receivers = tuple(
+            (GroundTruthObject(image_id=i, bbox=box), dist) for i, (box, dist) in enumerate(receivers)
+        )
+        with pytest.raises(DomainError) as e:
+            SyntheticScene(grid=GRID, receivers=receivers)
+        assert str(e.value) == message
+
+    def test_empty_scene(self):
+        assert SyntheticScene(grid=GRID, receivers=()).receivers == ()
+
 
 class TestSampleDetections:
     def _scene(self, cells, distance=120.0):

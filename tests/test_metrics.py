@@ -1,7 +1,10 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from oracles import ap_101point_oracle
@@ -401,3 +404,76 @@ class TestTypeInvariants:
             EvalResult(ap_per_threshold={}, map_value=0.0, ap_small=0.0)
         with pytest.raises(DomainError):
             EvalResult(ap_per_threshold={0.5: 1.2}, map_value=1.2, ap_small=0.0)
+
+
+class TestRecords:
+    """Records are validated NamedTuples: tuples of their fields, immutable,
+    hashable, and checked by every constructor."""
+
+    RECORDS = [BBox(0, 0.5, 1, 2), _det(1, 2, 3, 4, 0.5, image_id=7), _gt(1, 2, 3, 4, label="tablet")]
+
+    def test_repr_is_the_dataclass_one(self):
+        assert repr(Detection(1, BBox(1.0, 2.0, 3.0, 4.0), 0.5)) == (
+            "Detection(image_id=1, bbox=BBox(x=1.0, y=2.0, w=3.0, h=4.0), score=0.5, "
+            "class_label='smartphone')"
+        )
+        assert repr(GroundTruthObject("a", BBox(1, 2, 3, 4))) == (
+            "GroundTruthObject(image_id='a', bbox=BBox(x=1, y=2, w=3, h=4), "
+            "class_label='smartphone')"
+        )
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_setting_a_field_raises(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 1)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_equal_records_hash_equal(self):
+        a, b = _det(1, 2, 3, 4, 0.5), _det(1.0, 2.0, 3.0, 4.0, 0.5)
+        assert a == b and hash(a) == hash(b)
+        assert len({_gt(0, 0, 1, 1), _gt(0, 0, 1, 1), _gt(0, 0, 1, 2)}) == 2
+        # The one visible change from the dataclass records.
+        assert BBox(1, 2, 3, 4) == (1, 2, 3, 4)
+
+    def test_boxes_are_array_rows(self):
+        boxes = [BBox(0, 1, 2, 3), BBox(4.5, 5, 6, 7), BBox(8, 9, 0, 0)]
+        arr = np.asarray(boxes, dtype=np.float64)
+        assert arr.shape == (3, 4)
+        assert arr.tolist() == [[0, 1, 2, 3], [4.5, 5, 6, 7], [8, 9, 0, 0]]
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: BBox(0, 0, 1, 1)._replace(w=-1), "box width/height must be >= 0, got (-1, 1)"),
+            (lambda: BBox._make([0, 0, 1, math.nan]), "box width/height must be >= 0, got (1, nan)"),
+            (
+                lambda: Detection._make(["img", BBox(0, 0, 1, 1), 1.5, "smartphone"]),
+                "detection score must be within [0, 1], got 1.5",
+            ),
+            (
+                lambda: _det(0, 0, 1, 1, 0.5)._replace(score=-0.1),
+                "detection score must be within [0, 1], got -0.1",
+            ),
+        ],
+        ids=["bbox-replace", "bbox-make", "detection-make", "detection-replace"],
+    )
+    def test_alternative_constructors_check(self, build, message):
+        with pytest.raises(DomainError) as e:
+            build()
+        assert str(e.value) == message
+
+    def test_alternative_constructors_keep_type_and_arity(self):
+        moved = BBox(0, 0, 1, 1)._replace(x=5)
+        assert type(moved) is BBox and moved == BBox(5, 0, 1, 1)
+        assert Detection._make(["img", moved, 0.5, "tablet"]) == _det(5, 0, 1, 1, 0.5, label="tablet")
+        with pytest.raises(TypeError):
+            BBox._make([0, 0, 1])
+        with pytest.raises(ValueError):
+            BBox(0, 0, 1, 1)._replace(z=1)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_pickle_and_copy_round_trip(self, record):
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(clone) is type(record)
+            assert clone == record and repr(clone) == repr(record)

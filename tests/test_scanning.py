@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from rbcscan import scanning
 from rbcscan.errors import DomainError, UsageError
 from rbcscan.scanning import (
     ScanConfig,
+    SimulationSummary,
     breakeven_ap,
     simulate_guided,
     simulate_guided_multi,
@@ -290,3 +294,37 @@ class TestGuidedMulti:
     def test_zero_trials_rejected(self):
         with pytest.raises(UsageError):
             simulate_guided_multi(REFERENCE_CFG, [1], {1}, rng_seed=1, trials=0)
+
+
+class TestSimulationSummary:
+    SUMMARY = SimulationSummary(10, 21.4, 0.25, 21.4)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SimulationSummary(0, 1.0, -1.0, None), "trials must be >= 1, got 0"),
+            (lambda: SimulationSummary(1, 1.0, -1.0, None), "stderr_s must be >= 0, got -1.0"),
+            (lambda: TestSimulationSummary.SUMMARY._replace(trials=0), "trials must be >= 1, got 0"),
+            (
+                lambda: SimulationSummary._make([3, 1.0, -0.5, None]),
+                "stderr_s must be >= 0, got -0.5",
+            ),
+        ],
+        ids=["trials-first", "stderr", "replace", "make"],
+    )
+    def test_every_constructor_checks_trials_then_stderr(self, build, message):
+        with pytest.raises(DomainError) as e:
+            build()
+        assert str(e.value) == message
+
+    def test_record_semantics(self):
+        s = self.SUMMARY
+        assert repr(s) == (
+            "SimulationSummary(trials=10, mean_time_s=21.4, stderr_s=0.25, analytic_time_s=21.4)"
+        )
+        assert s == SimulationSummary(10, 21.4, 0.25, 21.4) == (10, 21.4, 0.25, 21.4)
+        assert hash(s) == hash(SimulationSummary(10, 21.4, 0.25, 21.4))
+        with pytest.raises(AttributeError):
+            s.trials = 11
+        for clone in (pickle.loads(pickle.dumps(s)), copy.copy(s)):
+            assert type(clone) is SimulationSummary and clone == s
