@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -188,23 +188,46 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def _boxes(items: Sequence[Detection] | Sequence[GroundTruthObject]) -> np.ndarray:
-    """The items' boxes as an (n, 4) float array of (x, y, w, h)."""
-    return np.array([o.bbox for o in items], dtype=float).reshape(-1, 4)
+def _box_array(boxes: Iterable[Sequence[float]], n: int) -> np.ndarray:
+    """``n`` boxes of four numbers ``(x, y, w, h)`` each as an (n, 4) float array."""
+    return np.fromiter(chain.from_iterable(boxes), np.float64, 4 * n).reshape(n, 4)
 
 
-def _iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``iou`` of each row of ``a`` with the same row of ``b``, bit for bit:
-    the float operations are those of ``iou``, in the same order."""
-    (ax, ay, aw, ah), (bx, by, bw, bh) = a.T, b.T
-    ax2, ay2 = ax + aw, ay + ah
-    bx2, by2 = bx + bw, by + bh
-    iw = np.minimum(ax2, bx2) - np.maximum(ax, bx)
-    ih = np.minimum(ay2, by2) - np.maximum(ay, by)
+def _pair_ious(boxes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou`` of box ``a[k]`` with box ``b[k]`` for every k, bit for bit.
+
+    Corners and areas are taken once per row of ``boxes`` and gathered per
+    pair; the float operations are those of ``iou``, in the same order.
+    """
+    x, y, w, h = boxes.T
+    x2, y2 = x + w, y + h
+    area = (x2 - x) * (y2 - y)
+    iw = np.minimum(x2[a], x2[b]) - np.maximum(x[a], x[b])
+    ih = np.minimum(y2[a], y2[b]) - np.maximum(y[a], y[b])
     inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
-    union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
+    union = area[a] + area[b] - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(union > 0, inter / union, 0.0)
+
+
+def _components(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+    """A component label for each of ``size`` nodes joined by the edges (u, v).
+
+    Each node points at a node of its component with no larger index; a
+    root points at itself. A round points the larger of each edge's two
+    roots at the smaller one, then every node straight at its root, so a
+    component's trees at least halve in number per round. Once every edge
+    joins two nodes of one tree, each component is one tree, labelled by
+    its root.
+    """
+    label = np.arange(size)
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            return label
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while not np.array_equal(root := label[label], label):
+            label = root
 
 
 def _greedy_assign(
@@ -214,33 +237,54 @@ def _greedy_assign(
 
     ``boxes`` and ``group`` (one integer per group) hold the D detections,
     whose ``scores`` are given, then the ground truth. The rule is that of
-    ``match_detections``; thresholds are > 0, so IoU 0 never matches. IoUs
-    are computed once per detection and box of a group. Round k matches the
-    k-th detection by score of every group, for all thresholds through a
-    (T, G) taken mask. Returns (T, D) matched ground-truth indices or -1.
+    ``match_detections``; thresholds are > 0. Returns (T, D) matched
+    ground-truth indices or -1.
+
+    IoUs are computed once per detection and box of a group, and pairs
+    below the lowest threshold are dropped: a detection matches only a best
+    IoU that reaches the threshold, and ties go to the first box at the
+    best value, all of which survive, so every threshold gets the same
+    match from the surviving pairs. A detection can then only take a box it
+    shares a pair with, so its outcome depends only on the detections ahead
+    of it (by descending score, ties in input order) in its connected
+    component of detections and boxes, and no two components share a box.
+    Round k therefore matches the k-th detection of every component at once,
+    for all thresholds through a (T, G) taken mask.
     """
     n = len(scores)
     det_group, gt_group = group[:n], group[n:]
     assigned = np.full((len(thresholds), n), -1, dtype=np.int64)
+    thr = np.asarray(thresholds, dtype=float)[:, None]
+    # Every pair of a detection and a box of its group, by detection, then box.
     gt_order = np.argsort(gt_group, kind="stable")
     gt_sorted = gt_group[gt_order]
     lo = np.searchsorted(gt_sorted, det_group, "left")
     n_gt = np.searchsorted(gt_sorted, det_group, "right") - lo
-    # By group, then descending score with ties in input order; then by rank.
-    by_score = np.lexsort((-scores, det_group))
-    by_score = by_score[n_gt[by_score] > 0]
-    grouped = det_group[by_score]
-    rank = np.arange(by_score.size) - np.searchsorted(grouped, grouped)
+    pair_start = np.cumsum(n_gt) - n_gt
+    pair_det = np.repeat(np.arange(n), n_gt)
+    pair_gt = gt_order[np.repeat(lo - pair_start, n_gt) + np.arange(n_gt.sum())]
+    ious = _pair_ious(boxes, pair_det, n + pair_gt)
+    keep = ious >= thr.min()
+    pair_det, pair_gt, ious = pair_det[keep], pair_gt[keep], ious[keep]
+
+    # Rank each detection with a pair within its component by descending
+    # score, ties in input order; then order the detections by rank.
+    label = _components(pair_det, n + pair_gt, n + len(gt_group))
+    n_pairs = np.bincount(pair_det, minlength=n)
+    dets = np.flatnonzero(n_pairs)
+    by_score = dets[np.lexsort((-scores[dets], label[dets]))]
+    comp = label[by_score]
+    rank = np.arange(by_score.size) - np.searchsorted(comp, comp)
     by_rank = np.argsort(rank, kind="stable")
     active, ranks = by_score[by_rank], rank[by_rank]
-    # active[i] owns the pairs seg_start[i]:seg_end[i], one per box of its group.
-    seg_len = n_gt[active]
+    # active[i] owns the pairs seg_start[i]:seg_end[i], boxes in index order.
+    seg_len = n_pairs[active]
     seg_end = np.cumsum(seg_len)
     seg_start = seg_end - seg_len
-    pair_gt = gt_order[np.repeat(lo[active] - seg_start, seg_len) + np.arange(seg_len.sum())]
-    ious = _iou_rows(boxes[np.repeat(active, seg_len)], boxes[n + pair_gt])
+    pair_of = np.cumsum(n_pairs) - n_pairs
+    take = np.repeat(pair_of[active] - seg_start, seg_len) + np.arange(seg_len.sum())
+    pair_gt, ious = pair_gt[take], ious[take]
 
-    thr = np.asarray(thresholds, dtype=float)[:, None]
     taken = np.zeros((len(thresholds), len(gt_group)), dtype=bool)
     bounds = np.searchsorted(ranks, np.arange(ranks.max(initial=-1) + 2)).tolist()
     for a, b in zip(bounds[:-1], bounds[1:]):
@@ -281,7 +325,8 @@ def match_detections(
 
     scores = np.array([d.score for d in dets], dtype=float)
     one_group = np.zeros(len(dets) + len(gts), dtype=np.int64)
-    assigned = _greedy_assign(_boxes((*dets, *gts)), one_group, scores, [iou_threshold])[0].tolist()
+    boxes = _box_array((o.bbox for o in chain(dets, gts)), len(one_group))
+    assigned = _greedy_assign(boxes, one_group, scores, [iou_threshold])[0].tolist()
     matched = tuple(j if j >= 0 else None for j in assigned)
     return MatchResult(matched, tuple(j in matched for j in range(len(gts))))
 
@@ -313,7 +358,7 @@ def average_precision(tp_flags: Sequence[bool], total_gt: int) -> float:
 def evaluate(
     dets: Columns | Sequence[Detection],
     gts: Columns | Sequence[GroundTruthObject],
-    thresholds: Sequence[float] = STANDARD_IOU_THRESHOLDS,
+    thresholds: Iterable[float] = STANDARD_IOU_THRESHOLDS,
     small_cutoff_px: float = SMALL_OBJECT_CUTOFF_PX,
 ) -> EvalResult:
     """Full evaluation: AP per IoU threshold, their mean, and small-object AP.
@@ -325,8 +370,10 @@ def evaluate(
     depend on how images are partitioned. ``ap_small`` is always computed
     at IoU 0.50 on ground truth below the area cutoff; detections matched
     to a larger box are dropped from it. Records given as objects are
-    turned into ``Columns`` first.
+    turned into ``Columns`` first. ``thresholds`` is read once, so an
+    array or an iterator scores like the list of its values.
     """
+    thresholds = tuple(thresholds)
     if not thresholds:
         raise UsageError("thresholds must be non-empty")
     for t in thresholds:
@@ -361,7 +408,7 @@ def evaluate(
     cls = np.fromiter(map(class_of.__getitem__, chain(dets.labels, gts.labels)), np.int64, size)
     img = np.fromiter(map(image_of.__getitem__, image_ids), np.int64, size)
     group = img * len(classes) + cls
-    boxes = np.array([*dets.boxes, *gts.boxes], dtype=float).reshape(-1, 4)
+    boxes = _box_array(chain(dets.boxes, gts.boxes), size)
     scores = np.array(dets.scores, dtype=float)
     assigned = _greedy_assign(boxes, group, scores, levels)
 

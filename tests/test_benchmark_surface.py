@@ -5,8 +5,10 @@ and name, and reports one it cannot find as absent rather than failing; the
 benchmark's ``pipeline`` operation (``benchmarks/ops.py``) builds records
 and calls the per-episode functions by name. A refactor that renames or
 breaks one of them would otherwise pass tier-1 and show up only as a
-missing layer, or a failed operation, in a benchmark run. The benchmark
-files are imported, never changed.
+missing layer, or a failed operation, in a benchmark run. Likewise a
+scoring change that drifts from the recorded seed-0 eval CSVs in
+``benchmarks/reference`` fails here, not only in a benchmark run. The
+benchmark files are imported, never changed.
 """
 
 from __future__ import annotations
@@ -57,3 +59,16 @@ def test_pipeline_operation_runs_and_passes_its_check(tmp_path, monkeypatch):
     assert chunk == 0 and len(dets) == operations.items["pipeline"]
     # Only the pooled check, after every chunk, returns a summary.
     assert operations.check_pipeline((chunk, mean, dets)) is None
+
+
+@pytest.mark.parametrize("workload", ["eval-crowded", "eval-sparse"])
+def test_eval_operation_reproduces_its_reference(workload, tmp_path, monkeypatch):
+    """The benchmark's eval operation on its seed-0 input passes its check
+    and writes the recorded reference CSV byte for byte."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    inputs = importlib.import_module("inputs")
+    ops = importlib.import_module("ops")
+    reference = BENCH_DIR / "reference" / f"{workload}-seed0.csv"
+    operations = ops.Operations(inputs.generate(workload, 0, tmp_path), tmp_path, reference)
+    operations.check_eval(operations.eval())
+    assert operations.eval_csv.read_bytes() == reference.read_bytes()

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import ap_101point_oracle
 from rbcscan.errors import DomainError, UsageError
@@ -15,6 +17,7 @@ from rbcscan.metrics import (
     Columns,
     Detection,
     GroundTruthObject,
+    _pair_ious,
     average_precision,
     evaluate,
     flip_augment,
@@ -95,6 +98,43 @@ class TestIoU:
                     BBox(b.x * k, b.y * k, b.w * k, b.h * k),
                 )
                 assert scaled == pytest.approx(iou(a, b), abs=1e-12)
+
+
+_side = st.one_of(st.integers(0, 40), st.floats(0, 40), st.just(0.1))
+_pair_boxes = st.builds(
+    BBox, st.one_of(st.integers(-20, 20), st.floats(-20, 20)), st.floats(-20, 20), _side, _side
+)
+
+
+@st.composite
+def _box_pairs(draw):
+    """A box and a second one: identical, touching an edge, nested inside,
+    flattened to zero area, or unrelated."""
+    a = draw(_pair_boxes)
+    b = draw(
+        st.sampled_from(
+            [
+                a,
+                BBox(a.x + a.w, a.y, a.w, a.h),
+                BBox(a.x, a.y + a.h, 3, a.h),
+                BBox(a.x + a.w / 4, a.y + a.h / 4, a.w / 2, a.h / 2),
+                BBox(a.x, a.y, 0, a.h),
+                BBox(a.x, a.y, a.w, 0),
+            ]
+        )
+        | _pair_boxes
+    )
+    return draw(st.permutations([a, b]))
+
+
+@given(st.lists(_box_pairs(), min_size=1, max_size=8))
+def test_pair_ious_equal_iou(pairs):
+    boxes = np.array([box for pair in pairs for box in pair], dtype=np.float64)
+    first = np.arange(0, len(boxes), 2)
+    got = _pair_ious(boxes, first, first + 1)
+    assert got.tolist() == [iou(a, b) for a, b in pairs]
+    # Either end of a pair may be any row.
+    assert _pair_ious(boxes, first + 1, first).tolist() == [iou(b, a) for a, b in pairs]
 
 
 class TestMatchDetections:
@@ -280,6 +320,23 @@ class TestEvaluate:
     def test_out_of_range_threshold_rejected(self):
         with pytest.raises(UsageError):
             evaluate([], [], thresholds=[0.5, 1.5])
+
+    @pytest.mark.parametrize(
+        "make",
+        [np.array, iter, lambda ts: (t for t in ts)],
+        ids=["array", "iterator", "generator"],
+    )
+    def test_thresholds_taken_once(self, make):
+        gts = [_gt(0, 0, 30, 30), _gt(100, 0, 30, 30), _gt(0, 100, 8, 8)]
+        dets = [_det(10, 0, 30, 30, 0.9), _det(102, 0, 30, 30, 0.8), _det(0, 100, 8, 8, 0.7)]
+        result = evaluate(dets, gts, make([0.5, 0.75]))
+        assert result == evaluate(dets, gts, [0.5, 0.75])
+        assert list(result.ap_per_threshold) == [0.5, 0.75]
+
+    @pytest.mark.parametrize("make", [np.array, iter], ids=["array", "iterator"])
+    def test_empty_threshold_input_rejected(self, make):
+        with pytest.raises(UsageError, match="thresholds must be non-empty"):
+            evaluate([], [_gt(0, 0, 10, 10)], make([]))
 
     def test_nothing_to_detect(self):
         result = evaluate([], [])

@@ -6,6 +6,9 @@ rewrite could drift: several images and classes, classes with only
 detections or only ground truth, images without ground truth, duplicate
 scores, identical and nested boxes (IoU ties), boxes on both sides of the
 small-object cutoff, and threshold lists that omit 0.5 or repeat a value.
+Chain scenes put many overlapping boxes in a row, so that matching, which
+runs in rounds per connected component of overlapping detections and
+boxes, meets components of many pairs and IoUs exactly at a threshold.
 The same scenes, written as files, check the parsers' columns end to end:
 parsed by ``rbcscan.formats`` and scored from its columns, they must give
 the result the legacy parsers' record objects give the legacy evaluator.
@@ -173,6 +176,57 @@ def test_evaluate_on_parsed_columns_matches_legacy(scene, thresholds):
 def test_match_detections_matches_legacy(scene, threshold):
     dets, gts = scene
     assert match_detections(dets, gts, threshold) == legacy.match_detections(dets, gts, threshold)
+
+
+# IoUs of two equal s-px boxes d px apart are (s - d) / (s + d): 30 px at
+# 10 px is 0.5, at 15 px 1/3; 40 px at 10 px is 0.6, at 8 px 2/3. Integer
+# boxes give these values exactly, so these thresholds sit on ties.
+_exact_thresholds = st.lists(
+    st.sampled_from([0.25, 1 / 3, 0.5, 0.6, 2 / 3, 5 / 7, 0.75, 1.0]), min_size=1, max_size=4
+)
+
+
+@st.composite
+def _chain_scenes(draw, images=(0, "b"), labels=("phone", "tablet")):
+    """Boxes along horizontal lines, with detections on the same lines.
+
+    Each line holds up to six ground-truth boxes of one integer side, fewer
+    px apart than that side, so that neighbours overlap; detections sit on
+    the line at integer offsets, most of them the boxes' size. One detection
+    then overlaps several boxes and one box several detections, so matches
+    hang together in chains longer than one pair, and the lines, 50 px
+    apart, give one image and class several such components.
+    """
+    gts, dets = [], []
+    for row in range(draw(st.integers(1, 4))):
+        image, label = draw(st.sampled_from(images)), draw(st.sampled_from(labels))
+        side, step = draw(
+            st.sampled_from([(30, 10), (30, 15), (40, 8), (40, 10)])
+            | st.integers(4, 40).flatmap(lambda s: st.tuples(st.just(s), st.integers(1, s - 1)))
+        )
+        x0, y, k = draw(st.integers(0, 20)), 50 * row, draw(st.integers(1, 6))
+        boxes = [BBox(x0 + j * step, y, side, side) for j in range(k)]
+        gts += [GroundTruthObject(image, box, label) for box in boxes]
+        for _ in range(draw(st.integers(0, k + 2))):
+            x = x0 + draw(st.integers(-step, k * step))
+            w = side + draw(st.sampled_from([0, 0, 0, -3, 4]))
+            box = BBox(x, y + draw(st.sampled_from([0, 0, 1, -2])), w, side)
+            score = draw(st.sampled_from([0.2, 0.5, 0.9]) | _scores)
+            dets.append(Detection(image, box, score, label))
+    return draw(st.permutations(dets)), draw(st.permutations(gts))
+
+
+@given(_chain_scenes(), st.one_of(st.just(STANDARD_IOU_THRESHOLDS), _exact_thresholds))
+def test_evaluate_on_chains_matches_legacy(scene, thresholds):
+    dets, gts = scene
+    _assert_same(evaluate(dets, gts, thresholds), legacy.evaluate(dets, gts, thresholds))
+
+
+@given(_chain_scenes(images=("img",), labels=("phone",)), _exact_thresholds)
+def test_match_detections_on_chains_matches_legacy(scene, thresholds):
+    dets, gts = scene
+    for t in thresholds:
+        assert match_detections(dets, gts, t) == legacy.match_detections(dets, gts, t)
 
 
 @given(st.lists(st.booleans(), max_size=40), st.integers(0, 45))
