@@ -28,7 +28,6 @@ from .geometry import (
     CellGrid,
     PixelSize,
     ReceiverSpec,
-    bbox_center,
     calibrate_focal,
     cell_center,
     cell_of_point,

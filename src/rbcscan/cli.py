@@ -176,7 +176,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     elif args.focal_px is not None:
         focal = args.focal_px
     else:
-        focal = geometry.calibrate_focal(14.0, 120.0, 124.0)
+        focal = geometry.reference_camera().focal_px
     cam = geometry.CameraModel(focal_px=focal, ref_width=args.ref_width, ref_height=args.ref_height)
     spec = geometry.ReceiverSpec(
         width_cm=args.receiver_width_cm, height_cm=args.receiver_height_cm
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("eval", parents=[], help="score a detection file against annotations")
+    p = sub.add_parser("eval", help="score a detection file against annotations")
     p.add_argument("--ground-truth", required=True, help="annotation file (JSON)")
     p.add_argument("--detections", required=True, help="detection file (JSON)")
     p.add_argument("--thresholds", help="comma-separated IoU thresholds (default 0.50..0.95)")

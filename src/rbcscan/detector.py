@@ -19,15 +19,14 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .geometry import CellGrid, bbox_center, cell_of_point
-from .metrics import BBox, Detection, GroundTruthObject
+from .geometry import CellGrid, cell_of_point
+from .metrics import BBox, Detection, GroundTruthObject, _box_array
 
 #: Score ranges for synthesized detections, (low, high).
 CORRECT_SCORE_RANGE = (0.8, 1.0)
@@ -86,8 +85,7 @@ class SyntheticScene:
         # reported, its box checked before its distance.
         receivers = self.receivers
         n = len(receivers)
-        boxes = np.fromiter(chain.from_iterable(gt.bbox for gt, _ in receivers), np.float64, 4 * n)
-        x, y, w, h = boxes.reshape(n, 4).T
+        x, y, w, h = _box_array((gt.bbox for gt, _ in receivers), n).T
         dist = np.fromiter(map(itemgetter(1), receivers), np.float64, n)
         width, height = self.grid.image_width, self.grid.image_height
         box_ok = (0 <= x) & (0 <= y) & (x + w <= width) & (y + h <= height)
@@ -182,14 +180,15 @@ def sample_detections(
 
     wrong = np.flatnonzero(~correct)
     boxes = [receivers[i][0].bbox for i in wrong.tolist()]
-    xywh = np.fromiter(chain.from_iterable(boxes), np.float64, 4 * len(boxes)).reshape(-1, 4)
+    xywh = _box_array(boxes, len(boxes))
     w, h = xywh[:, 2], xywh[:, 3]
     cx = xywh[:, 0] + w / 2
     cy = xywh[:, 1] + h / 2
     width, height, cols, rows = grid.image_width, grid.image_height, grid.cols, grid.rows
     inside = (0 <= cx) & (cx < width) & (0 <= cy) & (cy < height)
     if not inside.all():
-        cell_of_point(grid, *bbox_center(boxes[inside.argmin()]))
+        k = inside.argmin()
+        cell_of_point(grid, float(cx[k]), float(cy[k]))
     col = np.minimum(cols - 1, np.floor(cx * cols / width)).astype(np.int64)
     row = np.minimum(rows - 1, np.floor(cy * rows / height)).astype(np.int64)
     true_cell = row * cols + col

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable
@@ -176,6 +176,33 @@ def _construct(path: str, factory: Callable, *args, **kwargs):
         raise InvariantError(f"{path}: {e}") from None
 
 
+def _record(value: Any, path: str, factory: Callable, **checks: Callable):
+    """An object with exactly the keys of ``checks``, each field checked in
+    order, built into ``factory``."""
+    obj = _obj(value, path, tuple(checks))
+    return _construct(
+        path, factory, **{key: check(obj[key], f"{path}.{key}") for key, check in checks.items()}
+    )
+
+
+def _rows(value: Any, path: str, checks: tuple[Callable, ...], shape: str) -> tuple:
+    """An array of rows, each an array of ``len(checks)`` fields checked in order."""
+    rows = []
+    for i, item in enumerate(_array(value, path)):
+        at = f"{path}[{i}]"
+        row = _array(item, at)
+        if len(row) != len(checks):
+            raise SchemaError(f"{at}: expected {shape}")
+        rows.append(tuple(check(v, f"{at}[{k}]") for k, (check, v) in enumerate(zip(checks, row))))
+    return tuple(rows)
+
+
+def _keys(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A dataclass's field names: those without a default, then those with one."""
+    required = tuple(f.name for f in fields(cls) if f.default is MISSING)
+    return required, tuple(f.name for f in fields(cls) if f.name not in required)
+
+
 # ---------------------------------------------------------------------------
 # annotations
 # ---------------------------------------------------------------------------
@@ -276,14 +303,8 @@ def parse_annotations(text: str) -> AnnotationFile:
 def emit_annotations(af: AnnotationFile) -> str:
     c = af.columns
     payload: dict[str, Any] = {
-        "images": [
-            {"image_id": im.image_id, "width": im.width, "height": im.height}
-            for im in af.images
-        ],
-        "objects": [
-            {"image_id": image_id, "class_label": label, "bbox": box}
-            for image_id, label, box in zip(c.image_ids, c.labels, c.boxes)
-        ],
+        "images": [asdict(im) for im in af.images],
+        "objects": [dict(zip(_OBJECT_FIELDS, r)) for r in zip(c.image_ids, c.labels, c.boxes)],
     }
     if af.split is not None:
         payload["split"] = dict(af.split)
@@ -317,12 +338,8 @@ def parse_detections(text: str) -> DetectionFile:
 
 def emit_detections(df: DetectionFile) -> str:
     c = df.columns
-    payload = {
-        "detections": [
-            {"image_id": image_id, "class_label": label, "bbox": box, "score": score}
-            for image_id, label, box, score in zip(c.image_ids, c.labels, c.boxes, c.scores)
-        ]
-    }
+    records = zip(c.image_ids, c.labels, c.boxes, c.scores)
+    payload = {"detections": [dict(zip(_DETECTION_FIELDS, r)) for r in records]}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -332,53 +349,29 @@ def emit_detections(df: DetectionFile) -> str:
 
 
 def parse_profile(text: str) -> DetectorProfile:
-    root = _obj(
-        _decode(text),
-        "$",
-        ("name", "per_image_latency_s", "ap_vs_iou"),
-        ("ap_vs_distance", "notes"),
+    root = _obj(_decode(text), "$", *_keys(DetectorProfile))
+    knots = _rows(root["ap_vs_iou"], "$.ap_vs_iou", (_num, _num), "[iou_threshold, ap]")
+    triples = _rows(
+        root.get("ap_vs_distance", []),
+        "$.ap_vs_distance",
+        (_num, _str, _num),
+        "[distance_cm, image_size_tag, ap]",
     )
-    knots: list[tuple[float, float]] = []
-    for i, item in enumerate(_array(root["ap_vs_iou"], "$.ap_vs_iou")):
-        path = f"$.ap_vs_iou[{i}]"
-        pair = _array(item, path)
-        if len(pair) != 2:
-            raise SchemaError(f"{path}: expected [iou_threshold, ap]")
-        knots.append((_num(pair[0], f"{path}[0]"), _num(pair[1], f"{path}[1]")))
-    triples: list[tuple[float, str, float]] = []
-    for i, item in enumerate(_array(root.get("ap_vs_distance", []), "$.ap_vs_distance")):
-        path = f"$.ap_vs_distance[{i}]"
-        triple = _array(item, path)
-        if len(triple) != 3:
-            raise SchemaError(f"{path}: expected [distance_cm, image_size_tag, ap]")
-        triples.append(
-            (
-                _num(triple[0], f"{path}[0]"),
-                _str(triple[1], f"{path}[1]"),
-                _num(triple[2], f"{path}[2]"),
-            )
-        )
     return _construct(
         "$",
         DetectorProfile,
         name=_str(root["name"], "$.name"),
         per_image_latency_s=_num(root["per_image_latency_s"], "$.per_image_latency_s"),
-        ap_vs_iou=tuple(knots),
-        ap_vs_distance=tuple(triples),
+        ap_vs_iou=knots,
+        ap_vs_distance=triples,
         notes=_str(root.get("notes", ""), "$.notes"),
     )
 
 
 def emit_profile(profile: DetectorProfile) -> str:
-    payload: dict[str, Any] = {
-        "name": profile.name,
-        "per_image_latency_s": profile.per_image_latency_s,
-        "ap_vs_iou": [[t, ap] for t, ap in profile.ap_vs_iou],
-    }
-    if profile.ap_vs_distance:
-        payload["ap_vs_distance"] = [[d, tag, ap] for d, tag, ap in profile.ap_vs_distance]
-    if profile.notes:
-        payload["notes"] = profile.notes
+    """The profile's fields in order, an optional one only when not empty."""
+    optional = _keys(DetectorProfile)[1]
+    payload = {k: v for k, v in asdict(profile).items() if v or k not in optional}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -414,37 +407,15 @@ def resolve_profile(ref: str, base_dir: str | Path | None = None) -> DetectorPro
 
 
 def parse_scenario(text: str) -> ScenarioFile:
-    root = _obj(
-        _decode(text), "$", ("camera", "grid", "scan", "profile", "trials", "seed")
+    root = _obj(_decode(text), "$", *_keys(ScenarioFile))
+    camera = _record(
+        root["camera"], "$.camera", CameraModel, focal_px=_num, ref_width=_int, ref_height=_int
     )
-
-    cam_obj = _obj(root["camera"], "$.camera", ("focal_px", "ref_width", "ref_height"))
-    camera = _construct(
-        "$.camera",
-        CameraModel,
-        focal_px=_num(cam_obj["focal_px"], "$.camera.focal_px"),
-        ref_width=_int(cam_obj["ref_width"], "$.camera.ref_width"),
-        ref_height=_int(cam_obj["ref_height"], "$.camera.ref_height"),
+    grid = _record(
+        root["grid"], "$.grid", CellGrid, rows=_int, cols=_int, image_width=_int, image_height=_int
     )
-
-    grid_obj = _obj(root["grid"], "$.grid", ("rows", "cols", "image_width", "image_height"))
-    grid = _construct(
-        "$.grid",
-        CellGrid,
-        rows=_int(grid_obj["rows"], "$.grid.rows"),
-        cols=_int(grid_obj["cols"], "$.grid.cols"),
-        image_width=_int(grid_obj["image_width"], "$.grid.image_width"),
-        image_height=_int(grid_obj["image_height"], "$.grid.image_height"),
-    )
-
-    scan_obj = _obj(root["scan"], "$.scan", ("n_cells", "t_scan_s", "t_detect_s", "ap"))
-    scan = _construct(
-        "$.scan",
-        ScanConfig,
-        n_cells=_int(scan_obj["n_cells"], "$.scan.n_cells"),
-        t_scan_s=_num(scan_obj["t_scan_s"], "$.scan.t_scan_s"),
-        t_detect_s=_num(scan_obj["t_detect_s"], "$.scan.t_detect_s"),
-        ap=_num(scan_obj["ap"], "$.scan.ap"),
+    scan = _record(
+        root["scan"], "$.scan", ScanConfig, n_cells=_int, t_scan_s=_num, t_detect_s=_num, ap=_num
     )
     if scan.n_cells != grid.n_cells:
         raise InvariantError(
@@ -461,37 +432,8 @@ def parse_scenario(text: str) -> ScenarioFile:
     if seed < 0:
         raise InvariantError(f"$.seed: must be >= 0, got {seed}")
 
-    return ScenarioFile(
-        camera=camera,
-        grid=grid,
-        scan=scan,
-        profile=_str(root["profile"], "$.profile"),
-        trials=trials,
-        seed=seed,
-    )
+    return ScenarioFile(camera, grid, scan, _str(root["profile"], "$.profile"), trials, seed)
 
 
 def emit_scenario(sc: ScenarioFile) -> str:
-    payload = {
-        "camera": {
-            "focal_px": sc.camera.focal_px,
-            "ref_width": sc.camera.ref_width,
-            "ref_height": sc.camera.ref_height,
-        },
-        "grid": {
-            "rows": sc.grid.rows,
-            "cols": sc.grid.cols,
-            "image_width": sc.grid.image_width,
-            "image_height": sc.grid.image_height,
-        },
-        "scan": {
-            "n_cells": sc.scan.n_cells,
-            "t_scan_s": sc.scan.t_scan_s,
-            "t_detect_s": sc.scan.t_detect_s,
-            "ap": sc.scan.ap,
-        },
-        "profile": sc.profile,
-        "trials": sc.trials,
-        "seed": sc.seed,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(asdict(sc), indent=2) + "\n"

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .metrics import BBox
 
 
 @dataclass(frozen=True)
@@ -193,8 +192,3 @@ def cell_center(grid: CellGrid, cell: int) -> tuple[float, float]:
         (col + 0.5) * grid.image_width / grid.cols,
         (row + 0.5) * grid.image_height / grid.rows,
     )
-
-
-def bbox_center(b: BBox) -> tuple[float, float]:
-    """Center point of a bounding box."""
-    return (b.x + b.w / 2, b.y + b.h / 2)

@@ -372,6 +372,10 @@ def evaluate(
     to a larger box are dropped from it. Records given as objects are
     turned into ``Columns`` first. ``thresholds`` is read once, so an
     array or an iterator scores like the list of its values.
+
+    The columns are checked once: a box that is not four numbers raises
+    UsageError; a non-finite box number, a negative width or height, or a
+    score outside [0, 1] raises DomainError. Each names the record's index.
     """
     thresholds = tuple(thresholds)
     if not thresholds:
@@ -408,8 +412,25 @@ def evaluate(
     cls = np.fromiter(map(class_of.__getitem__, chain(dets.labels, gts.labels)), np.int64, size)
     img = np.fromiter(map(image_of.__getitem__, image_ids), np.int64, size)
     group = img * len(classes) + cls
+    # Hand-built columns have passed no record check, and a box of another
+    # length would shift every later box of the (size, 4) array.
+    kinds = (("detection", dets.boxes), ("ground-truth object", gts.boxes))
+    for kind, col in kinds:
+        if set(map(len, col)) - {4}:
+            i = next(i for i, b in enumerate(col) if len(b) != 4)
+            raise UsageError(f"{kind} {i}: box has {len(col[i])} numbers, expected [x, y, w, h]")
     boxes = _box_array(chain(dets.boxes, gts.boxes), size)
+    # Whole-array tests first: per-row reductions cost ten times as much.
+    if not (np.isfinite(boxes).all() and (boxes[:, 2:] >= 0).all()):
+        ok = np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] >= 0).all(axis=1)
+        i = int(ok.argmin())
+        (kind, col), i = (kinds[0], i) if i < n else (kinds[1], i - n)
+        raise DomainError(f"{kind} {i}: box must be finite with w, h >= 0, got {col[i]}")
     scores = np.array(dets.scores, dtype=float)
+    bad = ~((scores >= 0) & (scores <= 1))  # NaN fails both
+    if bad.any():
+        i = int(bad.argmax())
+        raise DomainError(f"detection {i}: score must be within [0, 1], got {dets.scores[i]}")
     assigned = _greedy_assign(boxes, group, scores, levels)
 
     # Pool each class's detections by descending score, ties in input order.

@@ -54,9 +54,10 @@ class ScanConfig:
             raise DomainError(f"t_detect_s must be finite and >= 0, got {self.t_detect_s}")
         if not 0.0 <= self.ap <= 1.0:
             raise DomainError(f"ap must be within [0, 1], got {self.ap}")
-        # The longest scan plus detection bounds every time computed from it.
+        # The longest scan plus detection bounds every time computed from it;
+        # from integers it is an exact int, which may not fit a float.
         try:
-            longest = self.t_detect_s + (1 + self.n_cells) * self.t_scan_s
+            longest = float(self.t_detect_s + (1 + self.n_cells) * self.t_scan_s)
         except OverflowError:
             longest = math.inf
         if not math.isfinite(longest):
@@ -128,8 +129,6 @@ def breakeven_ap(cfg: ScanConfig) -> tuple[float, bool]:
     if cfg.n_cells < 2:
         raise UsageError(f"breakeven_ap requires n_cells >= 2, got {cfg.n_cells}")
     denom = cfg.n_cells * cfg.t_scan_s / 2
-    if denom == 0:
-        raise DomainError("degenerate configuration: n_cells * t_scan_s is zero")
     raw = (
         cfg.t_detect_s
         + (1 + cfg.n_cells / 2) * cfg.t_scan_s

@@ -5,7 +5,8 @@ maps each wrong detection through ``cell_of_point`` and ``cell_center``,
 ``detections_to_candidates`` sorts an index list by negated score, and
 ``guided_multi_trial`` builds one ``ScanTrialResult`` per episode.
 ``ScanTrialResult`` and ``Strategy`` are kept with it, because the package no
-longer has them. The functions of the same name in ``rbcscan.detector`` and
+longer has them; so is the box centre ``_center``, which replaces
+``geometry.bbox_center``. The functions of the same name in ``rbcscan.detector`` and
 ``rbcscan.scanning.simulate_guided_multi`` must agree with these.
 """
 
@@ -26,9 +27,13 @@ from rbcscan.detector import (
     ap_at,
 )
 from rbcscan.errors import DomainError, UsageError
-from rbcscan.geometry import CellGrid, bbox_center, cell_center, cell_of_point
+from rbcscan.geometry import CellGrid, cell_center, cell_of_point
 from rbcscan.metrics import BBox, Detection
 from rbcscan.scanning import ScanConfig
+
+
+def _center(b: BBox) -> tuple[float, float]:
+    return (b.x + b.w / 2, b.y + b.h / 2)
 
 
 def sample_detections(
@@ -65,7 +70,7 @@ def sample_detections(
             det_box = b
             score = float(correct_scores[i])
         else:
-            true_cell = cell_of_point(scene.grid, *bbox_center(b))
+            true_cell = cell_of_point(scene.grid, *_center(b))
             wrong_cell = int(wrong_raw[i])
             if wrong_cell >= true_cell:
                 wrong_cell += 1
@@ -91,7 +96,7 @@ def detections_to_candidates(dets: Sequence[Detection], grid: CellGrid) -> list[
     seen: set[int] = set()
     out: list[int] = []
     for i in order:
-        cell = cell_of_point(grid, *bbox_center(dets[i].bbox))
+        cell = cell_of_point(grid, *_center(dets[i].bbox))
         if cell not in seen:
             seen.add(cell)
             out.append(cell)

@@ -237,8 +237,24 @@ class TestSimulateCommand:
                 3,
                 "simulation needs n_cells < 2**63",
             ),
+            (
+                ["simulate"],
+                {
+                    "grid": {"rows": 1, "cols": 10**400},
+                    "scan": {"n_cells": 10**400, "t_scan_s": 2, "t_detect_s": 0},
+                },
+                2,
+                "$.scan: scan times overflow",
+            ),
         ],
-        ids=["analytic-t-scan", "analytic-n-cells", "t-scan-1e308", "t-scan-1e200", "huge-grid"],
+        ids=[
+            "analytic-t-scan",
+            "analytic-n-cells",
+            "t-scan-1e308",
+            "t-scan-1e200",
+            "huge-grid",
+            "integer-scan-times",
+        ],
     )
     def test_overflow_is_an_error_not_a_row(self, tmp_path, capsys, argv, scenario, code, message):
         if scenario is not None:

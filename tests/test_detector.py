@@ -15,7 +15,7 @@ from rbcscan.detector import (
 )
 from rbcscan import formats
 from rbcscan.errors import DomainError, UsageError
-from rbcscan.geometry import CellGrid, bbox_center, cell_center, cell_of_point
+from rbcscan.geometry import CellGrid, cell_center, cell_of_point
 from rbcscan.metrics import BBox, Detection, GroundTruthObject
 
 GRID = CellGrid(rows=8, cols=8, image_width=1280, image_height=720)
@@ -32,7 +32,8 @@ def _receiver_in_cell(grid, cell, image_id, w=124.0, h=62.0):
 
 
 def _detected_cell(det, grid):
-    return cell_of_point(grid, *bbox_center(det.bbox))
+    b = det.bbox
+    return cell_of_point(grid, b.x + b.w / 2, b.y + b.h / 2)
 
 
 class TestApAt:
@@ -292,7 +293,7 @@ class TestSampleDetections:
 
 
 def _detected_cell_of_gt(gt):
-    return cell_of_point(GRID, *bbox_center(gt.bbox))
+    return _detected_cell(gt, GRID)
 
 
 class TestDetectionsToCandidates:

@@ -15,21 +15,33 @@ must name the same one, the first in check order; where the oracle raises
 accept must also come back equal, with an equal repr, from
 ``parse(emit(...))``.
 
+The scenario and profile parsers and emitters are checked the same way
+against ``legacy_formats``' copies from before the record helpers, on
+documents with up to two faults anywhere in them: an unknown or missing
+key, a wrong type, a bool for a number, an integer too large for a float,
+NaN or infinity, a profile row of the wrong length, an ``n_cells`` that
+does not match the grid, a trial count out of range or a negative seed.
+Here every outcome must match exactly, emitted bytes included.
+
 The round-trip properties ``parse(emit(parse(x))) == parse(x)`` cover all
-four file formats.
+four file formats, and the bundled scenario file is its own emission.
 """
 
 import json
+import math
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_formats as legacy
+from rbcscan.detector import builtin_profile
 from rbcscan.errors import RbcScanError, SchemaError
 from rbcscan.formats import (
+    MAX_TRIALS,
     emit_annotations,
     emit_detections,
     emit_profile,
@@ -349,3 +361,151 @@ def test_profile_round_trip(doc):
 def test_scenario_round_trip(doc):
     first = parse_scenario(json.dumps(doc))
     assert parse_scenario(emit_scenario(first)) == first
+
+
+_DEFAULT_SCENARIO_TEXT = (Path(__file__).parents[1] / "scenarios" / "default.json").read_text(
+    encoding="utf-8"
+)
+
+
+def test_default_scenario_is_its_own_emission():
+    assert emit_scenario(parse_scenario(_DEFAULT_SCENARIO_TEXT)) == _DEFAULT_SCENARIO_TEXT
+
+
+# ---------------------------------------------------------------------------
+# scenarios and profiles against the oracle
+# ---------------------------------------------------------------------------
+
+SCENARIO_FAULTS = ("unknown", "missing", "type", "bool", "huge", "nan", "n_cells", "trials", "seed")
+PROFILE_FAULTS = ("unknown", "missing", "type", "bool", "huge", "nan", "arity")
+
+
+def _paths(value, prefix=()):
+    """The key path of every field under an object or array, depth first."""
+    for key in list(value) if type(value) is dict else range(len(value)):
+        yield prefix + (key,)
+        if type(value[key]) in (dict, list):
+            yield from _paths(value[key], prefix + (key,))
+
+
+def _slot(doc, path):
+    """The container and key of the field at a key path."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc, path[-1]
+
+
+def _apply_anywhere(draw, doc, fault):
+    """Give ``doc`` one fault in place; one with nothing to act on is skipped."""
+    slots = [_slot(doc, path) for path in _paths(doc)]
+    objects = [doc] + [c[k] for c, k in slots if type(c[k]) is dict]
+    numbers = [(c, k) for c, k in slots if type(c[k]) in (int, float)]
+    rows = [c[k] for c, k in slots if type(c) is list and type(c[k]) is list]
+    if fault == "unknown":
+        draw(st.sampled_from(objects))[draw(st.sampled_from(["mask", "n_cell", "Seed"]))] = 1
+    elif fault == "missing" and any(objects):
+        record = draw(st.sampled_from([o for o in objects if o]))
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif fault == "type" and slots:
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(st.sampled_from([None, "1", [], {}, [0.5, 0.5], 1.5, 3]))
+    elif fault in ("bool", "huge", "nan") and numbers:
+        container, key = draw(st.sampled_from(numbers))
+        values = {"bool": [True, False], "huge": [HUGE, -HUGE], "nan": [math.nan, math.inf]}
+        container[key] = draw(st.sampled_from(values[fault]))
+    elif fault == "arity" and rows:
+        row = draw(st.sampled_from(rows))
+        if row and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(0.5)
+    elif fault == "n_cells" and type(doc.get("scan")) is dict:
+        n_cells = doc["scan"].get("n_cells")
+        if type(n_cells) is int:
+            doc["scan"]["n_cells"] = n_cells + draw(st.sampled_from([-1, 1, 2**63]))
+    elif fault == "trials":
+        doc["trials"] = draw(st.sampled_from([0, -1, MAX_TRIALS + 1, 10**30]))
+    elif fault == "seed":
+        doc["seed"] = -1
+
+
+@st.composite
+def _faulty(draw, docs, faults):
+    doc = draw(docs)
+    for fault in faults:
+        _apply_anywhere(draw, doc, fault)
+    return doc
+
+
+def _assert_same(parse, emit, oracle_parse, oracle_emit, doc):
+    """Equal values with identical emitted bytes, or the same error."""
+    text = json.dumps(doc)
+    got, want = _outcome(parse, text), _outcome(oracle_parse, text)
+    assert got == want
+    assert repr(got) == repr(want)
+    if not isinstance(got, tuple):
+        assert emit(got) == oracle_emit(want)
+
+
+_BUNDLED_PROFILE = json.loads(emit_profile(builtin_profile()))
+_SMALL_PROFILE = dict(
+    _BUNDLED_PROFILE,
+    ap_vs_iou=_BUNDLED_PROFILE["ap_vs_iou"][:2],
+    ap_vs_distance=_BUNDLED_PROFILE["ap_vs_distance"][:2],
+)
+_DEFAULT_SCENARIO = json.loads(_DEFAULT_SCENARIO_TEXT)
+
+
+@pytest.mark.parametrize(
+    "doc, parse, emit, oracle_parse, oracle_emit",
+    [
+        (_DEFAULT_SCENARIO, parse_scenario, emit_scenario, legacy.parse_scenario,
+         legacy.emit_scenario),
+        (_SMALL_PROFILE, parse_profile, emit_profile, legacy.parse_profile, legacy.emit_profile),
+    ],
+    ids=["scenario", "profile"],
+)
+def test_every_two_null_fields_match_legacy(doc, parse, emit, oracle_parse, oracle_emit):
+    """Null, a wrong type everywhere, in each field and in each two fields:
+    both parsers name the same field first."""
+    paths = list(_paths(doc))
+    for a, b in [(a, a) for a in paths] + list(combinations(paths, 2)):
+        if b[: len(a)] == a and a != b:  # b lies inside a
+            continue
+        faulty = json.loads(json.dumps(doc))
+        for path in (a, b):
+            container, key = _slot(faulty, path)
+            container[key] = None
+        _assert_same(parse, emit, oracle_parse, oracle_emit, faulty)
+
+
+@pytest.mark.parametrize("fault", [None, *SCENARIO_FAULTS])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_parse_scenario_matches_legacy(fault, data):
+    doc = data.draw(_faulty(_scenario_docs(), (fault,) if fault else ()))
+    _assert_same(parse_scenario, emit_scenario, legacy.parse_scenario, legacy.emit_scenario, doc)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_parse_scenario_two_faults_match_legacy(data):
+    faults = data.draw(st.lists(st.sampled_from(SCENARIO_FAULTS), min_size=2, max_size=2))
+    doc = data.draw(_faulty(_scenario_docs(), faults))
+    _assert_same(parse_scenario, emit_scenario, legacy.parse_scenario, legacy.emit_scenario, doc)
+
+
+@pytest.mark.parametrize("fault", [None, *PROFILE_FAULTS])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_parse_profile_matches_legacy(fault, data):
+    doc = data.draw(_faulty(_profile_docs(), (fault,) if fault else ()))
+    _assert_same(parse_profile, emit_profile, legacy.parse_profile, legacy.emit_profile, doc)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_parse_profile_two_faults_match_legacy(data):
+    faults = data.draw(st.lists(st.sampled_from(PROFILE_FAULTS), min_size=2, max_size=2))
+    doc = data.draw(_faulty(_profile_docs(), faults))
+    _assert_same(parse_profile, emit_profile, legacy.parse_profile, legacy.emit_profile, doc)

@@ -9,7 +9,6 @@ from rbcscan.geometry import (
     CellGrid,
     PixelSize,
     ReceiverSpec,
-    bbox_center,
     calibrate_focal,
     cell_center,
     cell_of_point,
@@ -17,7 +16,6 @@ from rbcscan.geometry import (
     project_size,
     reference_camera,
 )
-from rbcscan.metrics import BBox
 
 # Frozen from the pinhole relation f = p * Z / X: 124 px * 120 cm / 14 cm.
 CALIBRATED_FOCAL_PX = 14880 / 14
@@ -197,17 +195,6 @@ class TestCellGrid:
             CellGrid(0, 8, 1280, 720)
         with pytest.raises(DomainError):
             CellGrid(8, 8, 0, 720)
-
-
-class TestBBoxCenter:
-    def test_symmetric_box(self):
-        assert bbox_center(BBox(0, 0, 10, 10)) == (5, 5)
-
-    def test_offset_box(self):
-        assert bbox_center(BBox(100, 200, 50, 30)) == (125, 215)
-
-    def test_degenerate_point_box(self):
-        assert bbox_center(BBox(0, 0, 0, 0)) == (0, 0)
 
 
 class TestModelValidation:

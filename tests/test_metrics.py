@@ -397,6 +397,66 @@ class TestColumns:
         with pytest.raises(UsageError, match="score"):
             evaluate(Columns.of(self.GTS), self.GTS)
 
+    def test_five_and_three_number_boxes_rejected(self):
+        # Read as 4n numbers, the pair would pass as two shifted boxes.
+        dets = Columns(["img"] * 2, ["smartphone"] * 2, [[0, 0, 50, 50, 1], [0, 0, 50]], [0.9, 0.8])
+        with pytest.raises(UsageError, match=r"^detection 0: box has 5 numbers"):
+            evaluate(dets, self.GTS)
+
+
+#: Each fault a hand-built column can carry, with the error evaluate raises.
+COLUMN_FAULTS = {
+    "box length": UsageError,
+    "non-finite box": DomainError,
+    "negative extent": DomainError,
+    "score": DomainError,
+}
+
+
+@st.composite
+def _columns_with_fault(draw, fault):
+    """Detections and ground truth on one image, one record of either side
+    given the fault; returns them with the faulty record's side and index."""
+    box = st.lists(st.floats(0, 100), min_size=4, max_size=4)
+
+    def columns(scored):
+        n = draw(st.integers(1, 5))
+        scores = [draw(st.floats(0, 1)) for _ in range(n)] if scored else []
+        return [draw(box) for _ in range(n)], scores
+
+    dets, gts = columns(True), columns(False)
+    side = "detection" if fault == "score" or draw(st.booleans()) else "ground-truth object"
+    boxes, scores = dets if side == "detection" else gts
+    i = draw(st.integers(0, len(boxes) - 1))
+    if fault == "box length":
+        k = draw(st.sampled_from([0, 1, 3, 5, 6]))
+        boxes[i] = (boxes[i] + [1.0, 2.0])[:k]
+    elif fault == "non-finite box":
+        boxes[i][draw(st.integers(0, 3))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif fault == "negative extent":
+        boxes[i][draw(st.integers(2, 3))] = -draw(st.floats(5e-324, 1e300))
+    else:
+        scores[i] = draw(
+            st.one_of(
+                st.floats(1, exclude_min=True),
+                st.floats(max_value=0, exclude_max=True),
+                st.just(math.nan),
+            )
+        )
+
+    def as_columns(boxes, scores):
+        return Columns(["img"] * len(boxes), ["smartphone"] * len(boxes), boxes, scores)
+
+    return as_columns(*dets), as_columns(*gts), side, i
+
+
+@pytest.mark.parametrize("fault", COLUMN_FAULTS)
+@given(data=st.data())
+def test_evaluate_rejects_faulty_columns(fault, data):
+    dets, gts, side, i = data.draw(_columns_with_fault(fault))
+    with pytest.raises(COLUMN_FAULTS[fault], match=rf"^{side} {i}: "):
+        evaluate(dets, gts)
+
 
 class TestFlipAugment:
     def test_arithmetic_example(self):

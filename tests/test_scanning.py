@@ -114,6 +114,8 @@ class TestScanConfigValidation:
             dict(n_cells=64, t_scan_s=1e308),
             dict(n_cells=1, t_scan_s=1e308, t_detect_s=1e308),
             dict(n_cells=10**400, t_scan_s=1.0),
+            # All integers: the sum is an exact int too large for a float.
+            dict(n_cells=10**400, t_scan_s=2, t_detect_s=0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
