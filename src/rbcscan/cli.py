@@ -5,8 +5,10 @@ file: ``eval`` scores detection files against annotations, ``analytic``
 sweeps the expected-scan-time curves over AP, ``simulate`` runs the
 Monte Carlo comparison from a scenario file, ``geometry`` tabulates
 projected receiver sizes, and ``augment`` mirror-doubles an annotation
-file. Exit codes: 0 success, 1 file or schema error, 2 invariant
-violation, 3 usage error.
+file. Each ``cmd_*`` returns its output text, and ``main`` writes it to
+stdout or to ``--output``. Exit codes: 0 success, else the ``exit_code``
+of the ``errors`` class raised (1 file or schema error, 2 invariant
+violation, 3 usage error); an OSError exits 1.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import formats, geometry, metrics, scanning
-from .errors import DomainError, SchemaError, UsageError
-from .formats import MAX_TRIALS
+from .errors import RbcScanError, UsageError
+from .formats import MAX_TRIALS, read_text
 
-_DEFAULT_DISTANCES_CM = (120.0, 200.0, 250.0, 350.0)
-_DEFAULT_RESOLUTIONS = ((1280, 720), (640, 360))
+T = TypeVar("T")
 
 
 def _fmt(x: float) -> str:
@@ -44,37 +46,24 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _write_output(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
+def _parse_list(raw: str, flag: str, convert: Callable[[str], T]) -> list[T]:
+    """A list flag's comma-separated entries, each read by ``convert``.
 
-
-def _parse_float_list(raw: str, flag: str) -> list[float]:
+    Empty entries are skipped; an entry ``convert`` rejects with
+    ValueError, or a list with no entries, raises UsageError.
+    """
     try:
-        values = [float(part) for part in raw.split(",") if part.strip()]
+        values = [convert(part) for part in map(str.strip, raw.split(",")) if part]
     except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated numbers, got {raw!r}") from None
+        raise UsageError(f"{flag}: cannot read {raw!r} as a comma-separated list") from None
     if not values:
-        raise UsageError(f"{flag}: expected at least one value")
+        raise UsageError(f"{flag}: expected at least one entry, got {raw!r}")
     return values
 
 
-def _parse_resolutions(raw: str) -> list[tuple[int, int]]:
-    out = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            w, h = part.split("x")
-            out.append((int(w), int(h)))
-        except ValueError:
-            raise UsageError(f"--resolutions: expected WxH entries, got {part!r}") from None
-    if not out:
-        raise UsageError("--resolutions: expected at least one WxH entry")
-    return out
+def _resolution(text: str) -> tuple[int, int]:
+    w, h = text.split("x")
+    return int(w), int(h)
 
 
 # ---------------------------------------------------------------------------
@@ -82,22 +71,17 @@ def _parse_resolutions(raw: str) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    gts = formats.parse_annotations(Path(args.ground_truth).read_text(encoding="utf-8"))
-    dets = formats.parse_detections(Path(args.detections).read_text(encoding="utf-8"))
-    thresholds = (
-        _parse_float_list(args.thresholds, "--thresholds")
-        if args.thresholds
-        else list(metrics.STANDARD_IOU_THRESHOLDS)
-    )
+def cmd_eval(args: argparse.Namespace) -> str:
+    gts = formats.parse_annotations(read_text(args.ground_truth))
+    dets = formats.parse_detections(read_text(args.detections))
+    thresholds = _parse_list(args.thresholds, "--thresholds", float)
     result = metrics.evaluate(
         dets.columns, gts.columns, thresholds, small_cutoff_px=args.small_cutoff
     )
     rows = [["ap", _fmt(t), _fmt(ap)] for t, ap in result.ap_per_threshold.items()]
     rows.append(["map", "", _fmt(result.map_value)])
     rows.append(["ap_small", "0.5", _fmt(result.ap_small)])
-    _write_output(_csv_text(["metric", "iou_threshold", "value"], rows), args.output)
-    return 0
+    return _csv_text(["metric", "iou_threshold", "value"], rows)
 
 
 #: Most rows an ``analytic`` sweep may have: an --ap-step of 1e-5 over [0, 1].
@@ -122,7 +106,7 @@ def _ap_grid(start: float, stop: float, step: float) -> list[float]:
     return [round(start + i * step, 10) for i in range(math.floor(span) + 1)]
 
 
-def cmd_analytic(args: argparse.Namespace) -> int:
+def cmd_analytic(args: argparse.Namespace) -> str:
     base = scanning.ScanConfig(
         n_cells=args.n_cells, t_scan_s=args.t_scan, t_detect_s=args.t_detect, ap=0.0
     )
@@ -135,12 +119,11 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     kind = "breakeven" if in_range else "breakeven_clamped"
     t2_star = scanning.t2_analytic(replace(base, ap=ap_star))
     rows.append([kind, _fmt(ap_star), _fmt(t1), _fmt(t2_star)])
-    _write_output(_csv_text(["kind", "ap", "t1_s", "t2_s"], rows), args.output)
-    return 0
+    return _csv_text(["kind", "ap", "t1_s", "t2_s"], rows)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = formats.parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+def cmd_simulate(args: argparse.Namespace) -> str:
+    scenario = formats.parse_scenario(read_text(args.scenario))
     formats.resolve_profile(scenario.profile, Path(args.scenario).parent)
     trials = args.trials if args.trials is not None else scenario.trials
     if trials > MAX_TRIALS:  # parse_scenario already holds the scenario's count to it
@@ -163,11 +146,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             ]
         )
     header = ["strategy", "trials", "mean_s", "stderr_s", "analytic_s", "relative_error"]
-    _write_output(_csv_text(header, rows), args.output)
-    return 0
+    return _csv_text(header, rows)
 
 
-def cmd_geometry(args: argparse.Namespace) -> int:
+def cmd_geometry(args: argparse.Namespace) -> str:
     if args.focal_px is not None and args.calibrate is not None:
         raise UsageError("--focal-px and --calibrate are mutually exclusive")
     if args.calibrate is not None:
@@ -181,16 +163,9 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     spec = geometry.ReceiverSpec(
         width_cm=args.receiver_width_cm, height_cm=args.receiver_height_cm
     )
-    distances = (
-        _parse_float_list(args.distances, "--distances")
-        if args.distances
-        else list(_DEFAULT_DISTANCES_CM)
-    )
-    resolutions = (
-        _parse_resolutions(args.resolutions) if args.resolutions else list(_DEFAULT_RESOLUTIONS)
-    )
+    resolutions = _parse_list(args.resolutions, "--resolutions", _resolution)
     rows = []
-    for dist in distances:
+    for dist in _parse_list(args.distances, "--distances", float):
         for w, h in resolutions:
             size = geometry.project_size(cam, spec, dist, w, h)
             ok = geometry.is_detectable(size, args.min_width_px, args.min_height_px)
@@ -204,12 +179,11 @@ def cmd_geometry(args: argparse.Namespace) -> int:
                 ]
             )
     header = ["distance_cm", "resolution", "width_px", "height_px", "detectable"]
-    _write_output(_csv_text(header, rows), args.output)
-    return 0
+    return _csv_text(header, rows)
 
 
-def cmd_augment(args: argparse.Namespace) -> int:
-    af = formats.parse_annotations(Path(args.annotations).read_text(encoding="utf-8"))
+def cmd_augment(args: argparse.Namespace) -> str:
+    af = formats.parse_annotations(read_text(args.annotations))
     widths = {im.image_id: im.width for im in af.images}
     # Derived ids get a _flip suffix, extended until unique so re-running on
     # already-augmented output keeps quadrupling instead of colliding.
@@ -235,8 +209,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         metrics.Columns.of(objects + tuple(flipped_objects)),
         af.split,
     )
-    _write_output(formats.emit_annotations(doubled), args.output)
-    return 0
+    return formats.emit_annotations(doubled)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a detection file against annotations")
     p.add_argument("--ground-truth", required=True, help="annotation file (JSON)")
     p.add_argument("--detections", required=True, help="detection file (JSON)")
-    p.add_argument("--thresholds", help="comma-separated IoU thresholds (default 0.50..0.95)")
+    p.add_argument("--thresholds", default=",".join(map(str, metrics.STANDARD_IOU_THRESHOLDS)),
+                   help="comma-separated IoU thresholds (default %(default)s)")
     p.add_argument("--small-cutoff", type=float, default=metrics.SMALL_OBJECT_CUTOFF_PX,
                    help="side length in px below which ground truth counts as small")
-    p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analytic", help="expected scan time vs AP (CSV curve)")
@@ -267,14 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ap-start", type=float, default=0.0)
     p.add_argument("--ap-stop", type=float, default=1.0)
     p.add_argument("--ap-step", type=float, default=0.05)
-    p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("simulate", help="Monte Carlo comparison of both strategies")
     p.add_argument("--scenario", required=True, help="scenario file (JSON)")
     p.add_argument("--trials", type=int, help="override the scenario's trial count")
     p.add_argument("--seed", type=int, help="override the scenario's RNG seed")
-    p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("geometry", help="projected receiver sizes and detectability")
@@ -285,40 +256,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref-height", type=int, default=720)
     p.add_argument("--receiver-width-cm", type=float, default=14.0)
     p.add_argument("--receiver-height-cm", type=float, default=7.0)
-    p.add_argument("--distances", help="comma-separated distances in cm (default 120,200,250,350)")
-    p.add_argument("--resolutions", help="comma-separated WxH list (default 1280x720,640x360)")
+    p.add_argument("--distances", default="120,200,250,350",
+                   help="comma-separated distances in cm (default %(default)s)")
+    p.add_argument("--resolutions", default="1280x720,640x360",
+                   help="comma-separated WxH list (default %(default)s)")
     p.add_argument("--min-width-px", type=float, default=geometry.MIN_DETECTABLE_W_PX)
     p.add_argument("--min-height-px", type=float, default=geometry.MIN_DETECTABLE_H_PX)
-    p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_geometry)
 
     p = sub.add_parser("augment", help="mirror-double an annotation file")
     p.add_argument("--annotations", required=True, help="annotation file (JSON)")
-    p.add_argument("--output", help="write the doubled file here instead of stdout")
     p.set_defaults(func=cmd_augment)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", help="write the output here instead of stdout")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if getattr(args, "func", None) is None:
             raise UsageError("a subcommand is required (eval, analytic, simulate, geometry, augment)")
-        return args.func(args)
-    except SchemaError as e:
+        text = args.func(args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.output).write_text(text, encoding="utf-8")
+        return 0
+    except (RbcScanError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DomainError as e:  # includes invariant violations from parsed files
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return getattr(e, "exit_code", 1)
 
 
 def run() -> None:

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: schema problems (malformed or
-unrecognized file content) exit 1, domain/invariant violations exit 2,
-usage errors exit 3.
+Each class's ``exit_code`` is the CLI's exit code for it, set here and
+nowhere else: schema problems (malformed or unrecognized file content)
+exit 1, domain/invariant violations exit 2, usage errors exit 3.
+``cli.main`` exits 1 for an OSError as well.
 """
 
 
@@ -13,9 +14,13 @@ class RbcScanError(Exception):
 class SchemaError(RbcScanError, ValueError):
     """A file is structurally invalid: bad syntax, wrong type, unknown field."""
 
+    exit_code = 1
+
 
 class DomainError(RbcScanError, ValueError):
     """A value lies outside the domain an operation or type accepts."""
+
+    exit_code = 2
 
 
 class InvariantError(DomainError):
@@ -24,3 +29,5 @@ class InvariantError(DomainError):
 
 class UsageError(RbcScanError, ValueError):
     """The caller invoked an operation in an unsupported way."""
+
+    exit_code = 3

@@ -375,12 +375,25 @@ def emit_profile(profile: DetectorProfile) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def read_text(path: str | Path) -> str:
+    """A file's text, decoded as UTF-8: the one way input files are read.
+
+    Bytes that are not UTF-8 raise SchemaError naming the path; OSError
+    passes through.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def resolve_profile(ref: str, base_dir: str | Path | None = None) -> DetectorProfile:
     """Load a profile reference: a bundled profile name or a file path.
 
     A reference that is neither raises SchemaError naming it; a file that
-    does not parse as a profile raises its parse error, prefixed with the
-    reference and the resolved path.
+    is not UTF-8 raises ``read_text``'s SchemaError, and one that does not
+    parse as a profile raises its parse error, prefixed with the reference
+    and the resolved path.
     """
     names = builtin_profile_names()
     if ref in names:
@@ -389,7 +402,7 @@ def resolve_profile(ref: str, base_dir: str | Path | None = None) -> DetectorPro
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
     except OSError as e:
         raise SchemaError(
             f"profile {ref!r} is neither a bundled profile ({', '.join(names)}) "

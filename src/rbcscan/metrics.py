@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, Sized
 
 import numpy as np
 
@@ -376,6 +376,9 @@ def evaluate(
     The columns are checked once: a box that is not four numbers raises
     UsageError; a non-finite box number, a negative width or height, or a
     score outside [0, 1] raises DomainError. Each names the record's index.
+    The element types of hand-built columns are trusted, as the parsers
+    already check them: numpy reads a box ``["0", 0, 10, 10]`` or a score
+    ``"0.5"`` as numbers and scores them.
     """
     thresholds = tuple(thresholds)
     if not thresholds:
@@ -416,9 +419,14 @@ def evaluate(
     # length would shift every later box of the (size, 4) array.
     kinds = (("detection", dets.boxes), ("ground-truth object", gts.boxes))
     for kind, col in kinds:
-        if set(map(len, col)) - {4}:
-            i = next(i for i, b in enumerate(col) if len(b) != 4)
-            raise UsageError(f"{kind} {i}: box has {len(col[i])} numbers, expected [x, y, w, h]")
+        try:
+            ok = set(map(len, col)) <= {4}
+        except TypeError:  # a box with no length, such as a bare number
+            ok = False
+        if not ok:
+            i = next(i for i, b in enumerate(col) if not isinstance(b, Sized) or len(b) != 4)
+            got = f"{len(col[i])} numbers" if isinstance(col[i], Sized) else "no length"
+            raise UsageError(f"{kind} {i}: box has {got}, expected [x, y, w, h]")
     boxes = _box_array(chain(dets.boxes, gts.boxes), size)
     # Whole-array tests first: per-row reductions cost ten times as much.
     if not (np.isfinite(boxes).all() and (boxes[:, 2:] >= 0).all()):

@@ -1,10 +1,16 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import rbcscan
 from rbcscan import scanning
 from rbcscan.cli import MAX_AP_ROWS, MAX_TRIALS, _ap_grid, build_parser, main
 from rbcscan.detector import builtin_profile
@@ -50,6 +56,24 @@ def _run(capsys, argv):
     return rc, capsys.readouterr()
 
 
+def _error_line(captured):
+    """The single ``error:`` line a failed run prints, after checking that
+    it printed nothing else."""
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def _eval_argv(tmp_path):
+    gt = tmp_path / "gt.json"
+    det = tmp_path / "det.json"
+    gt.write_text(json.dumps(ANNOTATIONS), encoding="utf-8")
+    det.write_text(json.dumps(DETECTIONS), encoding="utf-8")
+    return ["eval", "--ground-truth", str(gt), "--detections", str(det)]
+
+
 class TestAnalyticCommand:
     def test_reference_row_present(self, capsys):
         rc, captured = _run(capsys, ["analytic"])
@@ -86,6 +110,11 @@ class TestAnalyticCommand:
     def test_bad_sweep_rejected(self, capsys):
         rc, captured = _run(capsys, ["analytic", "--ap-start", "0.9", "--ap-stop", "0.1"])
         assert rc == 3
+
+    def test_sweep_bound_outside_unit_interval(self, capsys):
+        rc, captured = _run(capsys, ["analytic", "--ap-start", "2"])
+        assert rc == 3
+        assert "AP sweep bounds" in _error_line(captured)
 
     @pytest.mark.parametrize("step", ["nan", "-0.1", "0", "1e-12", "1e-320"])
     def test_bad_step_is_usage_error(self, capsys, step):
@@ -316,6 +345,17 @@ class TestGeometryCommand:
         rc, _ = _run(capsys, ["geometry", "--resolutions", "640x480"])
         assert rc == 2
 
+    def test_empty_resolution_is_invariant_error(self, capsys):
+        rc, captured = _run(capsys, ["geometry", "--resolutions", "0x0"])
+        assert rc == 2
+        assert "0x0" in _error_line(captured)
+
+    def test_empty_list_entries_are_skipped(self, capsys):
+        rc, plain = _run(capsys, ["geometry", "--resolutions", "1280x720"])
+        rc2, trailing = _run(capsys, ["geometry", "--resolutions", "1280x720,"])
+        assert rc == rc2 == 0
+        assert trailing.out == plain.out
+
     @pytest.mark.parametrize(
         "option",
         [
@@ -460,6 +500,109 @@ class TestAugmentCommand:
         expected = sorted(1280 - x - w for x, _, w, _ in
                           (obj["bbox"] for obj in ANNOTATIONS["objects"][:2]))
         assert flipped_xs == expected
+
+
+class TestListFlags:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("eval", "--thresholds", "a,b"),
+            ("eval", "--thresholds", ","),
+            ("eval", "--thresholds", ""),
+            ("geometry", "--resolutions", ","),
+            ("geometry", "--resolutions", ""),
+            ("geometry", "--distances", ""),
+        ],
+        ids=["not-numbers", "only-commas", "thresholds-empty", "resolutions-only-commas",
+             "resolutions-empty", "distances-empty"],
+    )
+    def test_bad_or_empty_list_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        # An explicitly empty list is refused, not read as the default.
+        argv = _eval_argv(tmp_path) if command == "eval" else [command]
+        rc, captured = _run(capsys, [*argv, flag, value])
+        assert rc == 3
+        assert flag in _error_line(captured)
+
+    def test_defaults_are_the_documented_lists(self, capsys):
+        rc, default = _run(capsys, ["geometry"])
+        rc2, explicit = _run(
+            capsys,
+            ["geometry", "--distances", "120,200,250,350", "--resolutions", "1280x720,640x360"],
+        )
+        assert rc == rc2 == 0
+        assert default.out == explicit.out
+
+
+class TestFileInputs:
+    @pytest.mark.parametrize(
+        "bad, command",
+        [
+            ("ground-truth", "eval"),
+            ("detections", "eval"),
+            ("scenario", "simulate"),
+            ("profile", "simulate"),
+            ("annotations", "augment"),
+        ],
+    )
+    def test_non_utf8_input_is_schema_error(self, tmp_path, capsys, bad, command):
+        texts = {
+            "ground-truth": json.dumps(ANNOTATIONS),
+            "detections": json.dumps(DETECTIONS),
+            "scenario": json.dumps(dict(SCENARIO, profile="profile.json")),
+            "profile": emit_profile(builtin_profile()),
+            "annotations": json.dumps(ANNOTATIONS),
+        }
+        paths = {name: str(tmp_path / f"{name}.json") for name in texts}
+        for name, text in texts.items():
+            Path(paths[name]).write_text(text, encoding="utf-8")
+        Path(paths[bad]).write_bytes(b"\xff{}")
+        argv = {
+            "eval": ["--ground-truth", paths["ground-truth"], "--detections", paths["detections"]],
+            "simulate": ["--scenario", paths["scenario"]],
+            "augment": ["--annotations", paths["annotations"]],
+        }[command]
+        rc, captured = _run(capsys, [command, *argv])
+        assert rc == 1
+        assert paths[bad] in _error_line(captured)
+
+    @pytest.mark.parametrize(
+        "ap_vs_distance", [[[120, "", 0.5]], [[120, "1280x720", 1.5]]], ids=["no-tag", "ap-1.5"]
+    )
+    def test_profile_file_invariant_is_domain_error(self, tmp_path, capsys, ap_vs_distance):
+        profile = dict(json.loads(emit_profile(builtin_profile())), ap_vs_distance=ap_vs_distance)
+        (tmp_path / "custom.json").write_text(json.dumps(profile), "utf-8")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(SCENARIO, profile="custom.json")), "utf-8")
+        rc, captured = _run(capsys, ["simulate", "--scenario", str(scenario)])
+        assert rc == 2
+        assert "ap_vs_distance" in _error_line(captured)
+
+    def test_negative_split_is_domain_error(self, tmp_path, capsys):
+        src = tmp_path / "ann.json"
+        src.write_text(json.dumps(dict(ANNOTATIONS, split={"train": -1})), encoding="utf-8")
+        rc, captured = _run(capsys, ["augment", "--annotations", str(src)])
+        assert rc == 2
+        assert "split" in _error_line(captured)
+
+
+def test_module_entry_point():
+    """``python -m rbcscan.cli`` runs the installed script's ``run``."""
+    src = str(Path(rbcscan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "rbcscan.cli", *argv], capture_output=True, env=env, timeout=60
+        )
+
+    ok = cli("analytic")
+    assert ok.returncode == 0, ok.stderr
+    assert hashlib.sha256(ok.stdout).hexdigest() == (
+        "d60cf69a8c4d09bec3b4fa13c2b1c40f370347238fc4cff9bfe4f3cc57a19726"
+    )
+    bad = cli("analytic", "--n-cells", "1")
+    assert (bad.returncode, bad.stdout) == (3, b"")
+    assert bad.stderr.startswith(b"error: ") and bad.stderr.count(b"\n") == 1
 
 
 class TestParser:

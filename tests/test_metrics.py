@@ -403,6 +403,13 @@ class TestColumns:
         with pytest.raises(UsageError, match=r"^detection 0: box has 5 numbers"):
             evaluate(dets, self.GTS)
 
+    def test_box_that_is_a_bare_number_rejected(self):
+        dets = Columns(["img"], ["smartphone"], (5,), (0.9,))
+        with pytest.raises(UsageError, match=r"^detection 0: box "):
+            evaluate(dets, self.GTS)
+        with pytest.raises(UsageError, match=r"^ground-truth object 0: box "):
+            evaluate(Columns.of(self.DETS), Columns(["img"], ["smartphone"], (5,)))
+
 
 #: Each fault a hand-built column can carry, with the error evaluate raises.
 COLUMN_FAULTS = {
@@ -521,6 +528,8 @@ class TestTypeInvariants:
             EvalResult(ap_per_threshold={}, map_value=0.0, ap_small=0.0)
         with pytest.raises(DomainError):
             EvalResult(ap_per_threshold={0.5: 1.2}, map_value=1.2, ap_small=0.0)
+        with pytest.raises(DomainError, match="ap_small"):
+            EvalResult(ap_per_threshold={0.5: 0.8}, map_value=0.8, ap_small=1.5)
 
 
 class TestRecords:
