@@ -89,8 +89,9 @@ MAX_AP_ROWS = 100_001
 
 
 def _ap_grid(start: float, stop: float, step: float) -> list[float]:
-    if not 0.0 <= start <= 1.0 or not 0.0 <= stop <= 1.0:
-        raise UsageError("AP sweep bounds must lie within [0, 1]")
+    for flag, bound in (("--ap-start", start), ("--ap-stop", stop)):
+        if not 0.0 <= bound <= 1.0:
+            raise UsageError(f"AP sweep bounds must lie within [0, 1], got {flag} {bound}")
     if stop < start:
         raise UsageError(f"--ap-stop ({stop}) must be >= --ap-start ({start})")
     if start == stop:
@@ -222,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rbcscan",
         description="Detection-guided beam-charging scan models, metrics, and geometry tables.",
     )
-    sub = parser.add_subparsers(dest="command")
+    # Without a dest, argparse names the missing subcommand by its choices.
+    sub = parser.add_subparsers(required=True)
 
     p = sub.add_parser("eval", help="score a detection file against annotations")
     p.add_argument("--ground-truth", required=True, help="annotation file (JSON)")
@@ -276,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "func", None) is None:
-            raise UsageError("a subcommand is required (eval, analytic, simulate, geometry, augment)")
         text = args.func(args)
         if args.output is None:
             sys.stdout.write(text)

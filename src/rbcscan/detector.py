@@ -85,10 +85,11 @@ class SyntheticScene:
         # reported, its box checked before its distance.
         receivers = self.receivers
         n = len(receivers)
-        x, y, w, h = _box_array((gt.bbox for gt, _ in receivers), n).T
+        x, y, w, h = _box_array(map(attrgetter("bbox"), map(itemgetter(0), receivers)), n).T
         dist = np.fromiter(map(itemgetter(1), receivers), np.float64, n)
         width, height = self.grid.image_width, self.grid.image_height
-        box_ok = (0 <= x) & (0 <= y) & (x + w <= width) & (y + h <= height)
+        box_ok = (0 <= x) & (0 <= y) & (0 <= w) & (0 <= h)
+        box_ok &= (x + w <= width) & (y + h <= height)
         bad = ~(box_ok & (dist > 0))
         if bad.any():
             i = int(bad.argmax())
@@ -179,7 +180,10 @@ def sample_detections(
     wrong_scores = rng.uniform(*WRONG_SCORE_RANGE, size=n)
 
     wrong = np.flatnonzero(~correct)
-    boxes = [receivers[i][0].bbox for i in wrong.tolist()]
+    wrong_ids = wrong.tolist()
+    gts = list(map(itemgetter(0), receivers))
+    det_boxes = list(map(attrgetter("bbox"), gts))
+    boxes = [det_boxes[i] for i in wrong_ids]
     xywh = _box_array(boxes, len(boxes))
     w, h = xywh[:, 2], xywh[:, 3]
     cx = xywh[:, 0] + w / 2
@@ -198,26 +202,40 @@ def sample_detections(
     det_x = (wrong_col + 0.5) * width / cols - w / 2
     det_y = (wrong_row + 0.5) * height / rows - h / 2
 
-    det_boxes = [gt.bbox for gt, _dist in receivers]
-    for i, b, x, y in zip(wrong.tolist(), boxes, det_x.tolist(), det_y.tolist()):
-        det_boxes[i] = BBox(x, y, b.w, b.h)
-    scores = np.where(correct, correct_scores, wrong_scores).tolist()
-    # Positional arguments: keywords cost a sixth of the loop.
+    scores = np.where(correct, correct_scores, wrong_scores)
+    ok = (0.0 <= scores) & (scores <= 1.0)
+    if not ok.all():
+        raise DomainError(f"detection score must be within [0, 1], got {scores[ok.argmin()]}")
+    # The scene holds every box to w, h >= 0 and the scores are checked, so
+    # the records are built without their constructors' checks. A moved box
+    # keeps the receiver box's own w and h, which may be ints.
+    new = tuple.__new__
+    for i, (_, _, bw, bh), x, y in zip(wrong_ids, boxes, det_x.tolist(), det_y.tolist()):
+        det_boxes[i] = new(BBox, (x, y, bw, bh))
     return [
-        Detection(gt.image_id, box, score, gt.class_label)
-        for (gt, _dist), box, score in zip(receivers, det_boxes, scores)
+        new(Detection, (gt.image_id, box, score, gt.class_label))
+        for gt, box, score in zip(gts, det_boxes, scores.tolist())
     ]
 
 
-def _nearest_cell(grid: CellGrid, x: float, y: float) -> int:
-    """The cell nearest to a point off the image: the point clamped into it.
+def _center_cell(grid: CellGrid, b: BBox) -> int:
+    """The cell holding a box's center, or the nearest cell to a center off the image.
 
     The far edges are clamped to the largest coordinates inside the image,
     which cell_of_point excludes from it. A NaN coordinate passes min() and
     max() unchanged, so cell_of_point rejects it.
     """
-    x = min(max(x, 0.0), math.nextafter(grid.image_width, 0))
-    y = min(max(y, 0.0), math.nextafter(grid.image_height, 0))
+    x = b.x + b.w / 2
+    y = b.y + b.h / 2
+    width, height = grid.image_width, grid.image_height
+    if 0 <= x < width and 0 <= y < height:
+        # cell_of_point's arithmetic, inline because it runs per detection.
+        cols, rows = grid.cols, grid.rows
+        col = math.floor(x * cols / width)
+        row = math.floor(y * rows / height)
+        return (row if row < rows else rows - 1) * cols + (col if col < cols else cols - 1)
+    x = min(max(x, 0.0), math.nextafter(width, 0))
+    y = min(max(y, 0.0), math.nextafter(height, 0))
     return cell_of_point(grid, x, y)
 
 
@@ -228,27 +246,12 @@ def detections_to_candidates(dets: Sequence[Detection], grid: CellGrid) -> list[
     first occurrence after ordering by descending score (ties keep input
     order). A detection box may extend past the image, so a center off the
     image maps to the nearest edge cell; a NaN center raises DomainError.
+    A single detection maps straight to its cell.
     """
-    if len(dets) > 1:
-        if len({d.image_id for d in dets}) > 1:
-            raise UsageError("detections_to_candidates expects detections from a single image")
-        dets = sorted(dets, key=attrgetter("score"), reverse=True)
-    cols, rows = grid.cols, grid.rows
-    width, height = grid.image_width, grid.image_height
-    seen: set[int] = set()
-    out: list[int] = []
-    for d in dets:
-        b = d.bbox
-        x = b.x + b.w / 2
-        y = b.y + b.h / 2
-        if 0 <= x < width and 0 <= y < height:
-            # cell_of_point's arithmetic, inline because it runs per detection.
-            col = math.floor(x * cols / width)
-            row = math.floor(y * rows / height)
-            cell = (row if row < rows else rows - 1) * cols + (col if col < cols else cols - 1)
-        else:
-            cell = _nearest_cell(grid, x, y)
-        if cell not in seen:
-            seen.add(cell)
-            out.append(cell)
-    return out
+    if len(dets) == 1:
+        (d,) = dets
+        return [_center_cell(grid, d.bbox)]
+    if len({d.image_id for d in dets}) > 1:
+        raise UsageError("detections_to_candidates expects detections from a single image")
+    ranked = sorted(dets, key=attrgetter("score"), reverse=True)
+    return list(dict.fromkeys(_center_cell(grid, d.bbox) for d in ranked))

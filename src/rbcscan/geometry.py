@@ -15,6 +15,7 @@ prediction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -184,11 +185,19 @@ def cell_of_point(grid: CellGrid, x: float, y: float) -> int:
 
 
 def cell_center(grid: CellGrid, cell: int) -> tuple[float, float]:
-    """Center point of a cell; always maps back to the same cell index."""
-    if not 0 <= cell < grid.n_cells:
-        raise DomainError(f"cell index {cell} outside grid of {grid.n_cells} cells")
-    row, col = divmod(cell, grid.cols)
+    """Center point of a cell; always maps back to the same cell index.
+
+    ``cell`` is an integer (numpy integers included); a float is rejected
+    even when it is integral.
+    """
+    rows, cols = grid.rows, grid.cols
+    if not 0 <= cell < rows * cols:
+        raise DomainError(f"cell index {cell} outside grid of {rows * cols} cells")
+    try:
+        row, col = divmod(operator.index(cell), cols)
+    except TypeError:
+        raise DomainError(f"cell index must be an integer, got {cell}") from None
     return (
-        (col + 0.5) * grid.image_width / grid.cols,
-        (row + 0.5) * grid.image_height / grid.rows,
+        (col + 0.5) * grid.image_width / cols,
+        (row + 0.5) * grid.image_height / rows,
     )

@@ -269,6 +269,10 @@ def simulate_guided_multi(
     form is reported. ``rng_seed`` draws nothing; it stays in the signature
     because the acceptance pipeline test and the benchmark's pipeline
     operation pass it on every episode.
+
+    A single candidate, the only shape the detector pipeline produces, takes
+    a loop-free path: rank 1 on a hit, else 2 + t - (c < t) for the lowest
+    true cell t. Longer lists take the general path.
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -283,18 +287,30 @@ def simulate_guided_multi(
     tset = set(true_cells)
     if not tset:
         raise UsageError("true_cells must be non-empty")
+    # A loop, not min()/max(): every comparison with NaN is False, so only
+    # a test of each cell rejects a NaN among valid ones.
     for t in tset:
         if not 0 <= t < n:
             raise UsageError(f"true cell {t} outside grid of {n} cells")
-    for rank, c in enumerate(candidate_cells, start=1):
-        if c in tset:
-            break
+    if len(candidate_cells) == 1:
+        # c is the one candidate, bound by the check above. A miss ranks as
+        # in the general formula below, its float operations in that order.
+        rank = 1
+        if c not in tset:
+            t = min(tset)
+            rank = 1 + t + 1 - (c < t)
     else:
-        # No candidate held a receiver, so the lowest true cell t is reached
-        # first in the ascending remainder: at rank t + 1 less the candidates
-        # below it, after all the candidates.
-        t = min(tset)
-        rank = len(candidate_cells) + t + 1 - len([c for c in candidate_cells if c < t])
-    # Positional: trials, mean_time_s, stderr_s, analytic_time_s (keywords
-    # cost a third of a call).
-    return SimulationSummary(trials, cfg.t_detect_s + rank * cfg.t_scan_s, 0.0, None)
+        for rank, c in enumerate(candidate_cells, start=1):
+            if c in tset:
+                break
+        else:
+            # No candidate held a receiver, so the lowest true cell t is
+            # reached first in the ascending remainder: at rank t + 1 less
+            # the candidates below it, after all the candidates.
+            t = min(tset)
+            rank = len(candidate_cells) + t + 1 - len([c for c in candidate_cells if c < t])
+    # trials >= 1 and stderr_s == 0 pass SimulationSummary's checks, so the
+    # record is built without them.
+    return tuple.__new__(
+        SimulationSummary, (trials, cfg.t_detect_s + rank * cfg.t_scan_s, 0.0, None)
+    )

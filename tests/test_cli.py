@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -115,6 +116,13 @@ class TestAnalyticCommand:
         rc, captured = _run(capsys, ["analytic", "--ap-start", "2"])
         assert rc == 3
         assert "AP sweep bounds" in _error_line(captured)
+
+    @pytest.mark.parametrize("flag", ["--ap-start", "--ap-stop"])
+    @pytest.mark.parametrize("value", ["2", "-0.5", "nan"])
+    def test_sweep_bound_error_names_its_flag(self, capsys, flag, value):
+        rc, captured = _run(capsys, ["analytic", flag, value])
+        assert rc == 3
+        assert f"got {flag} {float(value)}\n" in _error_line(captured)
 
     @pytest.mark.parametrize("step", ["nan", "-0.1", "0", "1e-12", "1e-320"])
     def test_bad_step_is_usage_error(self, capsys, step):
@@ -611,6 +619,13 @@ class TestParser:
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 3
+
+    def test_missing_subcommand_lists_the_declared_ones(self, capsys):
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert main([]) == 3
+        listed = _error_line(capsys.readouterr()).rstrip("\n").rsplit("{", 1)[1].rstrip("}")
+        assert listed.split(",") == list(sub.choices)
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["analytic", "--fricassee"]) == 3

@@ -218,6 +218,13 @@ class TestSyntheticScene:
             SyntheticScene(grid=GRID, receivers=receivers)
         assert str(e.value) == message
 
+    @pytest.mark.parametrize("box", [(100.0, 100.0, -50.0, 20.0), (100.0, 100.0, 50.0, -20.0)])
+    def test_rejects_negative_box_side(self, box):
+        # A plain tuple skips BBox's own check, so the scene must catch it.
+        gt = GroundTruthObject(image_id=0, bbox=box)
+        with pytest.raises(DomainError, match="receiver box for image 0 exceeds the 1280x720 image"):
+            SyntheticScene(grid=GRID, receivers=((gt, 120.0),))
+
     def test_empty_scene(self):
         assert SyntheticScene(grid=GRID, receivers=()).receivers == ()
 
@@ -282,6 +289,18 @@ class TestSampleDetections:
         scene = self._scene([3, 4])
         dets = sample_detections(scene, _profile([(0.5, 1.0)]), 0.5, rng_seed=1)
         assert all(det.bbox is gt.bbox for det, (gt, _) in zip(dets, scene.receivers))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_plain_tuple_box_on_either_draw(self, seed):
+        # Seeds 0-3 draw a correct detection here, 4-5 a wrong one.
+        box = (100.0, 100.0, 50.0, 20.0)
+        scene = SyntheticScene(grid=GRID, receivers=((GroundTruthObject(0, box), 120.0),))
+        (det,) = sample_detections(scene, builtin_profile(), 0.5, rng_seed=seed)
+        if seed < 4:
+            assert det.bbox is box
+        else:
+            assert type(det.bbox) is BBox and det.bbox[2:] == (50.0, 20.0)
+            assert _detected_cell(det, GRID) != cell_of_point(GRID, 125.0, 110.0)
 
     def test_wrong_receiver_centered_off_image_is_rejected(self):
         # A zero-width box on the right edge has its center on the excluded edge.

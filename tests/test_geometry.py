@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rbcscan.errors import DomainError
@@ -189,6 +190,14 @@ class TestCellGrid:
             cell_center(self.grid, 64)
         with pytest.raises(DomainError):
             cell_center(self.grid, -1)
+
+    @pytest.mark.parametrize("cell", [2.5, 3.0])
+    def test_cell_center_rejects_non_integral_cell(self, cell):
+        with pytest.raises(DomainError, match=f"cell index must be an integer, got {cell}"):
+            cell_center(self.grid, cell)
+
+    def test_cell_center_takes_numpy_integers(self):
+        assert cell_center(self.grid, np.int64(3)) == cell_center(self.grid, 3) == (560.0, 45.0)
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(DomainError):

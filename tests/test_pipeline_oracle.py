@@ -7,8 +7,13 @@ from 1 x 2 to 8 x 8 on odd image sizes, integer and float boxes on every
 image edge (a zero-width box on the right edge has its center off the
 image), profiles whose AP is 0, 1 or a knot of the bundled curve, tied
 scores, and candidate lists that are empty, repeated or out of the grid.
+Single candidates and single detections, the pipeline's own shape, get
+properties of their own, with NaN cells and centres on and off the image.
 """
 
+import math
+
+import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +25,7 @@ from rbcscan.detector import (
     detections_to_candidates,
     sample_detections,
 )
-from rbcscan.errors import RbcScanError
+from rbcscan.errors import RbcScanError, UsageError
 from rbcscan.geometry import CellGrid
 from rbcscan.metrics import STANDARD_IOU_THRESHOLDS, BBox, Detection, GroundTruthObject
 from rbcscan.scanning import ScanConfig, simulate_guided_multi
@@ -99,6 +104,18 @@ def test_sample_detections_single_cell_grid_matches_legacy():
         )
 
 
+@given(_scenes(), _profiles, st.integers(0, 2**63))
+def test_sample_detections_builds_valid_records(scene, profile_at, seed):
+    profile, iou_threshold = profile_at
+    try:
+        dets = sample_detections(scene, profile, iou_threshold, seed)
+    except RbcScanError:
+        return
+    for det in dets:
+        assert type(det) is Detection and det == Detection(*det)
+        assert type(det.bbox) is BBox and det.bbox == BBox(*det.bbox)
+
+
 _cells = st.integers(-2, 20)
 
 
@@ -126,6 +143,85 @@ def test_simulate_guided_multi_matches_legacy_on_valid_episodes(n_cells, data):
     cfg = ScanConfig(n_cells, 2.0, 0.2)
     summary = simulate_guided_multi(cfg, candidates, true_cells, rng_seed=0, trials=1)
     assert summary.mean_time_s == legacy.guided_multi_trial(cfg, candidates, true_cells).elapsed_s
+
+
+# How a caller may pass true cells: a set, a list or a one-shot generator.
+_containers = st.sampled_from([set, list, lambda cells: (c for c in cells)])
+
+
+@given(
+    st.integers(1, 16),
+    st.data(),
+    _containers,
+    st.sampled_from([0.0, 0.2]),
+    st.sampled_from([0.5, 2.0, 0.1]),
+)
+def test_simulate_guided_multi_one_candidate_matches_legacy(
+    n_cells, data, container, t_detect, t_scan
+):
+    # Mostly cells in the grid, else just outside it, NaN or a float.
+    odd = st.sampled_from([-1, n_cells, math.nan, 2.0, 2.5])
+    cell = st.one_of(st.integers(0, n_cells - 1), odd)
+    candidate = data.draw(cell)
+    true_cells = data.draw(st.one_of(st.lists(cell, min_size=1, max_size=3), st.just([])))
+    cfg = ScanConfig(n_cells, t_scan, t_detect)
+    new = _outcome(simulate_guided_multi, cfg, [candidate], container(true_cells), 0, 1)
+    old = _outcome(legacy.guided_multi_trial, cfg, [candidate], container(true_cells))
+    if isinstance(old, tuple):
+        event("raises")
+        assert new == old
+    else:
+        event("hit" if candidate in true_cells else "miss")
+        assert new == (1, old.elapsed_s, 0.0, None)
+        assert repr(new.mean_time_s) == repr(old.elapsed_s)
+
+
+@pytest.mark.parametrize("container", [set, list, iter])
+@pytest.mark.parametrize("candidate", [3, 5])
+def test_simulate_guided_multi_one_candidate_rejects_nan_true_cell(container, candidate):
+    # min() and max() over {3, nan} can both return 3; only a test of each
+    # cell sees the NaN.
+    cfg = ScanConfig(64, 2.0, 0.2)
+    expected = (UsageError, "true cell nan outside grid of 64 cells")
+    new = _outcome(simulate_guided_multi, cfg, [candidate], container([3, math.nan]), 0, 1)
+    assert new == _outcome(legacy.guided_multi_trial, cfg, [candidate], container([3, math.nan]))
+    assert new == expected
+
+
+@st.composite
+def _single_detections(draw):
+    """One detection whose center lies on an image edge, inside, outside or at NaN."""
+    grid = draw(_grids())
+
+    def coord(extent):
+        edges = [0, -0.0, extent, math.nextafter(extent, 0), -1, extent + 1, math.inf, math.nan]
+        return draw(st.one_of(st.sampled_from(edges), st.floats(-extent, 2 * extent)))
+
+    cx, cy = coord(grid.image_width), coord(grid.image_height)
+    w = draw(st.one_of(st.just(0), st.integers(0, 300), st.floats(0, 300)))
+    h = draw(st.one_of(st.just(0), st.integers(0, 300), st.floats(0, 300)))
+    return grid, Detection(image_id="img", bbox=BBox(cx - w / 2, cy - h / 2, w, h), score=0.9)
+
+
+@given(_single_detections())
+def test_detections_to_candidates_one_detection_matches_legacy(grid_det):
+    grid, det = grid_det
+    new = _outcome(detections_to_candidates, [det], grid)
+    # The same detection twice takes the general path and collapses to one cell.
+    assert new == _outcome(detections_to_candidates, [det, det], grid)
+    b = det.bbox
+    x, y = b.x + b.w / 2, b.y + b.h / 2
+    if math.isnan(x) or math.isnan(y):
+        event("nan")
+        assert new[0] is _outcome(legacy.detections_to_candidates, [det], grid)[0]
+        return
+    # The legacy code rejects a center off the image; the package maps it to
+    # the nearest cell, which legacy finds for the center clamped into the image.
+    xc = min(max(x, 0.0), math.nextafter(grid.image_width, 0))
+    yc = min(max(y, 0.0), math.nextafter(grid.image_height, 0))
+    event("inside" if (x, y) == (xc, yc) else "outside")
+    clamped = Detection(det.image_id, BBox(xc, yc, 0, 0), det.score)
+    assert new == _outcome(legacy.detections_to_candidates, [clamped], grid)
 
 
 @st.composite
