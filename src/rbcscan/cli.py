@@ -24,7 +24,7 @@ from typing import Callable, TypeVar
 
 from . import formats, geometry, metrics, scanning
 from .errors import RbcScanError, UsageError
-from .formats import MAX_TRIALS, read_text
+from .formats import read_text
 
 T = TypeVar("T")
 
@@ -127,8 +127,6 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     scenario = formats.parse_scenario(read_text(args.scenario))
     formats.resolve_profile(scenario.profile, Path(args.scenario).parent)
     trials = args.trials if args.trials is not None else scenario.trials
-    if trials > MAX_TRIALS:  # parse_scenario already holds the scenario's count to it
-        raise UsageError(f"--trials must be <= {MAX_TRIALS} per strategy, got {trials}")
     seed = args.seed if args.seed is not None else scenario.seed
     rows = []
     for name, summary in (
@@ -151,8 +149,6 @@ def cmd_simulate(args: argparse.Namespace) -> str:
 
 
 def cmd_geometry(args: argparse.Namespace) -> str:
-    if args.focal_px is not None and args.calibrate is not None:
-        raise UsageError("--focal-px and --calibrate are mutually exclusive")
     if args.calibrate is not None:
         obj_cm, dist_cm, obs_px = args.calibrate
         focal = geometry.calibrate_focal(obj_cm, dist_cm, obs_px)
@@ -251,9 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("geometry", help="projected receiver sizes and detectability")
-    p.add_argument("--focal-px", type=float, help="focal length in px at the reference resolution")
-    p.add_argument("--calibrate", type=float, nargs=3, metavar=("OBJ_CM", "DIST_CM", "OBS_PX"),
-                   help="derive the focal length from one observation")
+    focal = p.add_mutually_exclusive_group()
+    focal.add_argument("--focal-px", type=float,
+                       help="focal length in px at the reference resolution")
+    focal.add_argument("--calibrate", type=float, nargs=3, metavar=("OBJ_CM", "DIST_CM", "OBS_PX"),
+                       help="derive the focal length from one observation")
     p.add_argument("--ref-width", type=int, default=1280)
     p.add_argument("--ref-height", type=int, default=720)
     p.add_argument("--receiver-width-cm", type=float, default=14.0)

@@ -166,6 +166,8 @@ def sample_detections(
     time. A wrong receiver whose center lies off the image (a zero-width
     box on the right edge) raises `cell_of_point`'s DomainError.
     """
+    if rng_seed < 0:
+        raise UsageError(f"seed must be >= 0, got {rng_seed}")
     p = ap_at(profile, iou_threshold)
     grid = scene.grid
     n_cells = grid.n_cells
@@ -218,15 +220,17 @@ def sample_detections(
     ]
 
 
-def _center_cell(grid: CellGrid, b: BBox) -> int:
+def _center_cell(grid: CellGrid, box: BBox) -> int:
     """The cell holding a box's center, or the nearest cell to a center off the image.
 
+    The box is read by unpacking, so a plain (x, y, w, h) tuple works too.
     The far edges are clamped to the largest coordinates inside the image,
     which cell_of_point excludes from it. A NaN coordinate passes min() and
     max() unchanged, so cell_of_point rejects it.
     """
-    x = b.x + b.w / 2
-    y = b.y + b.h / 2
+    left, top, w, h = box
+    x = left + w / 2
+    y = top + h / 2
     width, height = grid.image_width, grid.image_height
     if 0 <= x < width and 0 <= y < height:
         # cell_of_point's arithmetic, inline because it runs per detection.

@@ -22,14 +22,9 @@ from .detector import DetectorProfile, builtin_profile, builtin_profile_names
 from .errors import DomainError, InvariantError, SchemaError
 from .geometry import CameraModel, CellGrid
 from .metrics import BBox, Columns, Detection, GroundTruthObject, ImageId
-from .scanning import ScanConfig
+from .scanning import MAX_TRIALS, ScanConfig
 
 _SPLIT_KEYS = ("train", "dev", "test")
-
-#: Most Monte Carlo trials per strategy a scenario (or ``simulate --trials``)
-#: may ask for: both strategies then run in about half a minute on two
-#: cores, where an unbounded count could run for hours with no output.
-MAX_TRIALS = 10**9
 
 
 @dataclass(frozen=True)

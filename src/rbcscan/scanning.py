@@ -20,6 +20,7 @@ times alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -28,6 +29,9 @@ import numpy as np
 from .errors import DomainError, UsageError
 
 _BATCH_TRIALS = 1 << 16
+#: Most Monte Carlo trials per strategy a run may take: both strategies then
+#: run in about half a minute on two cores, not for hours with no output.
+MAX_TRIALS = 10**9
 #: Cell positions are drawn as int64.
 _MAX_CELLS = 1 << 63
 
@@ -48,6 +52,10 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.n_cells < 1:
             raise DomainError(f"n_cells must be >= 1, got {self.n_cells}")
+        try:
+            operator.index(self.n_cells)  # numpy integers pass, 2.5 and 2.0 do not
+        except TypeError:
+            raise DomainError(f"n_cells must be an integer, got {self.n_cells}") from None
         if not (math.isfinite(self.t_scan_s) and self.t_scan_s > 0):
             raise DomainError(f"t_scan_s must be finite and > 0, got {self.t_scan_s}")
         if not (math.isfinite(self.t_detect_s) and self.t_detect_s >= 0):
@@ -66,14 +74,7 @@ class ScanConfig:
             )
 
 
-class _SummaryFields(NamedTuple):
-    trials: int
-    mean_time_s: float
-    stderr_s: float
-    analytic_time_s: float | None
-
-
-class SimulationSummary(_SummaryFields):
+class SimulationSummary(NamedTuple):
     """Aggregate of repeated trials, paired with the analytic expectation.
 
     ``mean_time_s`` is the mean of the full times, detection included;
@@ -83,21 +84,10 @@ class SimulationSummary(_SummaryFields):
     scans).
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls, trials: int, mean_time_s: float, stderr_s: float, analytic_time_s: float | None
-    ) -> SimulationSummary:
-        if trials < 1:
-            raise DomainError(f"trials must be >= 1, got {trials}")
-        if stderr_s < 0:
-            raise DomainError(f"stderr_s must be >= 0, got {stderr_s}")
-        return tuple.__new__(cls, (trials, mean_time_s, stderr_s, analytic_time_s))
-
-    @classmethod
-    def _make(cls, iterable) -> SimulationSummary:
-        # namedtuple's _make, which _replace calls, skips __new__.
-        return cls(*super()._make(iterable))
+    trials: int
+    mean_time_s: float
+    stderr_s: float
+    analytic_time_s: float | None
 
 
 def t1_analytic(cfg: ScanConfig) -> float:
@@ -147,6 +137,8 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 def _check_run(cfg: ScanConfig, rng_seed: int, trials: int) -> None:
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise UsageError(f"trials must be <= {MAX_TRIALS} per strategy, got {trials}")
     if rng_seed < 0:
         raise UsageError(f"seed must be >= 0, got {rng_seed}")
     if cfg.n_cells >= _MAX_CELLS:
@@ -309,8 +301,8 @@ def simulate_guided_multi(
             # the candidates below it, after all the candidates.
             t = min(tset)
             rank = len(candidate_cells) + t + 1 - len([c for c in candidate_cells if c < t])
-    # trials >= 1 and stderr_s == 0 pass SimulationSummary's checks, so the
-    # record is built without them.
+    # tuple.__new__, not the constructor: this runs once per pipeline
+    # episode, and the generated constructor costs about twice as much.
     return tuple.__new__(
         SimulationSummary, (trials, cfg.t_detect_s + rank * cfg.t_scan_s, 0.0, None)
     )

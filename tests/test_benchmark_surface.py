@@ -61,6 +61,19 @@ def test_pipeline_operation_runs_and_passes_its_check(tmp_path, monkeypatch):
     assert operations.check_pipeline((chunk, mean, dets)) is None
 
 
+def test_simulate_operation_runs_and_passes_its_check(tmp_path, monkeypatch):
+    """The benchmark's simulate operation on its generated scenario, which
+    carries a camera and scan.n_cells, checked as the benchmark checks it;
+    the eval input is shrunk to one image, which simulate does not read."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    inputs = importlib.import_module("inputs")
+    ops = importlib.import_module("ops")
+    shape = inputs.EvalShape(1, (1, 1), ("smartphone",), 1, 0)
+    manifest = inputs.generate("eval-sparse", 0, tmp_path, eval_shape=shape)
+    operations = ops.Operations(manifest, tmp_path)
+    operations.check_simulate(operations.simulate())
+
+
 @pytest.mark.parametrize("workload", ["eval-crowded", "eval-sparse"])
 def test_eval_operation_reproduces_its_reference(workload, tmp_path, monkeypatch):
     """The benchmark's eval operation on its seed-0 input passes its check

@@ -13,10 +13,11 @@ import pytest
 
 import rbcscan
 from rbcscan import scanning
-from rbcscan.cli import MAX_AP_ROWS, MAX_TRIALS, _ap_grid, build_parser, main
+from rbcscan.cli import MAX_AP_ROWS, _ap_grid, build_parser, main
 from rbcscan.detector import builtin_profile
 from rbcscan.errors import UsageError
 from rbcscan.formats import emit_profile, emit_scenario, parse_annotations, parse_scenario
+from rbcscan.scanning import MAX_TRIALS
 
 SCENARIO = {
     "camera": {"focal_px": 1062.857142857143, "ref_width": 1280, "ref_height": 720},
@@ -185,8 +186,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "option, scenario_trials, code, message",
         [
-            (MAX_TRIALS + 1, 10, 3, f"--trials must be <= {MAX_TRIALS} per strategy, got {MAX_TRIALS + 1}"),
-            (10**12, 10, 3, f"--trials must be <= {MAX_TRIALS} per strategy, got {10**12}"),
+            (MAX_TRIALS + 1, 10, 3, f"trials must be <= {MAX_TRIALS} per strategy, got {MAX_TRIALS + 1}"),
+            (10**12, 10, 3, f"trials must be <= {MAX_TRIALS} per strategy, got {10**12}"),
             (None, MAX_TRIALS + 1, 2, f"$.trials: must be <= {MAX_TRIALS}, got {MAX_TRIALS + 1}"),
             (10, MAX_TRIALS + 1, 2, f"$.trials: must be <= {MAX_TRIALS}, got {MAX_TRIALS + 1}"),
         ],
@@ -200,8 +201,7 @@ class TestSimulateCommand:
         def must_not_run(*args):  # an unbounded run would take hours, not fail
             raise AssertionError("simulated past the trial bound")
 
-        monkeypatch.setattr(scanning, "simulate_traditional", must_not_run)
-        monkeypatch.setattr(scanning, "simulate_guided", must_not_run)
+        monkeypatch.setattr(scanning, "_batch_rng", must_not_run)
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(dict(SCENARIO, trials=scenario_trials)), encoding="utf-8")
         argv = ["simulate", "--scenario", str(scenario)]
@@ -339,6 +339,15 @@ class TestGeometryCommand:
             capsys, ["geometry", "--focal-px", "1000", "--calibrate", "14", "120", "124"]
         )
         assert rc == 3
+
+    def test_focal_and_calibrate_conflict_names_both_flags(self, capsys):
+        rc, captured = _run(
+            capsys, ["geometry", "--focal-px", "1000", "--calibrate", "14", "120", "124"]
+        )
+        assert (rc, captured.out) == (3, "")
+        assert captured.err == (
+            "error: argument --calibrate: not allowed with argument --focal-px\n"
+        )
 
     def test_custom_resolution_list(self, capsys):
         rc, captured = _run(capsys, ["geometry", "--resolutions", "1280x720"])

@@ -302,6 +302,12 @@ class TestSampleDetections:
             assert type(det.bbox) is BBox and det.bbox[2:] == (50.0, 20.0)
             assert _detected_cell(det, GRID) != cell_of_point(GRID, 125.0, 110.0)
 
+    def test_negative_seed_rejected_before_drawing(self):
+        scene = self._scene([1])
+        with pytest.raises(UsageError) as e:
+            sample_detections(scene, builtin_profile(), 0.5, rng_seed=-1)
+        assert str(e.value) == "seed must be >= 0, got -1"
+
     def test_wrong_receiver_centered_off_image_is_rejected(self):
         # A zero-width box on the right edge has its center on the excluded edge.
         grid = CellGrid(1, 2, 200, 100)
@@ -322,6 +328,16 @@ class TestDetectionsToCandidates:
 
     def test_single_detection(self):
         assert detections_to_candidates([self._det(12, 0.9)], GRID) == [12]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampled_plain_tuple_box_maps_on_both_paths(self, seed):
+        # Seeds 0-3 draw a correct detection, which keeps the receiver's tuple box.
+        box = (100.0, 100.0, 50.0, 20.0)
+        scene = SyntheticScene(grid=GRID, receivers=((GroundTruthObject(0, box), 120.0),))
+        (det,) = sample_detections(scene, builtin_profile(), 0.5, rng_seed=seed)
+        assert det.bbox is box
+        assert detections_to_candidates([det], GRID) == [8]
+        assert detections_to_candidates([det, det], GRID) == [8]
 
     def test_ordered_by_descending_score(self):
         dets = [self._det(3, 0.9), self._det(7, 0.95)]
