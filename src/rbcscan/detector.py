@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, integer
 from .geometry import CellGrid, cell_of_point
 from .metrics import BBox, Detection, GroundTruthObject, _box_array
 
@@ -166,6 +166,7 @@ def sample_detections(
     time. A wrong receiver whose center lies off the image (a zero-width
     box on the right edge) raises `cell_of_point`'s DomainError.
     """
+    rng_seed = integer(rng_seed, "seed", UsageError)
     if rng_seed < 0:
         raise UsageError(f"seed must be >= 0, got {rng_seed}")
     p = ap_at(profile, iou_threshold)

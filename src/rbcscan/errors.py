@@ -6,6 +6,8 @@ exit 1, domain/invariant violations exit 2, usage errors exit 3.
 ``cli.main`` exits 1 for an OSError as well.
 """
 
+import operator
+
 
 class RbcScanError(Exception):
     """Base class for all errors raised by this package."""
@@ -31,3 +33,12 @@ class UsageError(RbcScanError, ValueError):
     """The caller invoked an operation in an unsupported way."""
 
     exit_code = 3
+
+
+def integer(value: object, name: str, error: type[RbcScanError]) -> int:
+    """``value`` as an int through ``operator.index``, so that numpy integers
+    pass and 2.5, 2.0 or "2" do not; ``error`` naming ``name`` otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None

@@ -6,6 +6,12 @@ protection), type mismatches raise SchemaError, and well-formed files
 that break a documented invariant raise InvariantError; both carry the
 offending field path. Emission is canonical, so parse(emit(parse(text)))
 equals parse(text) for every valid file.
+
+Annotation and detection files are decoded with orjson, which is 2-3x
+faster than json on them. json stays the reference: a file is decoded
+again with json, and checked again, wherever the orjson pass raises, so
+every error message is json's and every accepted value is the one json
+reads.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .detector import DetectorProfile, builtin_profile, builtin_profile_names
-from .errors import DomainError, InvariantError, SchemaError
+from .errors import DomainError, InvariantError, RbcScanError, SchemaError
 from .geometry import CameraModel, CellGrid
 from .metrics import BBox, Columns, Detection, GroundTruthObject, ImageId
 from .scanning import MAX_TRIALS, ScanConfig
@@ -222,11 +228,19 @@ _object_fields = itemgetter(*_OBJECT_FIELDS)
 _detection_fields = itemgetter(*_DETECTION_FIELDS)
 #: A number within +-_FLOAT_MAX is finite and converts to a float.
 _FLOAT_MAX = sys.float_info.max
+#: The box bound on an orjson document. orjson reads an integer literal
+#: outside [-2**63, 2**64) as the nearest float, whose magnitude is then at
+#: least 2**63, so a box number within this bound is the number written.
+_ORJSON_BOX_MAX = math.nextafter(2.0**63, 0.0)
 
 
-def _record_bbox(value: Any, records: str, i: int) -> list:
-    """Record i's checked bbox list: direct tests, or _bbox and the field path
-    if one fails."""
+def _record_bbox(value: Any, records: str, i: int, bound: float) -> list:
+    """Record i's checked bbox list: direct tests with each number within
+    +-bound, or _bbox and the field path if one fails.
+
+    On an orjson document (bound _ORJSON_BOX_MAX) a box that fails is not
+    looked at further: SchemaError sends the file to json, which checks it.
+    """
     if type(value) is list and len(value) == 4:
         x, y, w, h = value
         if (
@@ -234,17 +248,71 @@ def _record_bbox(value: Any, records: str, i: int) -> list:
             and (type(y) is float or type(y) is int)
             and (type(w) is float or type(w) is int)
             and (type(h) is float or type(h) is int)
-            and -_FLOAT_MAX <= x <= _FLOAT_MAX
-            and -_FLOAT_MAX <= y <= _FLOAT_MAX
-            and 0 <= w <= _FLOAT_MAX
-            and 0 <= h <= _FLOAT_MAX
+            and -bound <= x <= bound
+            and -bound <= y <= bound
+            and 0 <= w <= bound
+            and 0 <= h <= bound
         ):
             return value
-    return _bbox(value, f"{records}[{i}].bbox")
+    path = f"{records}[{i}].bbox"
+    if bound < _FLOAT_MAX:
+        raise SchemaError(f"{path}: to be checked on json's reading")
+    return _bbox(value, path)
+
+
+#: Every byte but the two bracket pairs, the quote and the backslash.
+_NOT_NESTING = bytes(b for b in range(256) if b not in b'[]{}"\\')
+#: Passes of _orjson_loads' depth test.
+_NESTING_PASSES = 4
+
+
+def _orjson_loads(text: str) -> Any:
+    """``text`` decoded by orjson, or SchemaError where json must decode it.
+
+    orjson 3.8.3 has no depth limit: it converts nested arrays and objects
+    recursively in C, and 80,000 nested objects (a 400 kB file) overflow an
+    8 MB stack and kill the process, where json raises RecursionError. So
+    orjson decodes only a text first shown shallow, in C: of its UTF-8
+    bytes only brackets, quotes and backslashes are kept, and each pass
+    deletes the adjacent pairs "", [] and {}. A valid file is empty after
+    two passes. A backslash is never deleted, so in a text left empty the
+    quotes alternate between opening and closing a string and no bracket
+    inside a string pairs with one outside. Each pass takes off at most
+    three levels, so such a text nests at most 3 * _NESTING_PASSES deep.
+    """
+    import orjson  # here, not at the top: `import rbcscan` does not pay for it
+
+    skeleton = text.encode("utf-8", "surrogatepass").translate(None, _NOT_NESTING)
+    for _ in range(_NESTING_PASSES):
+        skeleton = skeleton.replace(b'""', b"").replace(b"[]", b"").replace(b"{}", b"")
+    if skeleton:
+        raise SchemaError("not valid JSON: nested too deeply for orjson; json decodes it")
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        raise SchemaError("not valid JSON for orjson; json decodes it") from None
+
+
+def _parse_records(records: Callable[[Any, float], Any], text: str) -> Any:
+    """``records`` of orjson's document, or of json's where that pass raises.
+
+    json is the reference: its document is checked in full, so the value or
+    the error is exactly what json alone gives. ``records`` takes the root
+    value and the bound for box numbers.
+    """
+    try:
+        return records(_orjson_loads(text), _ORJSON_BOX_MAX)
+    except RbcScanError:
+        pass
+    return records(_decode(text), _FLOAT_MAX)
 
 
 def parse_annotations(text: str) -> AnnotationFile:
-    root = _obj(_decode(text), "$", ("images", "objects"), ("split",))
+    return _parse_records(_annotations, text)
+
+
+def _annotations(doc: Any, bound: float) -> AnnotationFile:
+    root = _obj(doc, "$", ("images", "objects"), ("split",))
 
     images: list[ImageInfo] = []
     by_id: dict[ImageId, ImageInfo] = {}
@@ -275,7 +343,7 @@ def parse_annotations(text: str) -> AnnotationFile:
         info = by_id.get(image_id)
         if info is None:
             raise InvariantError(f"$.objects[{i}].image_id: no such image {image_id!r}")
-        x, y, w, h = _record_bbox(box, "$.objects", i)
+        x, y, w, h = _record_bbox(box, "$.objects", i, bound)
         if x < 0 or y < 0 or x + w > info.width or y + h > info.height:
             raise InvariantError(
                 f"$.objects[{i}].bbox: box exceeds the {info.width}x{info.height} image bounds"
@@ -312,7 +380,11 @@ def emit_annotations(af: AnnotationFile) -> str:
 
 
 def parse_detections(text: str) -> DetectionFile:
-    root = _obj(_decode(text), "$", ("detections",))
+    return _parse_records(_detections, text)
+
+
+def _detections(doc: Any, bound: float) -> DetectionFile:
+    root = _obj(doc, "$", ("detections",))
     dets: list[tuple] = []
     for i, item in enumerate(_array(root["detections"], "$.detections")):
         if type(item) is not dict or item.keys() != _DETECTION_KEYS:
@@ -324,7 +396,7 @@ def parse_detections(text: str) -> DetectionFile:
                 raise InvariantError(f"{path}: must be within [0, 1], got {score}")
         if type(image_id) is not str and type(image_id) is not int:
             _image_id(image_id, f"$.detections[{i}].image_id")
-        _record_bbox(box, "$.detections", i)
+        _record_bbox(box, "$.detections", i, bound)
         if type(label) is not str:
             _str(label, f"$.detections[{i}].class_label")
         dets.append(fields)

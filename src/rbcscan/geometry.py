@@ -15,10 +15,9 @@ prediction.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 
 @dataclass(frozen=True)
@@ -63,6 +62,8 @@ class CellGrid:
     image_height: int
 
     def __post_init__(self) -> None:
+        for name in ("rows", "cols", "image_width", "image_height"):
+            integer(getattr(self, name), name, DomainError)
         if self.rows < 1 or self.cols < 1:
             raise DomainError(f"grid must have rows, cols >= 1, got {self.rows}x{self.cols}")
         if self.image_width < 1 or self.image_height < 1:
@@ -190,13 +191,12 @@ def cell_center(grid: CellGrid, cell: int) -> tuple[float, float]:
     ``cell`` is an integer (numpy integers included); a float is rejected
     even when it is integral.
     """
+    if type(cell) is not int:
+        cell = integer(cell, "cell index", DomainError)
     rows, cols = grid.rows, grid.cols
     if not 0 <= cell < rows * cols:
         raise DomainError(f"cell index {cell} outside grid of {rows * cols} cells")
-    try:
-        row, col = divmod(operator.index(cell), cols)
-    except TypeError:
-        raise DomainError(f"cell index must be an integer, got {cell}") from None
+    row, col = divmod(cell, cols)
     return (
         (col + 0.5) * grid.image_width / cols,
         (row + 0.5) * grid.image_height / rows,

@@ -20,13 +20,12 @@ times alone.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, integer
 
 _BATCH_TRIALS = 1 << 16
 #: Most Monte Carlo trials per strategy a run may take: both strategies then
@@ -50,12 +49,9 @@ class ScanConfig:
     ap: float = 0.0
 
     def __post_init__(self) -> None:
+        integer(self.n_cells, "n_cells", DomainError)
         if self.n_cells < 1:
             raise DomainError(f"n_cells must be >= 1, got {self.n_cells}")
-        try:
-            operator.index(self.n_cells)  # numpy integers pass, 2.5 and 2.0 do not
-        except TypeError:
-            raise DomainError(f"n_cells must be an integer, got {self.n_cells}") from None
         if not (math.isfinite(self.t_scan_s) and self.t_scan_s > 0):
             raise DomainError(f"t_scan_s must be finite and > 0, got {self.t_scan_s}")
         if not (math.isfinite(self.t_detect_s) and self.t_detect_s >= 0):
@@ -134,15 +130,19 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     )
 
 
-def _check_run(cfg: ScanConfig, rng_seed: int, trials: int) -> None:
+def _check_run(cfg: ScanConfig, rng_seed: int, trials: int) -> tuple[int, int]:
+    """The seed and trial count as ints, once both pass the run's checks."""
+    trials = integer(trials, "trials", UsageError)
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:
         raise UsageError(f"trials must be <= {MAX_TRIALS} per strategy, got {trials}")
+    rng_seed = integer(rng_seed, "seed", UsageError)
     if rng_seed < 0:
         raise UsageError(f"seed must be >= 0, got {rng_seed}")
     if cfg.n_cells >= _MAX_CELLS:
         raise UsageError(f"simulation needs n_cells < 2**63, got {cfg.n_cells}")
+    return rng_seed, trials
 
 
 def _batch_sizes(trials: int) -> Iterable[int]:
@@ -225,7 +225,7 @@ def simulate_traditional(cfg: ScanConfig, rng_seed: int, trials: int) -> Simulat
     the scan stops on reaching it, costing position * T_s. Deterministic
     for a fixed seed.
     """
-    _check_run(cfg, rng_seed, trials)
+    rng_seed, trials = _check_run(cfg, rng_seed, trials)
     return _simulate(cfg, rng_seed, trials, _traditional_scans, 0.0, t1_analytic(cfg))
 
 
@@ -238,7 +238,7 @@ def simulate_guided(cfg: ScanConfig, rng_seed: int, trials: int) -> SimulationSu
     {1..N-1}. Each batch draws the correctness uniforms first, then the
     miss offsets (the latter are discarded for correct trials).
     """
-    _check_run(cfg, rng_seed, trials)
+    rng_seed, trials = _check_run(cfg, rng_seed, trials)
     if cfg.n_cells < 2:
         raise UsageError(f"guided scanning requires n_cells >= 2, got {cfg.n_cells}")
     return _simulate(cfg, rng_seed, trials, _guided_scans, cfg.t_detect_s, t2_analytic(cfg))
@@ -266,6 +266,8 @@ def simulate_guided_multi(
     a loop-free path: rank 1 on a hit, else 2 + t - (c < t) for the lowest
     true cell t. Longer lists take the general path.
     """
+    if type(trials) is not int:
+        trials = integer(trials, "trials", UsageError)
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     n = cfg.n_cells

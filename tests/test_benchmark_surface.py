@@ -7,14 +7,18 @@ and calls the per-episode functions by name. A refactor that renames or
 breaks one of them would otherwise pass tier-1 and show up only as a
 missing layer, or a failed operation, in a benchmark run. Likewise a
 scoring change that drifts from the recorded seed-0 eval CSVs in
-``benchmarks/reference`` fails here, not only in a benchmark run. The
+``benchmarks/reference`` fails here, not only in a benchmark run. One run
+of the harness itself, on a tiny eval input, shows that a benchmark run
+completes and reports the metrics ``BENCHMARK.json`` declares. The
 benchmark files are imported, never changed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -85,3 +89,20 @@ def test_eval_operation_reproduces_its_reference(workload, tmp_path, monkeypatch
     operations = ops.Operations(inputs.generate(workload, 0, tmp_path), tmp_path, reference)
     operations.check_eval(operations.eval())
     assert operations.eval_csv.read_bytes() == reference.read_bytes()
+
+
+def test_harness_runs_a_workload_and_reports_its_declared_metrics(tmp_path, monkeypatch):
+    """``benchmarks/run.py`` end to end, untraced, as the benchmark's own tiny
+    run does it: set-up, warm-up and one round on a 5-image eval input."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    inputs = importlib.import_module("inputs")
+    run = importlib.import_module("run")
+    shape = dataclasses.replace(inputs.WORKLOADS["eval-crowded"], images=5)
+    record = run.run_workload(
+        "eval-crowded", 3, 0.0, False, out_dir=tmp_path, eval_shape=shape, setup_samples=1
+    )
+    result = record["result"]
+    assert record["errors"] == [] and result["failed"] == 0 and result["correct"]
+    declared = json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in declared["end_to_end"])
+    assert all(m["value"] > 0 for m in result["metrics"].values())

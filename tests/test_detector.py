@@ -2,6 +2,7 @@ import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from rbcscan.detector import (
@@ -307,6 +308,17 @@ class TestSampleDetections:
         with pytest.raises(UsageError) as e:
             sample_detections(scene, builtin_profile(), 0.5, rng_seed=-1)
         assert str(e.value) == "seed must be >= 0, got -1"
+
+    @pytest.mark.parametrize("seed", [2.5, 3.0, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(UsageError) as e:
+            sample_detections(self._scene([1]), builtin_profile(), 0.5, rng_seed=seed)
+        assert str(e.value) == f"seed must be an integer, got {seed!r}"
+
+    def test_numpy_integer_seed_accepted(self):
+        scene = self._scene([1, 5, 9])
+        expected = sample_detections(scene, builtin_profile(), 0.5, rng_seed=3)
+        assert sample_detections(scene, builtin_profile(), 0.5, rng_seed=np.int64(3)) == expected
 
     def test_wrong_receiver_centered_off_image_is_rejected(self):
         # A zero-width box on the right edge has its center on the excluded edge.

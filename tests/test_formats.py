@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rbcscan
+from rbcscan import formats
 from rbcscan.detector import builtin_profile
 from rbcscan.errors import InvariantError, SchemaError
 from rbcscan.formats import (
@@ -355,3 +361,56 @@ class TestEmitters:
             seed=3,
         )
         assert parse_scenario(emit_scenario(sc)) == sc
+
+
+class TestDecoding:
+    DATA = Path(__file__).resolve().parents[1] / "data"
+
+    def test_valid_files_are_decoded_by_orjson_alone(self, monkeypatch):
+        def json_decode(text):
+            raise AssertionError("decoded with json")
+
+        expected = parse_annotations(ANNOTATIONS_TEXT), parse_detections(DETECTIONS_TEXT)
+        monkeypatch.setattr(formats, "_decode", json_decode)
+        assert (parse_annotations(ANNOTATIONS_TEXT), parse_detections(DETECTIONS_TEXT)) == expected
+        for path in sorted(self.DATA.glob("*.json")):
+            parse = parse_annotations if "detection" not in path.name else parse_detections
+            parse(path.read_text(encoding="utf-8"))
+
+    def test_faults_get_json_messages(self):
+        with pytest.raises(SchemaError) as e:
+            parse_detections('{"detections": [1,]}')
+        assert str(e.value) == "not valid JSON: Expecting value (line 1, column 19)"
+        with pytest.raises(SchemaError) as e:
+            parse_detections('{"detections": NaN}')
+        assert str(e.value) == "not valid JSON: NaN is not a number"
+
+    def test_deep_nesting_is_a_schema_error_not_a_crash(self):
+        """orjson 3.8.3 converts nesting recursively in C with no limit: 200,000
+        nested objects overflow its stack and kill the process. Run in a
+        child process, so that a crash fails this test alone. The child also
+        shows that ``import rbcscan`` and the CLI module do not load orjson."""
+        code = (
+            "import sys\n"
+            "import rbcscan\n"
+            "assert 'rbcscan.formats' not in sys.modules\n"
+            "import rbcscan.cli\n"
+            "assert 'orjson' not in sys.modules\n"
+            "from rbcscan.errors import SchemaError\n"
+            "from rbcscan.formats import parse_annotations, parse_detections\n"
+            "n = 200_000\n"
+            "masked = '[\"]\",' * n + '0' + ',\"[\"]' * n\n"
+            "for inner in ('{\"a\":' * n + '0' + '}' * n, '[' * n + ']' * n, masked):\n"
+            "    for parse in (parse_annotations, parse_detections):\n"
+            "        try:\n"
+            "            parse('{\"detections\": ' + inner + '}')\n"
+            "        except SchemaError as e:\n"
+            "            print(e)\n"
+        )
+        src = str(Path(rbcscan.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "not valid JSON: arrays or objects nested too deeply\n" * 6

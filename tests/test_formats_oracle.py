@@ -23,6 +23,15 @@ NaN or infinity, a profile row of the wrong length, an ``n_cells`` that
 does not match the grid, a trial count out of range or a negative seed.
 Here every outcome must match exactly, emitted bytes included.
 
+Annotation and detection files are decoded with orjson first and with
+json where that pass fails, so single faults also cover what the two
+decoders read differently, in every field: integers too wide for 64 bits,
+escaped lone surrogates, ``1e400``, raw control characters, duplicate keys
+and nesting around the depth limits. Where the oracle's json raises
+``RecursionError`` the parser raises ``SchemaError``. One property runs
+with ``orjson.loads`` forced to raise, so the json path is covered on
+valid files too.
+
 The round-trip properties ``parse(emit(parse(x))) == parse(x)`` cover all
 four file formats, and the bundled scenario file is its own emission.
 """
@@ -32,7 +41,9 @@ import math
 import sys
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +67,11 @@ from rbcscan.formats import (
 BEYOND_FLOAT_MAX = 2**1024 - 2**971 + 1
 #: Too large for a float: ``math.isfinite`` raises ``OverflowError``.
 HUGE = 10**400
+#: Integers at and past the 64-bit edges, which orjson reads as floats.
+WIDE = [2**63, 2**64 - 1, 2**64, -(2**63) - 1, 10**30]
+#: Nesting depths around the depth limit of orjson's pass, json's recursion
+#: limit and the 1024 levels some orjson releases allow.
+DEPTHS = [4, 5, 12, 13, 14, 500, 1023, 1024, 1025, 2000]
 
 _ids = st.one_of(st.integers(-3, 30), st.text("ab1", max_size=2))
 _labels = st.sampled_from(["phone", "tablet", ""])
@@ -131,12 +147,42 @@ FAULTS = {
     "size": ("images",),
     "score": ("detections",),
 }
+#: Faults at which orjson and json read the text differently, used one at a
+#: time.
+DECODER_FAULTS = {
+    fault: _ALL
+    for fault in ("wide", "surrogate", "1e400", "control", "duplicate key", "nesting")
+}
 
 
 def _cases(*lists):
     return [(None, lists[0])] + [
-        (fault, name) for fault, names in FAULTS.items() for name in names if name in lists
+        (fault, name)
+        for fault, names in (FAULTS | DECODER_FAULTS).items()
+        for name in names
+        if name in lists
     ]
+
+
+class _Raw:
+    """JSON text that ``_dumps`` writes into a document as it is."""
+
+    def __init__(self, text):
+        self.text = text
+
+
+def _dumps(doc):
+    """``json.dumps(doc)``, with every ``_Raw`` value written as its text."""
+    raws = []
+
+    def placeholder(raw):
+        raws.append(raw.text)
+        return f"\0{len(raws) - 1}"
+
+    text = json.dumps(doc, default=placeholder)
+    for i, raw in enumerate(raws):
+        text = text.replace(json.dumps(f"\0{i}"), raw, 1)
+    return text
 
 
 def _pairs(*lists):
@@ -221,28 +267,78 @@ def _apply(draw, doc, name, i, fault):
         record[draw(st.sampled_from(["width", "height"]))] = draw(st.sampled_from([0, -1]))
     elif fault == "score":
         record["score"] = draw(st.sampled_from([1.5, -0.25, 1.0000000000000002, -1e-300, 2]))
+    else:
+        _apply_decoder_fault(draw, doc, record, numbers, name, i, fault)
+
+
+def _apply_decoder_fault(draw, doc, record, numbers, name, i, fault):
+    """One of ``DECODER_FAULTS`` in record i, or in the split counts."""
+    if type(record.get("image_id")) is int:
+        numbers = numbers + [(record, "image_id")]
+    if name == "images" and "split" in doc:
+        numbers = numbers + [(doc["split"], key) for key in doc["split"]]
+    strings = [(record, key) for key in ("image_id", "class_label") if key in record]
+    if fault == "wide":
+        if numbers:
+            container, key = draw(st.sampled_from(numbers))
+            container[key] = draw(st.sampled_from(WIDE))
+    elif fault == "surrogate":
+        container, key = draw(st.sampled_from(strings))
+        container[key] = draw(st.sampled_from(["\ud800", "a\udfff", "\udc00\ud800"]))
+    elif fault == "1e400":
+        if numbers:
+            container, key = draw(st.sampled_from(numbers))
+            container[key] = _Raw(draw(st.sampled_from(["1e400", "-1e400", "1E+400", "2e308"])))
+    elif fault == "control":
+        container, key = draw(st.sampled_from(strings))
+        container[key] = _Raw(draw(st.sampled_from(['"\x01"', '"a\tb"', '"\x1f"', '"\n"'])))
+    elif fault == "duplicate key":
+        key = draw(st.sampled_from(sorted(record)))
+        again = (key, draw(st.sampled_from([record[key], None, -1, "x"])))
+        items = list(record.items())
+        items = items + [again] if draw(st.booleans()) else [again] + items
+        fields = ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in items)
+        doc[name][i] = _Raw("{" + fields + "}")
+    elif fault == "nesting":
+        depth = draw(st.sampled_from(DEPTHS))
+        nested = "[" * depth + "]" * depth
+        if draw(st.booleans()):
+            nested = '{"a": ' * depth + "0" + "}" * depth
+        if draw(st.booleans()):
+            doc[name][i] = _Raw(nested)
+        else:
+            record[draw(st.sampled_from(sorted(record)))] = _Raw(nested)
 
 
 def _outcome(parse, text):
     try:
         return parse(text)
-    except (RbcScanError, OverflowError) as e:
+    except (RbcScanError, OverflowError, RecursionError) as e:
         return type(e), str(e)
 
 
+#: What the parsers raise where the oracle raises one of these.
+_MAPPED = {
+    OverflowError: "too large for a float",
+    RecursionError: "not valid JSON: arrays or objects nested too deeply",
+}
+
+
 def _assert_agrees(parse, oracle, emit, doc):
-    """``parse`` and ``oracle`` agree on ``doc``; a parsed file also survives
-    ``emit``, which writes it from its columns, unchanged."""
-    text = json.dumps(doc)
+    """``parse`` and ``oracle`` agree on ``doc``, emitted bytes included; a
+    parsed file also survives ``emit``, which writes it from its columns,
+    unchanged."""
+    text = _dumps(doc)
     got, want = _outcome(parse, text), _outcome(oracle, text)
-    if isinstance(want, tuple) and want[0] is OverflowError:
+    if isinstance(want, tuple) and want[0] in _MAPPED:
         assert isinstance(got, tuple) and got[0] is SchemaError, got
-        assert "too large for a float" in got[1]
+        assert _MAPPED[want[0]] in got[1]
         return
     assert got == want
     # == holds between 1 and 1.0; repr tells them apart.
     assert repr(got) == repr(want)
     if not isinstance(got, tuple):
+        assert emit(got) == emit(want)
         again = parse(emit(got))
         assert again == got
         assert repr(again) == repr(got)
@@ -262,6 +358,64 @@ def test_parse_annotations_matches_legacy(fault, name, data):
 def test_parse_detections_matches_legacy(fault, name, data):
     doc = data.draw(_with_faults(_detection_docs(), (fault,) if fault else (), name))
     _assert_agrees(parse_detections, legacy.parse_detections, emit_detections, doc)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_json_path_alone_matches_legacy(data):
+    """The single-fault properties of both record parsers with orjson's
+    decoding forced to fail, so that every file, valid ones included, is
+    read by json."""
+    fault, name = data.draw(st.sampled_from(_cases("images", "objects") + _cases("detections")))
+    if name == "detections":
+        doc = data.draw(_with_faults(_detection_docs(), (fault,) if fault else (), name))
+        parse, oracle, emit = parse_detections, legacy.parse_detections, emit_detections
+    else:
+        doc = data.draw(_with_faults(_annotation_docs(), (fault,) if fault else (), name))
+        parse, oracle, emit = parse_annotations, legacy.parse_annotations, emit_annotations
+    failure = orjson.JSONDecodeError("forced", "", 0)
+    with mock.patch.object(orjson, "loads", side_effect=failure) as loads:
+        _assert_agrees(parse, oracle, emit, doc)
+    if fault is None:
+        assert loads.called
+
+
+_WIDE_ANNOTATIONS = {
+    "images": [{"image_id": 0, "width": 2**64 - 1, "height": 100}],
+    "objects": [{"image_id": 0, "class_label": "a", "bbox": [0, 0, 1, 1]}],
+    "split": {"train": 1, "dev": 2, "test": 3},
+}
+_WIDE_DETECTIONS = {
+    "detections": [{"image_id": 0, "class_label": "a", "bbox": [0, 0, 1, 1], "score": 0.5}]
+}
+
+
+@pytest.mark.parametrize("value", WIDE)
+def test_wide_integers_in_every_numeric_field_match_legacy(value):
+    """Each wide integer in each numeric field of a valid file, one at a time."""
+    cases = [
+        (_WIDE_ANNOTATIONS, path, parse_annotations, legacy.parse_annotations, emit_annotations)
+        for path in _paths(_WIDE_ANNOTATIONS)
+    ] + [
+        (_WIDE_DETECTIONS, path, parse_detections, legacy.parse_detections, emit_detections)
+        for path in _paths(_WIDE_DETECTIONS)
+    ]
+    for base, path, parse, oracle, emit in cases:
+        doc = json.loads(json.dumps(base))
+        container, key = _slot(doc, path)
+        if type(container[key]) is int:
+            container[key] = value
+            _assert_agrees(parse, oracle, emit, doc)
+
+
+def test_wide_box_integer_keeps_its_value():
+    """orjson reads 10**30 as the float 1e30; the box keeps json's int."""
+    record = {"image_id": 0, "class_label": "a", "bbox": [10**30, 0, 1, 1], "score": 0.5}
+    parsed = parse_detections(json.dumps({"detections": [record]}))
+    (box,) = parsed.columns.boxes
+    assert box == [10**30, 0, 1, 1] and type(box[0]) is int
+    (emitted,) = json.loads(emit_detections(parsed))["detections"]
+    assert emitted["bbox"] == [10**30, 0, 1, 1] and type(emitted["bbox"][0]) is int
 
 
 def _pair_id(case):

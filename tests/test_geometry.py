@@ -196,8 +196,28 @@ class TestCellGrid:
         with pytest.raises(DomainError, match=f"cell index must be an integer, got {cell}"):
             cell_center(self.grid, cell)
 
+    @pytest.mark.parametrize("cell", ["3", None, 64.5])
+    def test_cell_center_checks_the_type_first(self, cell):
+        with pytest.raises(DomainError) as e:
+            cell_center(self.grid, cell)
+        assert str(e.value) == f"cell index must be an integer, got {cell!r}"
+
     def test_cell_center_takes_numpy_integers(self):
         assert cell_center(self.grid, np.int64(3)) == cell_center(self.grid, 3) == (560.0, 45.0)
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("value", ["8", 8.5, 8.0, None])
+    def test_grid_sizes_must_be_integers(self, field, value):
+        args = [8, 8, 1280, 720]
+        args[field] = value
+        name = ("rows", "cols", "image_width", "image_height")[field]
+        with pytest.raises(DomainError) as e:
+            CellGrid(*args)
+        assert str(e.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_grid_takes_numpy_integers(self):
+        grid = CellGrid(np.int64(8), np.int32(8), np.int64(1280), 720)
+        assert grid.n_cells == 64 and cell_center(grid, 3) == (560.0, 45.0)
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(DomainError):

@@ -129,6 +129,13 @@ class TestScanConfigValidation:
         with pytest.raises(DomainError, match=f"n_cells must be an integer, got {n_cells}"):
             ScanConfig(n_cells, 1.0)
 
+    @pytest.mark.parametrize("n_cells", ["4", None, [4]])
+    def test_rejects_cell_count_of_another_type(self, n_cells):
+        # The type is checked before n_cells is compared with 1.
+        with pytest.raises(DomainError) as e:
+            ScanConfig(n_cells, 1.0)
+        assert str(e.value) == f"n_cells must be an integer, got {n_cells!r}"
+
     def test_accepts_numpy_integer_cell_count(self):
         summary = simulate_traditional(ScanConfig(np.int64(4), 1.0), rng_seed=0, trials=10)
         assert summary.analytic_time_s == 2.5
@@ -242,6 +249,28 @@ class TestSimulationLimits:
         assert time.perf_counter() - start < 1.0
         assert str(e.value) == f"trials must be <= {MAX_TRIALS} per strategy, got {trials}"
 
+    @pytest.mark.parametrize(
+        "seed, trials, message",
+        [
+            (2.5, 10, "seed must be an integer, got 2.5"),
+            ("1", 10, "seed must be an integer, got '1'"),
+            (1, 2.5, "trials must be an integer, got 2.5"),
+            (1, 10.0, "trials must be an integer, got 10.0"),
+            # The trial count is read before the seed, as it is checked first.
+            (-1, 2.5, "trials must be an integer, got 2.5"),
+            (2.5, 0, "trials must be >= 1, got 0"),
+        ],
+    )
+    def test_non_integer_run_arguments_rejected(self, simulate, seed, trials, message):
+        with pytest.raises(UsageError) as e:
+            simulate(REFERENCE_CFG, rng_seed=seed, trials=trials)
+        assert str(e.value) == message
+
+    def test_numpy_integer_run_arguments_accepted(self, simulate):
+        summary = simulate(REFERENCE_CFG, rng_seed=np.uint32(7), trials=np.int64(1000))
+        assert summary == simulate(REFERENCE_CFG, rng_seed=7, trials=1000)
+        assert type(summary.trials) is int
+
     def test_trial_bound_is_inclusive(self, simulate, monkeypatch):
         self._forbid_draws(monkeypatch)
         with pytest.raises(AssertionError, match="drew a batch"):
@@ -278,6 +307,16 @@ def _scans(cfg, candidates, true_cells):
 class TestGuidedMulti:
     def test_candidate_is_true_cell(self):
         assert _scans(REFERENCE_CFG, [12], {12}) == 1
+
+    @pytest.mark.parametrize("trials", [2.5, "1", None])
+    def test_non_integer_trial_count_rejected(self, trials):
+        with pytest.raises(UsageError) as e:
+            simulate_guided_multi(REFERENCE_CFG, [1], {2}, rng_seed=0, trials=trials)
+        assert str(e.value) == f"trials must be an integer, got {trials!r}"
+
+    def test_numpy_integer_trial_count_accepted(self):
+        summary = simulate_guided_multi(REFERENCE_CFG, [1], {2}, rng_seed=0, trials=np.int64(3))
+        assert summary == simulate_guided_multi(REFERENCE_CFG, [1], {2}, rng_seed=0, trials=3)
 
     def test_second_candidate_hits(self):
         assert _scans(REFERENCE_CFG, [5, 9], {9}) == 2
