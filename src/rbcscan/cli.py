@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import formats, geometry, metrics, scanning
-from .errors import RbcScanError, UsageError
+from .errors import RbcScanError, UsageError, number
 from .formats import read_text
 
 T = TypeVar("T")
@@ -96,8 +96,7 @@ def _ap_grid(start: float, stop: float, step: float) -> list[float]:
         raise UsageError(f"--ap-stop ({stop}) must be >= --ap-start ({start})")
     if start == stop:
         return [round(start, 10)]
-    if not step > 0:
-        raise UsageError(f"--ap-step must be > 0, got {step}")
+    number(step, "--ap-step", UsageError, "> 0")
     # The sweep has floor(span) + 1 rows; span may be inf for a tiny step.
     span = (stop - start) / step + 1e-9
     if span >= MAX_AP_ROWS:

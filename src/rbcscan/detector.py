@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError, integer
+from .errors import DomainError, UsageError, number
 from .geometry import CellGrid, cell_of_point
 from .metrics import BBox, Detection, GroundTruthObject, _box_array
 
@@ -49,27 +49,23 @@ class DetectorProfile:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if not self.per_image_latency_s >= 0:
-            raise DomainError(f"per_image_latency_s must be >= 0, got {self.per_image_latency_s}")
+        number(self.per_image_latency_s, "per_image_latency_s", DomainError, "finite and >= 0")
         if not self.ap_vs_iou:
             raise DomainError("ap_vs_iou must have at least one knot")
-        # The first knot is compared with -inf, so a NaN there fails too.
         prev_t, prev_ap = -math.inf, math.inf
-        for t, ap in self.ap_vs_iou:
-            if not 0.0 <= ap <= 1.0:
-                raise DomainError(f"ap value {ap} outside [0, 1] in ap_vs_iou")
+        for i, (t, ap) in enumerate(self.ap_vs_iou):
+            number(t, f"ap_vs_iou[{i}] threshold", DomainError, "finite")
+            number(ap, f"ap_vs_iou[{i}] ap", DomainError, "within [0, 1]")
             if not t > prev_t:
                 raise DomainError(f"ap_vs_iou thresholds must be strictly increasing at {t}")
             if ap > prev_ap:
                 raise DomainError(f"ap_vs_iou must be non-increasing, rises to {ap} at {t}")
             prev_t, prev_ap = t, ap
-        for dist, tag, ap in self.ap_vs_distance:
-            if not dist > 0:
-                raise DomainError(f"distance {dist} in ap_vs_distance must be > 0")
+        for i, (dist, tag, ap) in enumerate(self.ap_vs_distance):
+            number(dist, f"ap_vs_distance[{i}] distance", DomainError, "finite and > 0")
             if not tag:
                 raise DomainError("image_size_tag in ap_vs_distance must be non-empty")
-            if not 0.0 <= ap <= 1.0:
-                raise DomainError(f"ap value {ap} outside [0, 1] in ap_vs_distance")
+            number(ap, f"ap_vs_distance[{i}] ap", DomainError, "within [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -103,6 +99,7 @@ class SyntheticScene:
 
 def ap_at(profile: DetectorProfile, iou_threshold: float) -> float:
     """AP at an IoU threshold, piecewise-linear between the profile's knots."""
+    number(iou_threshold, "iou_threshold", DomainError)
     knots = profile.ap_vs_iou
     lo, hi = knots[0][0], knots[-1][0]
     if not lo <= iou_threshold <= hi:
@@ -166,9 +163,7 @@ def sample_detections(
     time. A wrong receiver whose center lies off the image (a zero-width
     box on the right edge) raises `cell_of_point`'s DomainError.
     """
-    rng_seed = integer(rng_seed, "seed", UsageError)
-    if rng_seed < 0:
-        raise UsageError(f"seed must be >= 0, got {rng_seed}")
+    rng_seed = number(rng_seed, "seed", UsageError, ">= 0", integral=True)
     p = ap_at(profile, iou_threshold)
     grid = scene.grid
     n_cells = grid.n_cells

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .detector import DetectorProfile, builtin_profile, builtin_profile_names
-from .errors import DomainError, InvariantError, RbcScanError, SchemaError
+from .errors import DomainError, InvariantError, RbcScanError, SchemaError, number
 from .geometry import CameraModel, CellGrid
 from .metrics import BBox, Columns, Detection, GroundTruthObject, ImageId
 from .scanning import MAX_TRIALS, ScanConfig
@@ -392,8 +392,7 @@ def _detections(doc: Any, bound: float) -> DetectionFile:
         fields = image_id, label, box, score = _detection_fields(item)
         if not ((type(score) is float or type(score) is int) and 0.0 <= score <= 1.0):
             path = f"$.detections[{i}].score"
-            if not 0.0 <= _num(score, path) <= 1.0:
-                raise InvariantError(f"{path}: must be within [0, 1], got {score}")
+            number(_num(score, path), f"{path}:", InvariantError, "within [0, 1]")
         if type(image_id) is not str and type(image_id) is not int:
             _image_id(image_id, f"$.detections[{i}].image_id")
         _record_bbox(box, "$.detections", i, bound)
@@ -503,14 +502,10 @@ def parse_scenario(text: str) -> ScenarioFile:
             f"{grid.rows}x{grid.cols} grid ({grid.n_cells} cells)"
         )
 
-    trials = _int(root["trials"], "$.trials")
-    if trials < 1:
-        raise InvariantError(f"$.trials: must be >= 1, got {trials}")
+    trials = number(_int(root["trials"], "$.trials"), "$.trials:", InvariantError, ">= 1")
     if trials > MAX_TRIALS:
         raise InvariantError(f"$.trials: must be <= {MAX_TRIALS}, got {trials}")
-    seed = _int(root["seed"], "$.seed")
-    if seed < 0:
-        raise InvariantError(f"$.seed: must be >= 0, got {seed}")
+    seed = number(_int(root["seed"], "$.seed"), "$.seed:", InvariantError, ">= 0")
 
     return ScenarioFile(camera, grid, scan, _str(root["profile"], "$.profile"), trials, seed)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, integer
+from .errors import DomainError, number
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,10 @@ class CameraModel:
     ref_height: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.focal_px) and self.focal_px > 0):
-            raise DomainError(f"focal_px must be finite and > 0, got {self.focal_px}")
-        if self.ref_width <= 0 or self.ref_height <= 0:
-            raise DomainError(
-                f"reference resolution must be positive, got {self.ref_width}x{self.ref_height}"
-            )
+        number(self.focal_px, "focal_px", DomainError, "finite and > 0")
+        for name in ("ref_width", "ref_height"):  # stored as ints, as CellGrid's sizes
+            value = number(getattr(self, name), name, DomainError, "> 0", integral=True)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -45,11 +43,8 @@ class ReceiverSpec:
     height_cm: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) and v > 0 for v in (self.width_cm, self.height_cm)):
-            raise DomainError(
-                "receiver dimensions must be finite and > 0, got "
-                f"{self.width_cm}x{self.height_cm} cm"
-            )
+        number(self.width_cm, "width_cm", DomainError, "finite and > 0")
+        number(self.height_cm, "height_cm", DomainError, "finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -62,14 +57,10 @@ class CellGrid:
     image_height: int
 
     def __post_init__(self) -> None:
+        # Stored as ints: numpy integer arithmetic would wrap past 2**63.
         for name in ("rows", "cols", "image_width", "image_height"):
-            integer(getattr(self, name), name, DomainError)
-        if self.rows < 1 or self.cols < 1:
-            raise DomainError(f"grid must have rows, cols >= 1, got {self.rows}x{self.cols}")
-        if self.image_width < 1 or self.image_height < 1:
-            raise DomainError(
-                f"image dimensions must be >= 1, got {self.image_width}x{self.image_height}"
-            )
+            value = number(getattr(self, name), name, DomainError, ">= 1", integral=True)
+            object.__setattr__(self, name, value)
 
     @property
     def n_cells(self) -> int:
@@ -84,8 +75,8 @@ class PixelSize:
     h_px: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) and v >= 0 for v in (self.w_px, self.h_px)):
-            raise DomainError(f"pixel size must be finite and >= 0, got ({self.w_px}, {self.h_px})")
+        number(self.w_px, "w_px", DomainError, "finite and >= 0")
+        number(self.h_px, "h_px", DomainError, "finite and >= 0")
 
 
 #: Below this on-image size (long side x short side) the detector is treated
@@ -99,11 +90,9 @@ def calibrate_focal(object_cm: float, distance_cm: float, observed_px: float) ->
 
     Inverts the pinhole relation: focal_px = observed_px * distance_cm / object_cm.
     """
-    if not all(math.isfinite(v) and v > 0 for v in (object_cm, distance_cm, observed_px)):
-        raise DomainError(
-            "calibrate_focal requires finite positive inputs, got "
-            f"({object_cm}, {distance_cm}, {observed_px})"
-        )
+    number(object_cm, "object_cm", DomainError, "finite and > 0")
+    number(distance_cm, "distance_cm", DomainError, "finite and > 0")
+    number(observed_px, "observed_px", DomainError, "finite and > 0")
     return observed_px * distance_cm / object_cm
 
 
@@ -114,17 +103,6 @@ def reference_camera() -> CameraModel:
     1280x720 frame.
     """
     return CameraModel(calibrate_focal(14.0, 120.0, 124.0), 1280, 720)
-
-
-def _check_aspect(cam: CameraModel, out_width: int, out_height: int) -> None:
-    if out_width <= 0 or out_height <= 0:
-        raise DomainError(f"output resolution must be positive, got {out_width}x{out_height}")
-    # Integer cross-multiplication keeps the comparison exact.
-    if out_width * cam.ref_height != out_height * cam.ref_width:
-        raise DomainError(
-            f"output resolution {out_width}x{out_height} does not match the camera's "
-            f"{cam.ref_width}x{cam.ref_height} aspect ratio"
-        )
 
 
 def project_size(
@@ -139,9 +117,14 @@ def project_size(
     Returns continuous pixel values; callers round for display. The output
     resolution must share the camera's reference aspect ratio.
     """
-    if not (math.isfinite(distance_cm) and distance_cm > 0):
-        raise DomainError(f"distance_cm must be finite and > 0, got {distance_cm}")
-    _check_aspect(cam, out_width, out_height)
+    number(distance_cm, "distance_cm", DomainError, "finite and > 0")
+    size = f"output resolution {out_width}x{out_height}"
+    out_width, out_height = number((out_width, out_height), size, DomainError, "> 0", integral=True)
+    # Integer cross-multiplication keeps the comparison exact.
+    if out_width * cam.ref_height != out_height * cam.ref_width:
+        raise DomainError(
+            f"{size} does not match the camera's {cam.ref_width}x{cam.ref_height} aspect ratio"
+        )
     scale = out_width / cam.ref_width
     return PixelSize(
         cam.focal_px * scale * spec.width_cm / distance_cm,
@@ -160,10 +143,8 @@ def is_detectable(
     the shorter against the shorter, so orientation does not matter; the
     comparison is inclusive at the boundary.
     """
-    if not all(math.isfinite(v) and v > 0 for v in (min_w, min_h)):
-        raise DomainError(
-            f"detectability thresholds must be finite and > 0, got ({min_w}, {min_h})"
-        )
+    number(min_w, "min_w", DomainError, "finite and > 0")
+    number(min_h, "min_h", DomainError, "finite and > 0")
     long_side, short_side = max(p.w_px, p.h_px), min(p.w_px, p.h_px)
     long_min, short_min = max(min_w, min_h), min(min_w, min_h)
     return long_side >= long_min and short_side >= short_min
@@ -175,6 +156,8 @@ def cell_of_point(grid: CellGrid, x: float, y: float) -> int:
     Valid for 0 <= x < image_width and 0 <= y < image_height; every
     in-range point maps to exactly one cell.
     """
+    number(x, "point x", DomainError)
+    number(y, "point y", DomainError)
     if not (0 <= x < grid.image_width and 0 <= y < grid.image_height):
         raise DomainError(
             f"point ({x}, {y}) outside image {grid.image_width}x{grid.image_height}"
@@ -186,13 +169,9 @@ def cell_of_point(grid: CellGrid, x: float, y: float) -> int:
 
 
 def cell_center(grid: CellGrid, cell: int) -> tuple[float, float]:
-    """Center point of a cell; always maps back to the same cell index.
-
-    ``cell`` is an integer (numpy integers included); a float is rejected
-    even when it is integral.
-    """
+    """Center point of a cell; always maps back to the same cell index."""
     if type(cell) is not int:
-        cell = integer(cell, "cell index", DomainError)
+        cell = number(cell, "cell index", DomainError, integral=True)
     rows, cols = grid.rows, grid.cols
     if not 0 <= cell < rows * cols:
         raise DomainError(f"cell index {cell} outside grid of {rows * cols} cells")

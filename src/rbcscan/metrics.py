@@ -10,14 +10,13 @@ a pixel cutoff (32 px by default).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterable, NamedTuple, Sequence, Sized
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, number
 
 ImageId = str | int
 
@@ -49,8 +48,10 @@ class BBox(_BBoxFields):
     __slots__ = ()
 
     def __new__(cls, x: float, y: float, w: float, h: float) -> BBox:
-        if not (w >= 0 and h >= 0):
-            raise DomainError(f"box width/height must be >= 0, got ({w}, {h})")
+        if not (float is type(x) is type(y) is type(w) is type(h) and w >= 0 and h >= 0):
+            number(x, "box x", DomainError)
+            number(y, "box y", DomainError)
+            number((w, h), "box width/height", DomainError, ">= 0")
         return tuple.__new__(cls, (x, y, w, h))
 
     @classmethod
@@ -78,8 +79,8 @@ class Detection(_DetectionFields):
     def __new__(
         cls, image_id: ImageId, bbox: BBox, score: float, class_label: str = "smartphone"
     ) -> Detection:
-        if not 0.0 <= score <= 1.0:
-            raise DomainError(f"detection score must be within [0, 1], got {score}")
+        if not (type(score) is float and 0.0 <= score <= 1.0):
+            number(score, "detection score", DomainError, "within [0, 1]")
         return tuple.__new__(cls, (image_id, bbox, score, class_label))
 
     @classmethod
@@ -120,8 +121,12 @@ class Columns:
     def of(cls, records: Sequence[Detection] | Sequence[GroundTruthObject]) -> Columns:
         """The records' fields as columns, in the parsers' shape: tuples, each
         box an ``[x, y, w, h]`` list. ``records`` are all detections or all
-        ground truth."""
+        ground truth, or UsageError names the first record of another kind."""
         scored = bool(records) and isinstance(records[0], Detection)
+        kind = Detection if scored else GroundTruthObject
+        for i, r in enumerate(records):
+            if not isinstance(r, kind):
+                raise UsageError(f"record {i} is a {type(r).__name__}, not a {kind.__name__}")
         return cls(
             tuple(r.image_id for r in records),
             tuple(r.class_label for r in records),
@@ -142,10 +147,9 @@ class EvalResult:
         if not self.ap_per_threshold:
             raise DomainError("ap_per_threshold must be non-empty")
         for t, ap in self.ap_per_threshold.items():
-            if not 0.0 <= ap <= 1.0:
-                raise DomainError(f"AP at threshold {t} outside [0, 1]: {ap}")
-        if not 0.0 <= self.ap_small <= 1.0:
-            raise DomainError(f"ap_small outside [0, 1]: {self.ap_small}")
+            number(ap, f"AP at threshold {t}", DomainError, "within [0, 1]")
+        number(self.ap_small, "ap_small", DomainError, "within [0, 1]")
+        number(self.map_value, "map_value", DomainError, "finite")
         mean = sum(self.ap_per_threshold.values()) / len(self.ap_per_threshold)
         if abs(self.map_value - mean) > 1e-12:
             raise DomainError(
@@ -314,8 +318,7 @@ def match_detections(
     provided that IoU reaches the threshold, otherwise it is a false
     positive. Each ground-truth box matches at most once.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise UsageError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    number(iou_threshold, "iou_threshold", UsageError, "in (0, 1]")
     ids = {d.image_id for d in dets} | {g.image_id for g in gts}
     if len(ids) > 1:
         raise UsageError(f"match_detections expects a single image_id, got {sorted(map(str, ids))}")
@@ -339,18 +342,20 @@ def average_precision(tp_flags: Sequence[bool], total_gt: int) -> float:
     101 recall points 0.00, 0.01, ..., 1.00. When there is no ground truth
     the score is 1.0 for an empty detection list and 0.0 otherwise.
     """
-    if total_gt < 0:
-        raise DomainError(f"total_gt must be >= 0, got {total_gt}")
+    total_gt = number(total_gt, "total_gt", DomainError, "finite and >= 0", integral=True)
     flags = np.asarray(tp_flags, dtype=bool).reshape(-1)
+    tp = np.cumsum(flags)
+    if tp.size and tp[-1] > total_gt:
+        raise DomainError(f"total_gt must be >= the {tp[-1]} true positives, got {total_gt}")
     if total_gt == 0:
         return 1.0 if not flags.size else 0.0
 
-    tp = np.cumsum(flags)
     precision = tp / np.arange(1, flags.size + 1)
     # Monotone envelope: precision at recall r becomes max precision at any
     # recall >= r. Recall points beyond the last flag read the appended 0.
     envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
-    sampled = envelope[np.searchsorted(tp / total_gt, _RECALL_POINTS)]
+    # A float count divides as numpy would an int64 one, and past int64 too.
+    sampled = envelope[np.searchsorted(tp / float(total_gt), _RECALL_POINTS)]
     # cumsum adds left to right, as a running total does.
     return float(np.cumsum(sampled)[-1] / _RECALL_SAMPLES)
 
@@ -376,18 +381,14 @@ def evaluate(
     The columns are checked once: a box that is not four numbers raises
     UsageError; a non-finite box number, a negative width or height, or a
     score outside [0, 1] raises DomainError. Each names the record's index.
-    The element types of hand-built columns are trusted, as the parsers
-    already check them: numpy reads a box ``["0", 0, 10, 10]`` or a score
-    ``"0.5"`` as numbers and scores them.
+    The element types of hand-built columns are trusted (see ``errors``).
     """
     thresholds = tuple(thresholds)
     if not thresholds:
         raise UsageError("thresholds must be non-empty")
     for t in thresholds:
-        if not 0.0 < t <= 1.0:
-            raise UsageError(f"thresholds must be in (0, 1], got {t}")
-    if not (math.isfinite(small_cutoff_px) and small_cutoff_px > 0):
-        raise UsageError(f"small_cutoff_px must be a finite number > 0, got {small_cutoff_px}")
+        number(t, "thresholds", UsageError, "in (0, 1]")
+    number(small_cutoff_px, "small_cutoff_px", UsageError, "finite and > 0")
 
     if not isinstance(dets, Columns):
         dets = Columns.of(dets)
@@ -472,6 +473,7 @@ def flip_augment(gt: GroundTruthObject, image_width: int) -> GroundTruthObject:
     The flip maps x to image_width - x - w and leaves y, w, h and the
     class label unchanged; applying it twice restores the original box.
     """
+    number(image_width, "image_width", DomainError, "finite", integral=True)
     b = gt.bbox
     if b.x < 0 or b.x + b.w > image_width:
         raise DomainError(

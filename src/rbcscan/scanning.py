@@ -25,7 +25,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError, integer
+from .errors import DomainError, UsageError, number
 
 _BATCH_TRIALS = 1 << 16
 #: Most Monte Carlo trials per strategy a run may take: both strategies then
@@ -49,15 +49,12 @@ class ScanConfig:
     ap: float = 0.0
 
     def __post_init__(self) -> None:
-        integer(self.n_cells, "n_cells", DomainError)
-        if self.n_cells < 1:
-            raise DomainError(f"n_cells must be >= 1, got {self.n_cells}")
-        if not (math.isfinite(self.t_scan_s) and self.t_scan_s > 0):
-            raise DomainError(f"t_scan_s must be finite and > 0, got {self.t_scan_s}")
-        if not (math.isfinite(self.t_detect_s) and self.t_detect_s >= 0):
-            raise DomainError(f"t_detect_s must be finite and >= 0, got {self.t_detect_s}")
-        if not 0.0 <= self.ap <= 1.0:
-            raise DomainError(f"ap must be within [0, 1], got {self.ap}")
+        # Stored as an int: numpy integer arithmetic would wrap past 2**63.
+        n_cells = number(self.n_cells, "n_cells", DomainError, ">= 1", integral=True)
+        object.__setattr__(self, "n_cells", n_cells)
+        number(self.t_scan_s, "t_scan_s", DomainError, "finite and > 0")
+        number(self.t_detect_s, "t_detect_s", DomainError, "finite and >= 0")
+        number(self.ap, "ap", DomainError, "within [0, 1]")
         # The longest scan plus detection bounds every time computed from it;
         # from integers it is an exact int, which may not fit a float.
         try:
@@ -132,14 +129,10 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 
 def _check_run(cfg: ScanConfig, rng_seed: int, trials: int) -> tuple[int, int]:
     """The seed and trial count as ints, once both pass the run's checks."""
-    trials = integer(trials, "trials", UsageError)
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
+    trials = number(trials, "trials", UsageError, ">= 1", integral=True)
     if trials > MAX_TRIALS:
         raise UsageError(f"trials must be <= {MAX_TRIALS} per strategy, got {trials}")
-    rng_seed = integer(rng_seed, "seed", UsageError)
-    if rng_seed < 0:
-        raise UsageError(f"seed must be >= 0, got {rng_seed}")
+    rng_seed = number(rng_seed, "seed", UsageError, ">= 0", integral=True)
     if cfg.n_cells >= _MAX_CELLS:
         raise UsageError(f"simulation needs n_cells < 2**63, got {cfg.n_cells}")
     return rng_seed, trials
@@ -258,18 +251,17 @@ def simulate_guided_multi(
     ends at the first cell that holds a receiver, and detection time is
     charged once. With both sets fixed every episode is identical, so the
     mean equals the single-episode time and the spread is zero; no closed
-    form is reported. ``rng_seed`` draws nothing; it stays in the signature
-    because the acceptance pipeline test and the benchmark's pipeline
-    operation pass it on every episode.
+    form is reported. ``rng_seed`` draws nothing but is checked as a seed;
+    it stays in the signature because the acceptance pipeline test and the
+    benchmark's pipeline operation pass it on every episode.
 
     A single candidate, the only shape the detector pipeline produces, takes
     a loop-free path: rank 1 on a hit, else 2 + t - (c < t) for the lowest
     true cell t. Longer lists take the general path.
     """
-    if type(trials) is not int:
-        trials = integer(trials, "trials", UsageError)
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
+    if not (type(trials) is int and trials >= 1 and type(rng_seed) is int and rng_seed >= 0):
+        trials = number(trials, "trials", UsageError, ">= 1", integral=True)
+        number(rng_seed, "seed", UsageError, ">= 0", integral=True)
     n = cfg.n_cells
     if not candidate_cells:
         raise UsageError("candidate_cells must be non-empty")

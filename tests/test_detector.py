@@ -105,6 +105,28 @@ class TestProfileValidation:
                 ap_vs_distance=((0.0, "1280x720", 0.5),),
             )
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(per_image_latency_s=math.inf), "per_image_latency_s must be finite and >= 0"),
+            (
+                dict(ap_vs_distance=((120.0, "1280x720", 0.5), (math.inf, "1280x720", 0.4))),
+                "ap_vs_distance[1] distance must be finite and > 0",
+            ),
+            (
+                dict(ap_vs_iou=((0.5, 0.5), (math.inf, 0.4))),
+                "ap_vs_iou[1] threshold must be finite",
+            ),
+        ],
+        ids=["latency", "distance", "knot"],
+    )
+    def test_rejects_values_no_profile_file_can_carry(self, kwargs, message):
+        # A profile file cannot write infinity, so the constructor refuses it too.
+        fields = dict(name="x", per_image_latency_s=0.1, ap_vs_iou=((0.5, 0.5),))
+        with pytest.raises(DomainError) as e:
+            DetectorProfile(**dict(fields, **kwargs))
+        assert str(e.value) == f"{message}, got inf"
+
 
 class TestBuiltinProfile:
     def test_listed_and_loadable(self):

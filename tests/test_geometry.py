@@ -219,6 +219,14 @@ class TestCellGrid:
         grid = CellGrid(np.int64(8), np.int32(8), np.int64(1280), 720)
         assert grid.n_cells == 64 and cell_center(grid, 3) == (560.0, 45.0)
 
+    def test_numpy_integer_sizes_are_stored_as_ints(self):
+        # numpy int64 arithmetic would wrap 2**32 * 2**32 to 0.
+        grid = CellGrid(np.int64(2**32), np.int64(2**32), np.int64(1280), 720)
+        assert all(type(v) is int for v in (grid.rows, grid.cols, grid.image_width))
+        assert grid.n_cells == 2**64
+        cam = CameraModel(1000.0, np.int64(1280), np.int32(720))
+        assert (type(cam.ref_width), type(cam.ref_height)) == (int, int)
+
     def test_invalid_grid_rejected(self):
         with pytest.raises(DomainError):
             CellGrid(0, 8, 1280, 720)

@@ -219,6 +219,16 @@ class TestAveragePrecision:
         with pytest.raises(DomainError):
             average_precision([True], -1)
 
+    @pytest.mark.parametrize(
+        "flags, total_gt", [([True, True], 1), ([True], 0), ([False, True], 0)]
+    )
+    def test_more_true_positives_than_ground_truth_rejected(self, flags, total_gt):
+        with pytest.raises(DomainError) as e:
+            average_precision(flags, total_gt)
+        assert str(e.value) == (
+            f"total_gt must be >= the {sum(flags)} true positives, got {total_gt}"
+        )
+
     def test_matches_oracle_on_all_small_instances(self):
         # Every TP/FP pattern of length <= 4 against every total_gt <= 3.
         for length in range(5):
@@ -386,6 +396,20 @@ class TestColumns:
         want = evaluate(self.DETS, self.GTS)
         assert evaluate(cols, Columns.of(self.GTS)) == want
         assert evaluate(cols, self.GTS) == evaluate(self.DETS, Columns.of(self.GTS)) == want
+
+    @pytest.mark.parametrize("first", ["det", "gt"])
+    def test_mixed_records_rejected(self, first):
+        det, gt = self.DETS[0], self.GTS[0]
+        records = [det, det, gt] if first == "det" else [gt, gt, det]
+        other = "GroundTruthObject, not a Detection" if first == "det" else (
+            "Detection, not a GroundTruthObject"
+        )
+        with pytest.raises(UsageError) as e:
+            Columns.of(records)
+        assert str(e.value) == f"record 2 is a {other}"
+        with pytest.raises(UsageError) as e:
+            evaluate(records, self.GTS) if first == "det" else evaluate(self.DETS, records)
+        assert str(e.value) == f"record 2 is a {other}"
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(UsageError, match="one entry per record"):

@@ -1,11 +1,23 @@
 import copy
+import math
 import pickle
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import expected_time_guided, expected_time_traditional
+from oracles import (
+    central_moment,
+    expected_time_guided,
+    expected_time_traditional,
+    scan_count_law_guided,
+    scan_count_law_traditional,
+    var_scans_guided,
+    var_scans_traditional,
+)
 from rbcscan import scanning
 from rbcscan.errors import DomainError, UsageError
 from rbcscan.scanning import (
@@ -135,6 +147,12 @@ class TestScanConfigValidation:
         with pytest.raises(DomainError) as e:
             ScanConfig(n_cells, 1.0)
         assert str(e.value) == f"n_cells must be an integer, got {n_cells!r}"
+
+    def test_numpy_integer_cell_count_is_stored_as_an_int(self):
+        # numpy int64 arithmetic would wrap 1 + n_cells to a negative count.
+        cfg = ScanConfig(np.int64(2**63 - 1), 1.0)
+        assert type(cfg.n_cells) is int
+        assert t1_analytic(cfg) == 2.0**62
 
     def test_accepts_numpy_integer_cell_count(self):
         summary = simulate_traditional(ScanConfig(np.int64(4), 1.0), rng_seed=0, trials=10)
@@ -294,6 +312,94 @@ class TestMonteCarloAgreesWithAnalytic:
         summary = simulate_guided(cfg, rng_seed=4321, trials=100_000)
         assert summary.analytic_time_s == t2_analytic(cfg)
         assert abs(summary.mean_time_s - summary.analytic_time_s) <= 4 * summary.stderr_s + 1e-9
+
+
+def _enumerated_scan_law(n_cells, ap=None):
+    """The scan count's law from the scans themselves: every receiver cell and,
+    for the guided scan (``ap`` given), every candidate cell, scanned in
+    order until the receiver's cell comes up."""
+    law = {}
+    for r in range(n_cells):
+        if ap is None:
+            orders = [(range(n_cells), Fraction(1))]
+        else:
+            p, q = Fraction(ap), (1 - Fraction(ap)) / (n_cells - 1)
+            orders = [
+                ([c, *(k for k in range(n_cells) if k != c)], p if c == r else q)
+                for c in range(n_cells)
+            ]
+        for order, prob in orders:
+            k = list(order).index(r) + 1
+            law[k] = law.get(k, 0) + prob / n_cells
+    return law
+
+
+class TestExactSpread:
+    """The exact second moments of the scan counts, and stderr_s against them."""
+
+    TRIALS = 100_000
+    #: Standard deviations of the sample standard deviation allowed.
+    Z = 6
+
+    @pytest.mark.parametrize("n_cells", range(1, 9))
+    def test_traditional_law_matches_enumeration(self, n_cells):
+        law = _enumerated_scan_law(n_cells)
+        assert law == scan_count_law_traditional(n_cells)
+        assert central_moment(law, 2) == var_scans_traditional(n_cells)
+        assert sum(k * p for k, p in law.items()) == expected_time_traditional(n_cells, 1)
+
+    @pytest.mark.parametrize("ap", [0, Fraction(1, 3), 0.7, 1])
+    @pytest.mark.parametrize("n_cells", range(2, 9))
+    def test_guided_law_matches_enumeration(self, n_cells, ap):
+        law = _enumerated_scan_law(n_cells, ap)
+        assert law == scan_count_law_guided(n_cells, ap)
+        assert central_moment(law, 2) == var_scans_guided(n_cells, ap)
+        assert 1 + sum(k * p for k, p in law.items()) == expected_time_guided(n_cells, 1, 1, ap)
+
+    @given(
+        guided=st.booleans(),
+        n_cells=st.integers(2, 64),
+        ap=st.one_of(st.sampled_from([0.0, 0.7, 1.0]), st.floats(0.0, 1.0)),
+        t_scan_s=st.floats(1e-3, 1e3),
+        t_detect_s=st.one_of(st.just(0.0), st.floats(1e9, 1e12)),
+        seed=st.integers(0, 2**63),
+    )
+    def test_stderr_agrees_with_exact_variance(
+        self, guided, n_cells, ap, t_scan_s, t_detect_s, seed
+    ):
+        """A seeded run's stderr_s lies within Z standard deviations of its exact value.
+
+        For n independent scan counts with variance s2 and fourth central
+        moment m4, both exact from the oracle's law, the sample variance v
+        (divisor n - 1) has mean s2 and variance (m4 - s2**2 (n - 3) / (n - 1)) / n.
+        stderr_s is T_s sqrt(v / n) and its exact value T_s sqrt(s2 / n), so
+        their ratio is sqrt(v / s2). To first order it strays from 1 by half
+        as much as v / s2 does, so its standard deviation is
+        d = sqrt((m4 / s2**2 - (n - 3) / (n - 1)) / n) / 2, and the bound is
+        Z * d. At n = 10**5 that is under 1% for the exhaustive scan, whose
+        uniform count has m4 / s2**2 near 1.8, and wider for a guided scan
+        whose AP is near 0 or 1, where the count is heavy-tailed.
+
+        Detection times of 1e9 s and more put T_d far above N * T_s. A
+        variance taken from squared full times then loses the spread to
+        cancellation: the squares are 1e18 and more, and their rounding alone
+        outweighs n * s2 * T_s**2.
+        """
+        n = self.TRIALS
+        cfg = ScanConfig(n_cells, t_scan_s, t_detect_s, ap)
+        if guided:
+            summary = simulate_guided(cfg, seed, n)
+            law, var = scan_count_law_guided(n_cells, ap), var_scans_guided(n_cells, ap)
+        else:
+            summary = simulate_traditional(cfg, seed, n)
+            law, var = scan_count_law_traditional(n_cells), var_scans_traditional(n_cells)
+        if var == 0:  # every trial scans the same number of cells
+            assert summary.stderr_s == 0.0
+            return
+        kurtosis = central_moment(law, 4) / var**2
+        d = math.sqrt((kurtosis - Fraction(n - 3, n - 1)) / n) / 2
+        exact = t_scan_s * math.sqrt(var / n)
+        assert abs(summary.stderr_s / exact - 1) <= self.Z * d
 
 
 def _scans(cfg, candidates, true_cells):
