@@ -22,9 +22,7 @@ from importlib import resources
 from operator import attrgetter, itemgetter
 from typing import Sequence
 
-import numpy as np
-
-from .errors import DomainError, UsageError, number
+from .errors import DomainError, UsageError, number, shown
 from .geometry import CellGrid, cell_of_point
 from .metrics import BBox, Detection, GroundTruthObject, _box_array
 
@@ -39,7 +37,8 @@ class DetectorProfile:
 
     ``ap_vs_iou`` holds (iou_threshold, ap) knots with strictly increasing
     thresholds and non-increasing ap; ``ap_vs_distance`` holds
-    (distance_cm, image_size_tag, ap) triples.
+    (distance_cm, image_size_tag, ap) triples. Each knot and triple is a
+    tuple or list, checked for its length before it is read.
     """
 
     name: str
@@ -50,6 +49,15 @@ class DetectorProfile:
 
     def __post_init__(self) -> None:
         number(self.per_image_latency_s, "per_image_latency_s", DomainError, "finite and >= 0")
+        for field, rows, shape in (
+            ("ap_vs_iou", self.ap_vs_iou, ("iou_threshold", "ap")),
+            ("ap_vs_distance", self.ap_vs_distance, ("distance_cm", "image_size_tag", "ap")),
+        ):
+            if not isinstance(rows, (tuple, list)):
+                raise DomainError(f"{field} must be a tuple of ({', '.join(shape)}) rows")
+            for i, row in enumerate(rows):
+                if not (isinstance(row, (tuple, list)) and len(row) == len(shape)):
+                    raise DomainError(f"{field}[{i}]: expected ({', '.join(shape)})")
         if not self.ap_vs_iou:
             raise DomainError("ap_vs_iou must have at least one knot")
         prev_t, prev_ap = -math.inf, math.inf
@@ -63,8 +71,10 @@ class DetectorProfile:
             prev_t, prev_ap = t, ap
         for i, (dist, tag, ap) in enumerate(self.ap_vs_distance):
             number(dist, f"ap_vs_distance[{i}] distance", DomainError, "finite and > 0")
-            if not tag:
-                raise DomainError("image_size_tag in ap_vs_distance must be non-empty")
+            if not (isinstance(tag, str) and tag):
+                raise DomainError(
+                    f"ap_vs_distance[{i}] image_size_tag must be a non-empty str, got {shown(tag)}"
+                )
             number(ap, f"ap_vs_distance[{i}] ap", DomainError, "within [0, 1]")
 
 
@@ -76,6 +86,8 @@ class SyntheticScene:
     receivers: tuple[tuple[GroundTruthObject, float], ...]
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         # One pass over all receivers, as float64 like sample_detections'
         # arithmetic; NaN fails every comparison. The first bad receiver is
         # reported, its box checked before its distance.
@@ -104,7 +116,7 @@ def ap_at(profile: DetectorProfile, iou_threshold: float) -> float:
     lo, hi = knots[0][0], knots[-1][0]
     if not lo <= iou_threshold <= hi:
         raise DomainError(
-            f"iou_threshold {iou_threshold} outside profile range [{lo}, {hi}]"
+            f"iou_threshold {shown(iou_threshold, str)} outside profile range [{lo}, {hi}]"
         )
     xs = [t for t, _ in knots]
     i = bisect_left(xs, iou_threshold)
@@ -163,6 +175,8 @@ def sample_detections(
     time. A wrong receiver whose center lies off the image (a zero-width
     box on the right edge) raises `cell_of_point`'s DomainError.
     """
+    import numpy as np
+
     rng_seed = number(rng_seed, "seed", UsageError, ">= 0", integral=True)
     p = ap_at(profile, iou_threshold)
     grid = scene.grid

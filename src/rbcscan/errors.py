@@ -7,17 +7,20 @@ exit 1, domain/invariant violations exit 2, usage errors exit 3.
 
 Python API inputs (`number`): a real parameter takes Python or numpy
 integers and floats; an integer parameter takes integers only, read as an
-int through ``operator.index``. ``bool``, ``str``, ``None`` and containers
-are refused everywhere. A refused value, or one past the parameter's bound,
-is a `DomainError` or `UsageError` naming the parameter. The elements of
-hand-built ``Columns``, ``SyntheticScene.receivers`` and
-``simulate_guided_multi``'s cells are trusted.
+int through ``operator.index``. numpy's scalar types are recognised once
+numpy is loaded: no numpy scalar exists before that, so this module does
+not import numpy, and neither does ``import rbcscan``. ``bool``, ``str``,
+``None`` and containers are refused everywhere. A refused value, or one
+past the parameter's bound, is a `DomainError` or `UsageError` naming the
+parameter. The elements of hand-built ``Columns``,
+``SyntheticScene.receivers`` and ``simulate_guided_multi``'s cells are
+trusted. Messages show a caller's value through `shown`, so an integer
+too long for ``str`` still gives a short message, not a bare ValueError.
 """
 
 import operator
 import sys
-
-import numpy as np
+from typing import Callable
 
 
 class RbcScanError(Exception):
@@ -60,8 +63,20 @@ _BOUNDS = {
     "within [0, 1]": lambda v: 0 <= v <= 1,
     "in (0, 1]": lambda v: 0 < v <= 1,
 }
-_INTEGERS = (int, np.integer)
-_REALS = (int, float, np.integer, np.floating)
+
+
+def shown(value, text: Callable[[object], str] = repr) -> str:
+    """``text(value)``, except that an integer past Python's ``str()`` digit
+    limit, alone or in a tuple or list, shows as its size in bits."""
+    try:
+        return text(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        if type(value) not in (tuple, list):
+            raise
+        items = ", ".join(map(shown, value))
+        return f"[{items}]" if type(value) is list else f"({items}{',' * (len(value) == 1)})"
 
 
 def number(value, name: str, error: type[RbcScanError], bound: str = "", integral: bool = False):
@@ -71,11 +86,14 @@ def number(value, name: str, error: type[RbcScanError], bound: str = "", integra
     and named whole.
     """
     values = value if type(value) is tuple else (value,)
-    kinds, kind = (_INTEGERS, "an integer") if integral else (_REALS, "a number")
+    kinds, kind = ((int,), "an integer") if integral else ((int, float), "a number")
+    np = sys.modules.get("numpy")  # no numpy scalar exists before numpy is loaded
+    if np is not None:
+        kinds += (np.integer,) if integral else (np.integer, np.floating)
     if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in values):
-        raise error(f"{name} must be {kind}, got {value!r}")
+        raise error(f"{name} must be {kind}, got {shown(value)}")
     if integral:
         values = tuple(map(operator.index, values))
     if not all(map(_BOUNDS[bound], values)):
-        raise error(f"{name} must be {bound}, got {value!r}")
+        raise error(f"{name} must be {bound}, got {shown(value)}")
     return values if type(value) is tuple else values[0]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, number
+from .errors import DomainError, number, shown
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,13 @@ def project_size(
     resolution must share the camera's reference aspect ratio.
     """
     number(distance_cm, "distance_cm", DomainError, "finite and > 0")
-    size = f"output resolution {out_width}x{out_height}"
+    size = f"output resolution {shown(out_width, str)}x{shown(out_height, str)}"
     out_width, out_height = number((out_width, out_height), size, DomainError, "> 0", integral=True)
     # Integer cross-multiplication keeps the comparison exact.
     if out_width * cam.ref_height != out_height * cam.ref_width:
         raise DomainError(
-            f"{size} does not match the camera's {cam.ref_width}x{cam.ref_height} aspect ratio"
+            f"{size} does not match the camera's "
+            f"{shown(cam.ref_width)}x{shown(cam.ref_height)} aspect ratio"
         )
     scale = out_width / cam.ref_width
     return PixelSize(
@@ -160,7 +161,8 @@ def cell_of_point(grid: CellGrid, x: float, y: float) -> int:
     number(y, "point y", DomainError)
     if not (0 <= x < grid.image_width and 0 <= y < grid.image_height):
         raise DomainError(
-            f"point ({x}, {y}) outside image {grid.image_width}x{grid.image_height}"
+            f"point ({shown(x, str)}, {shown(y, str)}) outside image "
+            f"{grid.image_width}x{grid.image_height}"
         )
     # min() guards the pathological rounding where x*cols/width lands on cols.
     col = min(grid.cols - 1, math.floor(x * grid.cols / grid.image_width))
@@ -174,7 +176,7 @@ def cell_center(grid: CellGrid, cell: int) -> tuple[float, float]:
         cell = number(cell, "cell index", DomainError, integral=True)
     rows, cols = grid.rows, grid.cols
     if not 0 <= cell < rows * cols:
-        raise DomainError(f"cell index {cell} outside grid of {rows * cols} cells")
+        raise DomainError(f"cell index {shown(cell)} outside grid of {rows * cols} cells")
     row, col = divmod(cell, cols)
     return (
         (col + 0.5) * grid.image_width / cols,

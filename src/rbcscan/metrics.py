@@ -12,11 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable, NamedTuple, Sequence, Sized
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Sized
 
-import numpy as np
+from .errors import DomainError, UsageError, number, shown
 
-from .errors import DomainError, UsageError, number
+# For annotations only: the functions that compute with arrays import numpy
+# themselves, so `import rbcscan` does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 ImageId = str | int
 
@@ -27,7 +30,6 @@ STANDARD_IOU_THRESHOLDS: tuple[float, ...] = tuple((50 + 5 * i) / 100 for i in r
 SMALL_OBJECT_CUTOFF_PX = 32.0
 
 _RECALL_SAMPLES = 101
-_RECALL_POINTS = np.arange(_RECALL_SAMPLES) / (_RECALL_SAMPLES - 1)
 
 
 class _BBoxFields(NamedTuple):
@@ -194,6 +196,8 @@ def iou(a: BBox, b: BBox) -> float:
 
 def _box_array(boxes: Iterable[Sequence[float]], n: int) -> np.ndarray:
     """``n`` boxes of four numbers ``(x, y, w, h)`` each as an (n, 4) float array."""
+    import numpy as np
+
     return np.fromiter(chain.from_iterable(boxes), np.float64, 4 * n).reshape(n, 4)
 
 
@@ -203,6 +207,8 @@ def _pair_ious(boxes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Corners and areas are taken once per row of ``boxes`` and gathered per
     pair; the float operations are those of ``iou``, in the same order.
     """
+    import numpy as np
+
     x, y, w, h = boxes.T
     x2, y2 = x + w, y + h
     area = (x2 - x) * (y2 - y)
@@ -224,6 +230,8 @@ def _components(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
     joins two nodes of one tree, each component is one tree, labelled by
     its root.
     """
+    import numpy as np
+
     label = np.arange(size)
     while True:
         lu, lv = label[u], label[v]
@@ -255,6 +263,8 @@ def _greedy_assign(
     Round k therefore matches the k-th detection of every component at once,
     for all thresholds through a (T, G) taken mask.
     """
+    import numpy as np
+
     n = len(scores)
     det_group, gt_group = group[:n], group[n:]
     assigned = np.full((len(thresholds), n), -1, dtype=np.int64)
@@ -318,6 +328,8 @@ def match_detections(
     provided that IoU reaches the threshold, otherwise it is a false
     positive. Each ground-truth box matches at most once.
     """
+    import numpy as np
+
     number(iou_threshold, "iou_threshold", UsageError, "in (0, 1]")
     ids = {d.image_id for d in dets} | {g.image_id for g in gts}
     if len(ids) > 1:
@@ -342,6 +354,8 @@ def average_precision(tp_flags: Sequence[bool], total_gt: int) -> float:
     101 recall points 0.00, 0.01, ..., 1.00. When there is no ground truth
     the score is 1.0 for an empty detection list and 0.0 otherwise.
     """
+    import numpy as np
+
     total_gt = number(total_gt, "total_gt", DomainError, "finite and >= 0", integral=True)
     flags = np.asarray(tp_flags, dtype=bool).reshape(-1)
     tp = np.cumsum(flags)
@@ -355,7 +369,8 @@ def average_precision(tp_flags: Sequence[bool], total_gt: int) -> float:
     # recall >= r. Recall points beyond the last flag read the appended 0.
     envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
     # A float count divides as numpy would an int64 one, and past int64 too.
-    sampled = envelope[np.searchsorted(tp / float(total_gt), _RECALL_POINTS)]
+    recall_points = np.arange(_RECALL_SAMPLES) / (_RECALL_SAMPLES - 1)
+    sampled = envelope[np.searchsorted(tp / float(total_gt), recall_points)]
     # cumsum adds left to right, as a running total does.
     return float(np.cumsum(sampled)[-1] / _RECALL_SAMPLES)
 
@@ -383,6 +398,8 @@ def evaluate(
     score outside [0, 1] raises DomainError. Each names the record's index.
     The element types of hand-built columns are trusted (see ``errors``).
     """
+    import numpy as np
+
     thresholds = tuple(thresholds)
     if not thresholds:
         raise UsageError("thresholds must be non-empty")
@@ -477,7 +494,8 @@ def flip_augment(gt: GroundTruthObject, image_width: int) -> GroundTruthObject:
     b = gt.bbox
     if b.x < 0 or b.x + b.w > image_width:
         raise DomainError(
-            f"box spans [{b.x}, {b.x + b.w}], outside image width {image_width}"
+            f"box spans [{shown(b.x, str)}, {shown(b.x + b.w, str)}], "
+            f"outside image width {image_width}"
         )
     flipped = BBox(image_width - b.x - b.w, b.y, b.w, b.h)
     return GroundTruthObject(image_id=gt.image_id, bbox=flipped, class_label=gt.class_label)

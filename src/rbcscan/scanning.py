@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-import numpy as np
+from .errors import DomainError, UsageError, number, shown
 
-from .errors import DomainError, UsageError, number
+# For annotations only: the functions that compute with arrays import numpy
+# themselves, so `import rbcscan` does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 _BATCH_TRIALS = 1 << 16
 #: Most Monte Carlo trials per strategy a run may take: both strategies then
@@ -122,6 +125,8 @@ def breakeven_ap(cfg: ScanConfig) -> tuple[float, bool]:
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
     )
@@ -131,7 +136,7 @@ def _check_run(cfg: ScanConfig, rng_seed: int, trials: int) -> tuple[int, int]:
     """The seed and trial count as ints, once both pass the run's checks."""
     trials = number(trials, "trials", UsageError, ">= 1", integral=True)
     if trials > MAX_TRIALS:
-        raise UsageError(f"trials must be <= {MAX_TRIALS} per strategy, got {trials}")
+        raise UsageError(f"trials must be <= {MAX_TRIALS} per strategy, got {shown(trials)}")
     rng_seed = number(rng_seed, "seed", UsageError, ">= 0", integral=True)
     if cfg.n_cells >= _MAX_CELLS:
         raise UsageError(f"simulation needs n_cells < 2**63, got {cfg.n_cells}")
@@ -175,6 +180,8 @@ def _simulate(
     constant t_detect_s does not change it, and at T_d >> N * T_s its
     square would swamp the variance in a running sum of squared times.
     """
+    import numpy as np
+
     t_scan = cfg.t_scan_s
     total = 0.0
     count_sum = 0.0
@@ -266,10 +273,10 @@ def simulate_guided_multi(
     if not candidate_cells:
         raise UsageError("candidate_cells must be non-empty")
     if len(candidate_cells) > 1 and len(set(candidate_cells)) != len(candidate_cells):
-        raise UsageError(f"candidate_cells must be distinct, got {list(candidate_cells)}")
+        raise UsageError(f"candidate_cells must be distinct, got {shown(list(candidate_cells))}")
     for c in candidate_cells:
         if not 0 <= c < n:
-            raise UsageError(f"candidate cell {c} outside grid of {n} cells")
+            raise UsageError(f"candidate cell {shown(c, str)} outside grid of {n} cells")
     tset = set(true_cells)
     if not tset:
         raise UsageError("true_cells must be non-empty")
@@ -277,7 +284,7 @@ def simulate_guided_multi(
     # a test of each cell rejects a NaN among valid ones.
     for t in tset:
         if not 0 <= t < n:
-            raise UsageError(f"true cell {t} outside grid of {n} cells")
+            raise UsageError(f"true cell {shown(t, str)} outside grid of {n} cells")
     if len(candidate_cells) == 1:
         # c is the one candidate, bound by the check above. A miss ranks as
         # in the general formula below, its float operations in that order.

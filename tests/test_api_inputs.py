@@ -10,7 +10,8 @@ no numeric parameter to check.
 The property replaces one parameter at a time with a hostile value. A
 string, None, a bool or a container is refused everywhere, and so is a
 float or NaN for an integer; a numpy scalar of the valid value is accepted
-and gives the same result. Whatever else happens, only an RbcScanError
+and gives the same result. An integer too long for ``str`` is shown in
+a message by its size. Whatever else happens, only an RbcScanError
 that names the parameter may escape, never a bare TypeError.
 """
 
@@ -21,6 +22,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -55,6 +57,8 @@ from rbcscan import (
     simulate_guided_multi,
     simulate_traditional,
 )
+from rbcscan.errors import shown
+from rbcscan.scanning import MAX_TRIALS
 
 
 class Numeric(NamedTuple):
@@ -168,7 +172,7 @@ API: dict[str, Numeric | str] = {
 #: The hostile values: a few stand for one built from the valid value.
 HOSTILE = (
     "str", "None", "bool", "container",
-    2.5, 2.0, math.nan, math.inf, -math.inf, 10**400,
+    2.5, 2.0, math.nan, math.inf, -math.inf, 10**400, 10**5000,
     "numpy", "numpy nan",
 )  # fmt: skip
 REFUSED_EVERYWHERE = ("str", "None", "bool", "container")
@@ -204,7 +208,7 @@ def test_numeric_parameters_take_numbers_only(kind):
         for i, (param, valid) in enumerate(entry.params):
             args = list(values)
             args[i] = value = _hostile(kind, valid)
-            call = f"{name} with {param} = {value!r}"
+            call = f"{name} with {param} = {shown(value)}"
             try:
                 result = entry.call(*args)
             except RbcScanError as e:
@@ -217,3 +221,33 @@ def test_numeric_parameters_take_numbers_only(kind):
             assert not refused, f"{call} was accepted"
             if kind == "numpy":
                 assert result == baseline, call
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda big: CellGrid(-big, 8, 8, 8), "rows must be >= 1, got an integer of 16610 bits"),
+        (
+            lambda big: simulate_traditional(ScanConfig(64, 2.0), 0, big),
+            f"trials must be <= {MAX_TRIALS} per strategy, got an integer of 16610 bits",
+        ),
+        (
+            lambda big: cell_center(GRID, big),
+            "cell index an integer of 16610 bits outside grid of 64 cells",
+        ),
+        (
+            lambda big: cell_of_point(GRID, big, 50.0),
+            "point (an integer of 16610 bits, 50.0) outside image 1280x720",
+        ),
+        (
+            lambda big: simulate_guided_multi(CFG, [big, big], {2}, 0, 1),
+            "candidate_cells must be distinct, got "
+            "[an integer of 16610 bits, an integer of 16610 bits]",
+        ),
+    ],
+    ids=["CellGrid", "simulate_traditional", "cell_center", "cell_of_point", "candidates"],
+)
+def test_message_shows_an_integer_too_long_for_str_by_its_size(call, message):
+    with pytest.raises(RbcScanError) as e:
+        call(10**5000)
+    assert str(e.value) == message

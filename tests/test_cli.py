@@ -622,6 +622,57 @@ def test_module_entry_point():
     assert bad.stderr.startswith(b"error: ") and bad.stderr.count(b"\n") == 1
 
 
+_IMPORT_GRAPH = """
+import contextlib, io, sys
+
+def main_exit(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            return main(argv)
+        except SystemExit as e:  # --help
+            return e.code
+
+import rbcscan
+assert "numpy" not in sys.modules, "import rbcscan"
+from rbcscan.cli import main
+assert "numpy" not in sys.modules, "import rbcscan.cli"
+for argv, code in [
+    (["--help"], 0),
+    (["analytic"], 0),
+    (["geometry"], 0),
+    (["augment", "--annotations", "data/sample_annotations.json"], 0),
+    (["analytic", "--n-cells", "0"], 2),
+    (["analytic", "--n-cells", "1"], 3),
+]:
+    assert main_exit(argv) == code, argv
+    assert "numpy" not in sys.modules, argv
+
+eval_argv = ["eval", "--ground-truth", "data/sample_annotations.json",
+             "--detections", "data/sample_detections.json"]
+assert main_exit(eval_argv) == 0
+assert "numpy" in sys.modules, "eval ran without numpy"
+# number() must see numpy's scalar types once numpy is loaded.
+import numpy as np
+from rbcscan import CellGrid, cell_center
+grid = CellGrid(np.int64(8), 8, 1280, 720)
+assert cell_center(grid, np.int64(3)) == cell_center(grid, 3)
+"""
+
+
+def test_numpy_is_loaded_only_by_the_commands_that_compute_with_arrays():
+    """``import rbcscan``, ``--help``, ``analytic``, ``geometry``, ``augment``
+    and rejected arguments run without numpy; ``eval`` loads it, and numpy
+    scalars are accepted once it is loaded."""
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(rbcscan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH], cwd=root, capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 class TestParser:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 3

@@ -85,6 +85,46 @@ class TestProfileValidation:
             _profile([])
 
     @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(ap_vs_iou=((0.5,),)), "ap_vs_iou[0]: expected (iou_threshold, ap)"),
+            (dict(ap_vs_iou=(0.5,)), "ap_vs_iou[0]: expected (iou_threshold, ap)"),
+            (
+                dict(ap_vs_iou=((0.5, 0.7), (0.6, 0.5, 0.1))),
+                "ap_vs_iou[1]: expected (iou_threshold, ap)",
+            ),
+            (dict(ap_vs_iou=0.5), "ap_vs_iou must be a tuple of (iou_threshold, ap) rows"),
+            (
+                dict(ap_vs_distance=((120.0, 0.5),)),
+                "ap_vs_distance[0]: expected (distance_cm, image_size_tag, ap)",
+            ),
+            (
+                dict(ap_vs_distance=((120.0, "1280x720", 0.5), "abc")),
+                "ap_vs_distance[1]: expected (distance_cm, image_size_tag, ap)",
+            ),
+            (
+                dict(ap_vs_distance=((120.0, 720, 0.5),)),
+                "ap_vs_distance[0] image_size_tag must be a non-empty str, got 720",
+            ),
+            (
+                dict(ap_vs_distance=((120.0, "", 0.5),)),
+                "ap_vs_distance[0] image_size_tag must be a non-empty str, got ''",
+            ),
+        ],
+        ids=["short-knot", "bare-knot", "long-knot", "bare-curve", "short-row", "str-row",
+             "int-tag", "empty-tag"],
+    )
+    def test_rejects_a_row_of_the_wrong_shape(self, kwargs, message):
+        fields = dict(name="x", per_image_latency_s=0.2, ap_vs_iou=((0.5, 0.7),))
+        with pytest.raises(DomainError) as e:
+            DetectorProfile(**dict(fields, **kwargs))
+        assert str(e.value) == message
+
+    def test_accepts_lists_for_knots_and_rows(self):
+        profile = DetectorProfile("x", 0.2, [[0.5, 0.7]], [[120.0, "1280x720", 0.5]])
+        assert ap_at(profile, 0.5) == 0.7
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             dict(per_image_latency_s=math.nan),
