@@ -18,7 +18,6 @@ import csv
 import io
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -113,11 +112,11 @@ def cmd_analytic(args: argparse.Namespace) -> str:
     t1 = scanning.t1_analytic(base)
     rows = []
     for ap in _ap_grid(args.ap_start, args.ap_stop, args.ap_step):
-        t2 = scanning.t2_analytic(replace(base, ap=ap))
+        t2 = scanning.t2_analytic(base._replace(ap=ap))
         rows.append(["curve", _fmt(ap), _fmt(t1), _fmt(t2)])
     ap_star, in_range = scanning.breakeven_ap(base)
     kind = "breakeven" if in_range else "breakeven_clamped"
-    t2_star = scanning.t2_analytic(replace(base, ap=ap_star))
+    t2_star = scanning.t2_analytic(base._replace(ap=ap_star))
     rows.append([kind, _fmt(ap_star), _fmt(t1), _fmt(t2_star)])
     return _csv_text(["kind", "ap", "t1_s", "t2_s"], rows)
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter, itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import DomainError, UsageError, number, shown
+from .errors import DomainError, UsageError, checked_make, number, shown
 from .geometry import CellGrid, cell_of_point
 from .metrics import BBox, Detection, GroundTruthObject, _box_array
 
@@ -31,8 +30,15 @@ CORRECT_SCORE_RANGE = (0.8, 1.0)
 WRONG_SCORE_RANGE = (0.5, 0.8)
 
 
-@dataclass(frozen=True)
-class DetectorProfile:
+class _DetectorProfileFields(NamedTuple):
+    name: str
+    per_image_latency_s: float
+    ap_vs_iou: tuple[tuple[float, float], ...]
+    ap_vs_distance: tuple[tuple[float, str, float], ...] = ()
+    notes: str = ""
+
+
+class DetectorProfile(_DetectorProfileFields):
     """Empirical behavior of a detector: latency and AP curves.
 
     ``ap_vs_iou`` holds (iou_threshold, ap) knots with strictly increasing
@@ -41,27 +47,33 @@ class DetectorProfile:
     tuple or list, checked for its length before it is read.
     """
 
-    name: str
-    per_image_latency_s: float
-    ap_vs_iou: tuple[tuple[float, float], ...]
-    ap_vs_distance: tuple[tuple[float, str, float], ...] = ()
-    notes: str = ""
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self) -> None:
-        number(self.per_image_latency_s, "per_image_latency_s", DomainError, "finite and >= 0")
+    def __new__(
+        cls,
+        name: str,
+        per_image_latency_s: float,
+        ap_vs_iou: tuple[tuple[float, float], ...],
+        ap_vs_distance: tuple[tuple[float, str, float], ...] = (),
+        notes: str = "",
+    ) -> DetectorProfile:
+        if not isinstance(name, str):
+            raise DomainError(f"name must be a str, got {shown(name)}")
+        number(per_image_latency_s, "per_image_latency_s", DomainError, "finite and >= 0")
         for field, rows, shape in (
-            ("ap_vs_iou", self.ap_vs_iou, ("iou_threshold", "ap")),
-            ("ap_vs_distance", self.ap_vs_distance, ("distance_cm", "image_size_tag", "ap")),
+            ("ap_vs_iou", ap_vs_iou, ("iou_threshold", "ap")),
+            ("ap_vs_distance", ap_vs_distance, ("distance_cm", "image_size_tag", "ap")),
         ):
             if not isinstance(rows, (tuple, list)):
                 raise DomainError(f"{field} must be a tuple of ({', '.join(shape)}) rows")
             for i, row in enumerate(rows):
                 if not (isinstance(row, (tuple, list)) and len(row) == len(shape)):
                     raise DomainError(f"{field}[{i}]: expected ({', '.join(shape)})")
-        if not self.ap_vs_iou:
+        if not ap_vs_iou:
             raise DomainError("ap_vs_iou must have at least one knot")
         prev_t, prev_ap = -math.inf, math.inf
-        for i, (t, ap) in enumerate(self.ap_vs_iou):
+        for i, (t, ap) in enumerate(ap_vs_iou):
             number(t, f"ap_vs_iou[{i}] threshold", DomainError, "finite")
             number(ap, f"ap_vs_iou[{i}] ap", DomainError, "within [0, 1]")
             if not t > prev_t:
@@ -69,33 +81,51 @@ class DetectorProfile:
             if ap > prev_ap:
                 raise DomainError(f"ap_vs_iou must be non-increasing, rises to {ap} at {t}")
             prev_t, prev_ap = t, ap
-        for i, (dist, tag, ap) in enumerate(self.ap_vs_distance):
+        for i, (dist, tag, ap) in enumerate(ap_vs_distance):
             number(dist, f"ap_vs_distance[{i}] distance", DomainError, "finite and > 0")
             if not (isinstance(tag, str) and tag):
                 raise DomainError(
                     f"ap_vs_distance[{i}] image_size_tag must be a non-empty str, got {shown(tag)}"
                 )
             number(ap, f"ap_vs_distance[{i}] ap", DomainError, "within [0, 1]")
+        if not isinstance(notes, str):
+            raise DomainError(f"notes must be a str, got {shown(notes)}")
+        return tuple.__new__(cls, (name, per_image_latency_s, ap_vs_iou, ap_vs_distance, notes))
 
 
-@dataclass(frozen=True)
-class SyntheticScene:
-    """A coverage grid plus receivers (ground truth box, distance in cm)."""
-
+class _SyntheticSceneFields(NamedTuple):
     grid: CellGrid
     receivers: tuple[tuple[GroundTruthObject, float], ...]
 
-    def __post_init__(self) -> None:
+
+class SyntheticScene(_SyntheticSceneFields):
+    """A coverage grid plus receivers (ground truth box, distance in cm).
+
+    ``receivers`` is a tuple or list; its elements are trusted (see ``errors``).
+    """
+
+    __slots__ = ()
+    _make = checked_make
+
+    def __new__(
+        cls, grid: CellGrid, receivers: tuple[tuple[GroundTruthObject, float], ...]
+    ) -> SyntheticScene:
+        if not isinstance(grid, CellGrid):
+            raise DomainError(f"grid must be a CellGrid, got {type(grid).__name__}")
+        if not isinstance(receivers, (tuple, list)):
+            raise DomainError(
+                "receivers must be a tuple or list of (ground truth, distance_cm) pairs, "
+                f"got {type(receivers).__name__}"
+            )
         import numpy as np
 
         # One pass over all receivers, as float64 like sample_detections'
         # arithmetic; NaN fails every comparison. The first bad receiver is
         # reported, its box checked before its distance.
-        receivers = self.receivers
         n = len(receivers)
         x, y, w, h = _box_array(map(attrgetter("bbox"), map(itemgetter(0), receivers)), n).T
         dist = np.fromiter(map(itemgetter(1), receivers), np.float64, n)
-        width, height = self.grid.image_width, self.grid.image_height
+        width, height = grid.image_width, grid.image_height
         box_ok = (0 <= x) & (0 <= y) & (0 <= w) & (0 <= h)
         box_ok &= (x + w <= width) & (y + h <= height)
         bad = ~(box_ok & (dist > 0))
@@ -107,6 +137,7 @@ class SyntheticScene:
                     f"{width}x{height} image"
                 )
             raise DomainError(f"receiver distance must be > 0, got {receivers[i][1]}")
+        return tuple.__new__(cls, (grid, receivers))
 
 
 def ap_at(profile: DetectorProfile, iou_threshold: float) -> float:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the one numeric argument check.
+"""Exception hierarchy shared across the package, the one numeric argument
+check, and the ``_make`` every checked record shares.
 
 Each class's ``exit_code`` is the CLI's exit code for it, set here and
 nowhere else: schema problems (malformed or unrecognized file content)
@@ -16,6 +17,11 @@ parameter. The elements of hand-built ``Columns``,
 ``SyntheticScene.receivers`` and ``simulate_guided_multi``'s cells are
 trusted. Messages show a caller's value through `shown`, so an integer
 too long for ``str`` still gives a short message, not a bare ValueError.
+
+Records (`checked_make`): every record is a ``NamedTuple``. One whose
+fields are checked subclasses a fields ``NamedTuple`` and checks them in
+its ``__new__``; namedtuple's ``_make``, which ``_replace`` calls, would
+skip that, so each such record takes `checked_make` as its ``_make``.
 """
 
 import operator
@@ -50,6 +56,8 @@ class UsageError(RbcScanError, ValueError):
 
 
 _FLOAT_MAX = sys.float_info.max
+#: The least int that float() rounds up to infinity and refuses.
+_INT_FLOAT_END = 2**1024 - 2**970
 #: The bounds a numeric parameter may carry, each with its test. "finite"
 #: excludes NaN, the infinities and integers too large for a float.
 _BOUNDS = {
@@ -60,6 +68,8 @@ _BOUNDS = {
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
     "> 0": lambda v: v > 0,
+    # A float passes, NaN and the infinities too; an int must convert to one.
+    "within float range": lambda v: not isinstance(v, int) or -_INT_FLOAT_END < v < _INT_FLOAT_END,
     "within [0, 1]": lambda v: 0 <= v <= 1,
     "in (0, 1]": lambda v: 0 < v <= 1,
 }
@@ -97,3 +107,12 @@ def number(value, name: str, error: type[RbcScanError], bound: str = "", integra
     if not all(map(_BOUNDS[bound], values)):
         raise error(f"{name} must be {bound}, got {shown(value)}")
     return values if type(value) is tuple else values[0]
+
+
+@classmethod
+def checked_make(cls, iterable):
+    """namedtuple's ``_make``, through the record's own ``__new__`` and its checks."""
+    values = tuple(iterable)
+    if len(values) != len(cls._fields):
+        raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+    return cls(*values)

@@ -19,10 +19,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .detector import DetectorProfile, builtin_profile, builtin_profile_names
 from .errors import DomainError, InvariantError, RbcScanError, SchemaError, number
@@ -33,8 +32,7 @@ from .scanning import MAX_TRIALS, ScanConfig
 _SPLIT_KEYS = ("train", "dev", "test")
 
 
-@dataclass(frozen=True)
-class ImageInfo:
+class ImageInfo(NamedTuple):
     """One annotated image: identifier and pixel dimensions."""
 
     image_id: ImageId
@@ -42,8 +40,7 @@ class ImageInfo:
     height: int
 
 
-@dataclass(frozen=True)
-class AnnotationFile:
+class AnnotationFile(NamedTuple):
     """Ground-truth annotations plus optional dataset-split metadata.
 
     ``columns`` holds the objects' fields as read from the file, which is
@@ -61,8 +58,7 @@ class AnnotationFile:
         return tuple(map(GroundTruthObject, c.image_ids, [BBox(*b) for b in c.boxes], c.labels))
 
 
-@dataclass(frozen=True)
-class DetectionFile:
+class DetectionFile(NamedTuple):
     """Detector output: scored boxes, held as ``columns`` like ``AnnotationFile``'s."""
 
     columns: Columns
@@ -74,8 +70,7 @@ class DetectionFile:
         return tuple(map(Detection, c.image_ids, boxes, c.scores, c.labels))
 
 
-@dataclass(frozen=True)
-class ScenarioFile:
+class ScenarioFile(NamedTuple):
     """Everything one simulation run needs: camera, grid, timing, RNG."""
 
     camera: CameraModel
@@ -199,9 +194,9 @@ def _rows(value: Any, path: str, checks: tuple[Callable, ...], shape: str) -> tu
 
 
 def _keys(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """A dataclass's field names: those without a default, then those with one."""
-    required = tuple(f.name for f in fields(cls) if f.default is MISSING)
-    return required, tuple(f.name for f in fields(cls) if f.name not in required)
+    """A record's field names: those without a default, then those with one."""
+    optional = tuple(cls._field_defaults)
+    return tuple(k for k in cls._fields if k not in optional), optional
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +361,7 @@ def _annotations(doc: Any, bound: float) -> AnnotationFile:
 def emit_annotations(af: AnnotationFile) -> str:
     c = af.columns
     payload: dict[str, Any] = {
-        "images": [asdict(im) for im in af.images],
+        "images": [im._asdict() for im in af.images],
         "objects": [dict(zip(_OBJECT_FIELDS, r)) for r in zip(c.image_ids, c.labels, c.boxes)],
     }
     if af.split is not None:
@@ -436,8 +431,8 @@ def parse_profile(text: str) -> DetectorProfile:
 
 def emit_profile(profile: DetectorProfile) -> str:
     """The profile's fields in order, an optional one only when not empty."""
-    optional = _keys(DetectorProfile)[1]
-    payload = {k: v for k, v in asdict(profile).items() if v or k not in optional}
+    optional = DetectorProfile._field_defaults
+    payload = {k: v for k, v in profile._asdict().items() if v or k not in optional}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -511,4 +506,6 @@ def parse_scenario(text: str) -> ScenarioFile:
 
 
 def emit_scenario(sc: ScenarioFile) -> str:
-    return json.dumps(asdict(sc), indent=2) + "\n"
+    """The scenario's fields in order, its camera, grid and scan as nested objects."""
+    payload = {k: v._asdict() if isinstance(v, tuple) else v for k, v in sc._asdict().items()}
+    return json.dumps(payload, indent=2) + "\n"

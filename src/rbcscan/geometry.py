@@ -15,68 +15,89 @@ prediction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError, number, shown
+from .errors import DomainError, checked_make, number, shown
 
 
-@dataclass(frozen=True)
-class CameraModel:
-    """Pinhole intrinsics: focal length in pixels at a reference resolution."""
-
+class _CameraModelFields(NamedTuple):
     focal_px: float
     ref_width: int
     ref_height: int
 
-    def __post_init__(self) -> None:
-        number(self.focal_px, "focal_px", DomainError, "finite and > 0")
-        for name in ("ref_width", "ref_height"):  # stored as ints, as CellGrid's sizes
-            value = number(getattr(self, name), name, DomainError, "> 0", integral=True)
-            object.__setattr__(self, name, value)
+
+class CameraModel(_CameraModelFields):
+    """Pinhole intrinsics: focal length in pixels at a reference resolution."""
+
+    __slots__ = ()
+    _make = checked_make
+
+    def __new__(cls, focal_px: float, ref_width: int, ref_height: int) -> CameraModel:
+        number(focal_px, "focal_px", DomainError, "finite and > 0")
+        # Stored as ints, as CellGrid's sizes.
+        ref_width = number(ref_width, "ref_width", DomainError, "> 0", integral=True)
+        ref_height = number(ref_height, "ref_height", DomainError, "> 0", integral=True)
+        return tuple.__new__(cls, (focal_px, ref_width, ref_height))
 
 
-@dataclass(frozen=True)
-class ReceiverSpec:
-    """Physical dimensions of a chargeable receiver, in centimeters."""
-
+class _ReceiverSpecFields(NamedTuple):
     width_cm: float
     height_cm: float
 
-    def __post_init__(self) -> None:
-        number(self.width_cm, "width_cm", DomainError, "finite and > 0")
-        number(self.height_cm, "height_cm", DomainError, "finite and > 0")
+
+class ReceiverSpec(_ReceiverSpecFields):
+    """Physical dimensions of a chargeable receiver, in centimeters."""
+
+    __slots__ = ()
+    _make = checked_make
+
+    def __new__(cls, width_cm: float, height_cm: float) -> ReceiverSpec:
+        number(width_cm, "width_cm", DomainError, "finite and > 0")
+        number(height_cm, "height_cm", DomainError, "finite and > 0")
+        return tuple.__new__(cls, (width_cm, height_cm))
 
 
-@dataclass(frozen=True)
-class CellGrid:
-    """Uniform partition of the coverage image into rows x cols scan cells."""
-
+class _CellGridFields(NamedTuple):
     rows: int
     cols: int
     image_width: int
     image_height: int
 
-    def __post_init__(self) -> None:
+
+class CellGrid(_CellGridFields):
+    """Uniform partition of the coverage image into rows x cols scan cells."""
+
+    __slots__ = ()
+    _make = checked_make
+
+    def __new__(cls, rows: int, cols: int, image_width: int, image_height: int) -> CellGrid:
         # Stored as ints: numpy integer arithmetic would wrap past 2**63.
-        for name in ("rows", "cols", "image_width", "image_height"):
-            value = number(getattr(self, name), name, DomainError, ">= 1", integral=True)
-            object.__setattr__(self, name, value)
+        rows = number(rows, "rows", DomainError, ">= 1", integral=True)
+        cols = number(cols, "cols", DomainError, ">= 1", integral=True)
+        image_width = number(image_width, "image_width", DomainError, ">= 1", integral=True)
+        image_height = number(image_height, "image_height", DomainError, ">= 1", integral=True)
+        return tuple.__new__(cls, (rows, cols, image_width, image_height))
 
     @property
     def n_cells(self) -> int:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True)
-class PixelSize:
-    """Projected on-image size of an object, in (possibly fractional) pixels."""
-
+class _PixelSizeFields(NamedTuple):
     w_px: float
     h_px: float
 
-    def __post_init__(self) -> None:
-        number(self.w_px, "w_px", DomainError, "finite and >= 0")
-        number(self.h_px, "h_px", DomainError, "finite and >= 0")
+
+class PixelSize(_PixelSizeFields):
+    """Projected on-image size of an object, in (possibly fractional) pixels."""
+
+    __slots__ = ()
+    _make = checked_make
+
+    def __new__(cls, w_px: float, h_px: float) -> PixelSize:
+        number(w_px, "w_px", DomainError, "finite and >= 0")
+        number(h_px, "h_px", DomainError, "finite and >= 0")
+        return tuple.__new__(cls, (w_px, h_px))
 
 
 #: Below this on-image size (long side x short side) the detector is treated

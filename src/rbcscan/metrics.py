@@ -10,11 +10,10 @@ a pixel cutoff (32 px by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, count
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Sized
 
-from .errors import DomainError, UsageError, number, shown
+from .errors import DomainError, UsageError, checked_make, number, shown
 
 # For annotations only: the functions that compute with arrays import numpy
 # themselves, so `import rbcscan` does not load it.
@@ -48,18 +47,16 @@ class BBox(_BBoxFields):
     """
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, x: float, y: float, w: float, h: float) -> BBox:
         if not (float is type(x) is type(y) is type(w) is type(h) and w >= 0 and h >= 0):
-            number(x, "box x", DomainError)
-            number(y, "box y", DomainError)
+            # An int past float range would fail later, in float arithmetic.
+            number(x, "box x", DomainError, "within float range")
+            number(y, "box y", DomainError, "within float range")
             number((w, h), "box width/height", DomainError, ">= 0")
+            number((w, h), "box width/height", DomainError, "within float range")
         return tuple.__new__(cls, (x, y, w, h))
-
-    @classmethod
-    def _make(cls, iterable) -> BBox:
-        # namedtuple's _make, which _replace calls, skips __new__.
-        return cls(*super()._make(iterable))
 
     @property
     def area(self) -> float:
@@ -77,6 +74,7 @@ class Detection(_DetectionFields):
     """A scored, labeled box predicted for one image."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(
         cls, image_id: ImageId, bbox: BBox, score: float, class_label: str = "smartphone"
@@ -84,11 +82,6 @@ class Detection(_DetectionFields):
         if not (type(score) is float and 0.0 <= score <= 1.0):
             number(score, "detection score", DomainError, "within [0, 1]")
         return tuple.__new__(cls, (image_id, bbox, score, class_label))
-
-    @classmethod
-    def _make(cls, iterable) -> Detection:
-        # namedtuple's _make, which _replace calls, skips __new__.
-        return cls(*super()._make(iterable))
 
 
 class GroundTruthObject(NamedTuple):
@@ -99,8 +92,14 @@ class GroundTruthObject(NamedTuple):
     class_label: str = "smartphone"
 
 
-@dataclass(frozen=True)
-class Columns:
+class _ColumnsFields(NamedTuple):
+    image_ids: Sequence[ImageId] = ()
+    labels: Sequence[str] = ()
+    boxes: Sequence[Sequence[float]] = ()
+    scores: Sequence[float] = ()
+
+
+class Columns(_ColumnsFields):
     """Detections or ground-truth objects as columns, one entry per record.
 
     ``boxes`` holds each record's ``[x, y, w, h]`` numbers as given;
@@ -109,15 +108,20 @@ class Columns:
     columns straight from the file, and ``evaluate`` scores from them.
     """
 
-    image_ids: Sequence[ImageId] = ()
-    labels: Sequence[str] = ()
-    boxes: Sequence[Sequence[float]] = ()
-    scores: Sequence[float] = ()
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self) -> None:
-        n = len(self.image_ids)
-        if not (len(self.labels) == len(self.boxes) == n and len(self.scores) in (0, n)):
+    def __new__(
+        cls,
+        image_ids: Sequence[ImageId] = (),
+        labels: Sequence[str] = (),
+        boxes: Sequence[Sequence[float]] = (),
+        scores: Sequence[float] = (),
+    ) -> Columns:
+        n = len(image_ids)
+        if not (len(labels) == len(boxes) == n and len(scores) in (0, n)):
             raise UsageError("columns must have one entry per record")
+        return tuple.__new__(cls, (image_ids, labels, boxes, scores))
 
     @classmethod
     def of(cls, records: Sequence[Detection] | Sequence[GroundTruthObject]) -> Columns:
@@ -137,30 +141,34 @@ class Columns:
         )
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Per-threshold AP plus the derived mAP and small-object AP."""
-
+class _EvalResultFields(NamedTuple):
     ap_per_threshold: dict[float, float]
     map_value: float
     ap_small: float
 
-    def __post_init__(self) -> None:
-        if not self.ap_per_threshold:
+
+class EvalResult(_EvalResultFields):
+    """Per-threshold AP plus the derived mAP and small-object AP."""
+
+    __slots__ = ()
+    _make = checked_make
+
+    def __new__(
+        cls, ap_per_threshold: dict[float, float], map_value: float, ap_small: float
+    ) -> EvalResult:
+        if not ap_per_threshold:
             raise DomainError("ap_per_threshold must be non-empty")
-        for t, ap in self.ap_per_threshold.items():
+        for t, ap in ap_per_threshold.items():
             number(ap, f"AP at threshold {t}", DomainError, "within [0, 1]")
-        number(self.ap_small, "ap_small", DomainError, "within [0, 1]")
-        number(self.map_value, "map_value", DomainError, "finite")
-        mean = sum(self.ap_per_threshold.values()) / len(self.ap_per_threshold)
-        if abs(self.map_value - mean) > 1e-12:
-            raise DomainError(
-                f"map_value {self.map_value} is not the mean of ap_per_threshold ({mean})"
-            )
+        number(ap_small, "ap_small", DomainError, "within [0, 1]")
+        number(map_value, "map_value", DomainError, "finite")
+        mean = sum(ap_per_threshold.values()) / len(ap_per_threshold)
+        if abs(map_value - mean) > 1e-12:
+            raise DomainError(f"map_value {map_value} is not the mean of ap_per_threshold ({mean})")
+        return tuple.__new__(cls, (ap_per_threshold, map_value, ap_small))
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """Outcome of greedy matching on a single image and class.
 
     ``matched_gt_index[i]`` is the index (into the ground-truth list) the

@@ -20,10 +20,9 @@ times alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .errors import DomainError, UsageError, number, shown
+from .errors import DomainError, UsageError, checked_make, number, shown
 
 # For annotations only: the functions that compute with arrays import numpy
 # themselves, so `import rbcscan` does not load it.
@@ -38,36 +37,42 @@ MAX_TRIALS = 10**9
 _MAX_CELLS = 1 << 63
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class _ScanConfigFields(NamedTuple):
+    n_cells: int
+    t_scan_s: float
+    t_detect_s: float = 0.0
+    ap: float = 0.0
+
+
+class ScanConfig(_ScanConfigFields):
     """Grid size and timing constants for one localization setup.
 
     ``ap`` is the probability that the detector's candidate cell actually
     contains the receiver, applied per episode.
     """
 
-    n_cells: int
-    t_scan_s: float
-    t_detect_s: float = 0.0
-    ap: float = 0.0
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, n_cells: int, t_scan_s: float, t_detect_s: float = 0.0, ap: float = 0.0
+    ) -> ScanConfig:
         # Stored as an int: numpy integer arithmetic would wrap past 2**63.
-        n_cells = number(self.n_cells, "n_cells", DomainError, ">= 1", integral=True)
-        object.__setattr__(self, "n_cells", n_cells)
-        number(self.t_scan_s, "t_scan_s", DomainError, "finite and > 0")
-        number(self.t_detect_s, "t_detect_s", DomainError, "finite and >= 0")
-        number(self.ap, "ap", DomainError, "within [0, 1]")
+        n_cells = number(n_cells, "n_cells", DomainError, ">= 1", integral=True)
+        number(t_scan_s, "t_scan_s", DomainError, "finite and > 0")
+        number(t_detect_s, "t_detect_s", DomainError, "finite and >= 0")
+        number(ap, "ap", DomainError, "within [0, 1]")
         # The longest scan plus detection bounds every time computed from it;
         # from integers it is an exact int, which may not fit a float.
         try:
-            longest = float(self.t_detect_s + (1 + self.n_cells) * self.t_scan_s)
+            longest = float(t_detect_s + (1 + n_cells) * t_scan_s)
         except OverflowError:
             longest = math.inf
         if not math.isfinite(longest):
             raise DomainError(
                 "scan times overflow: t_detect_s + (1 + n_cells) * t_scan_s is not finite"
             )
+        return tuple.__new__(cls, (n_cells, t_scan_s, t_detect_s, ap))
 
 
 class SimulationSummary(NamedTuple):

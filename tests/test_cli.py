@@ -673,6 +673,58 @@ def test_numpy_is_loaded_only_by_the_commands_that_compute_with_arrays():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+_NO_RECORD_MACHINERY = """
+import contextlib, io, sys
+
+def main_exit(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            return main(argv)
+        except SystemExit as e:  # --help
+            return e.code
+
+def check(step, numpy_free=True):
+    assert "dataclasses" not in sys.modules, step
+    if numpy_free:
+        assert "numpy" not in sys.modules and "inspect" not in sys.modules, step
+
+import rbcscan
+check("import rbcscan")
+from rbcscan.cli import main
+check("import rbcscan.cli")
+for argv in (
+    ["--help"],
+    ["analytic"],
+    ["geometry"],
+    ["augment", "--annotations", "data/sample_annotations.json"],
+):
+    assert main_exit(argv) == 0, argv
+    check(argv)
+# numpy imports inspect itself, but not dataclasses.
+for argv in (
+    ["eval", "--ground-truth", "data/sample_annotations.json",
+     "--detections", "data/sample_detections.json"],
+    ["simulate", "--scenario", "scenarios/default.json", "--trials", "1000"],
+):
+    assert main_exit(argv) == 0, argv
+    check(argv, numpy_free=False)
+"""
+
+
+def test_records_load_neither_dataclasses_nor_inspect():
+    """Records are NamedTuples, so no command loads ``dataclasses``, and
+    the numpy-free ones do not load ``inspect`` either."""
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(rbcscan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_RECORD_MACHINERY],
+        cwd=root, capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 class TestParser:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 3

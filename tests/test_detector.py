@@ -167,6 +167,24 @@ class TestProfileValidation:
             DetectorProfile(**dict(fields, **kwargs))
         assert str(e.value) == f"{message}, got inf"
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(name=5), "name must be a str, got 5"),
+            (dict(name=None), "name must be a str, got None"),
+            (dict(notes=5), "notes must be a str, got 5"),
+            (dict(notes=b"n"), "notes must be a str, got b'n'"),
+        ],
+        ids=["int-name", "none-name", "int-notes", "bytes-notes"],
+    )
+    def test_rejects_a_name_or_notes_that_is_not_a_str(self, kwargs, message):
+        # emit_profile would write such a profile to a file parse_profile refuses.
+        fields = dict(name="x", per_image_latency_s=0.2, ap_vs_iou=((0.5, 0.7),))
+        with pytest.raises(DomainError) as e:
+            DetectorProfile(**dict(fields, **kwargs))
+        assert str(e.value) == message
+
+
 
 class TestBuiltinProfile:
     def test_listed_and_loadable(self):
@@ -290,6 +308,34 @@ class TestSyntheticScene:
 
     def test_empty_scene(self):
         assert SyntheticScene(grid=GRID, receivers=()).receivers == ()
+
+    @pytest.mark.parametrize(
+        "grid, receivers, message",
+        [
+            (None, (), "grid must be a CellGrid, got NoneType"),
+            ((8, 8, 1280, 720), (), "grid must be a CellGrid, got tuple"),
+            (
+                GRID,
+                5,
+                "receivers must be a tuple or list of (ground truth, distance_cm) pairs, got int",
+            ),
+            (
+                GRID,
+                iter(()),
+                "receivers must be a tuple or list of (ground truth, distance_cm) pairs, "
+                "got tuple_iterator",
+            ),
+        ],
+        ids=["none-grid", "tuple-grid", "int-receivers", "iterator-receivers"],
+    )
+    def test_rejects_a_grid_or_receivers_of_the_wrong_type(self, grid, receivers, message):
+        with pytest.raises(DomainError) as e:
+            SyntheticScene(grid, receivers)
+        assert str(e.value) == message
+
+    def test_accepts_a_list_of_receivers(self):
+        receivers = [(_receiver_in_cell(GRID, 0, image_id=0), 120.0)]
+        assert SyntheticScene(GRID, receivers).receivers == receivers
 
 
 class TestSampleDetections:

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -530,6 +531,35 @@ class TestTypeInvariants:
     def test_negative_box_rejected(self):
         with pytest.raises(DomainError):
             BBox(0, 0, -1, 5)
+
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            (
+                (10**5000, 0.0, 1.0, 1.0),
+                "box x must be within float range, got an integer of 16610 bits",
+            ),
+            ((0.0, -(2**1024), 1.0, 1.0), f"box y must be within float range, got {-(2**1024)}"),
+            (
+                (0, 0, 2**1024 - 2**970, 1),
+                f"box width/height must be within float range, got ({2**1024 - 2**970}, 1)",
+            ),
+        ],
+        ids=["x", "y", "w"],
+    )
+    def test_integer_past_float_range_rejected(self, box, message):
+        # Accepted once, such a box failed later with a bare OverflowError in
+        # flip_augment or iou, whose float arithmetic cannot hold it.
+        with pytest.raises(DomainError) as e:
+            BBox(*box)
+        assert str(e.value) == message
+
+    def test_every_integer_a_float_holds_is_accepted(self):
+        big = 2**1024 - 2**970 - 1  # float() rounds it down to the largest float
+        box = BBox(-big, big, big, 0)
+        assert box.x == -big and float(box.w) == sys.float_info.max
+        assert BBox(math.inf, -math.inf, math.inf, 0.0).w == math.inf
+        assert BBox(math.nan, math.nan, 1.0, 1.0).w == 1.0
 
     @pytest.mark.parametrize("w, h", [(math.nan, 1), (1, math.nan), (math.nan, math.nan)])
     def test_nan_extent_rejected(self, w, h):
