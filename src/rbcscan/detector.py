@@ -203,8 +203,9 @@ def sample_detections(
     computed as arrays over the wrong subset, with the float operations of
     `cell_of_point`, `cell_center` and `BBox(cx - w / 2, ...)` in the same
     order, so every value is bit-identical to mapping one receiver at a
-    time. A wrong receiver whose center lies off the image (a zero-width
-    box on the right edge) raises `cell_of_point`'s DomainError.
+    time. A receiver centred on the right or bottom image edge (a
+    zero-width box there) has its true cell in the last column or row, as
+    `detections_to_candidates` maps that centre, whatever the seed.
     """
     import numpy as np
 
@@ -232,10 +233,8 @@ def sample_detections(
     cx = xywh[:, 0] + w / 2
     cy = xywh[:, 1] + h / 2
     width, height, cols, rows = grid.image_width, grid.image_height, grid.cols, grid.rows
-    inside = (0 <= cx) & (cx < width) & (0 <= cy) & (cy < height)
-    if not inside.all():
-        k = inside.argmin()
-        cell_of_point(grid, float(cx[k]), float(cy[k]))
+    # The scene keeps every centre within the image; one on the far edge
+    # takes the last column or row.
     col = np.minimum(cols - 1, np.floor(cx * cols / width)).astype(np.int64)
     row = np.minimum(rows - 1, np.floor(cy * rows / height)).astype(np.int64)
     true_cell = row * cols + col
@@ -246,12 +245,10 @@ def sample_detections(
     det_y = (wrong_row + 0.5) * height / rows - h / 2
 
     scores = np.where(correct, correct_scores, wrong_scores)
-    ok = (0.0 <= scores) & (scores <= 1.0)
-    if not ok.all():
-        raise DomainError(f"detection score must be within [0, 1], got {scores[ok.argmin()]}")
-    # The scene holds every box to w, h >= 0 and the scores are checked, so
-    # the records are built without their constructors' checks. A moved box
-    # keeps the receiver box's own w and h, which may be ints.
+    # The scene holds every box to w, h >= 0 and the scores are drawn from
+    # [0.5, 1.0], so the records are built without their constructors'
+    # checks. A moved box keeps the receiver box's own w and h, which may
+    # be ints.
     new = tuple.__new__
     for i, (_, _, bw, bh), x, y in zip(wrong_ids, boxes, det_x.tolist(), det_y.tolist()):
         det_boxes[i] = new(BBox, (x, y, bw, bh))

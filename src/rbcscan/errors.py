@@ -11,9 +11,11 @@ integers and floats; an integer parameter takes integers only, read as an
 int through ``operator.index``. numpy's scalar types are recognised once
 numpy is loaded: no numpy scalar exists before that, so this module does
 not import numpy, and neither does ``import rbcscan``. ``bool``, ``str``,
-``None`` and containers are refused everywhere. A refused value, or one
-past the parameter's bound, is a `DomainError` or `UsageError` naming the
-parameter. The elements of hand-built ``Columns``,
+``None`` and containers are refused everywhere. A "finite" bound takes
+exactly the numbers that ``float()`` turns into a finite float (`finite`),
+so an int passes below ``2**1024 - 2**970`` in magnitude. A refused value,
+or one past the parameter's bound, is a `DomainError` or `UsageError`
+naming the parameter. The elements of hand-built ``Columns``,
 ``SyntheticScene.receivers`` and ``simulate_guided_multi``'s cells are
 trusted. Messages show a caller's value through `shown`, so an integer
 too long for ``str`` still gives a short message, not a bare ValueError.
@@ -24,6 +26,7 @@ its ``__new__``; namedtuple's ``_make``, which ``_replace`` calls, would
 skip that, so each such record takes `checked_make` as its ``_make``.
 """
 
+import math
 import operator
 import sys
 from typing import Callable
@@ -55,16 +58,25 @@ class UsageError(RbcScanError, ValueError):
     exit_code = 3
 
 
-_FLOAT_MAX = sys.float_info.max
 #: The least int that float() rounds up to infinity and refuses.
 _INT_FLOAT_END = 2**1024 - 2**970
-#: The bounds a numeric parameter may carry, each with its test. "finite"
-#: excludes NaN, the infinities and integers too large for a float.
+
+
+def finite(value) -> bool:
+    """Whether ``float(value)`` is a finite float. An int is finite below
+    ``2**1024 - 2**970`` in magnitude, past which ``float()`` refuses it."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+#: The bounds a numeric parameter may carry, each with its test.
 _BOUNDS = {
     "": lambda v: True,
-    "finite": lambda v: -_FLOAT_MAX <= v <= _FLOAT_MAX,
-    "finite and >= 0": lambda v: 0 <= v <= _FLOAT_MAX,
-    "finite and > 0": lambda v: 0 < v <= _FLOAT_MAX,
+    "finite": finite,
+    "finite and >= 0": lambda v: finite(v) and v >= 0,
+    "finite and > 0": lambda v: finite(v) and v > 0,
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
     "> 0": lambda v: v > 0,

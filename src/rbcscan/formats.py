@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .detector import DetectorProfile, builtin_profile, builtin_profile_names
-from .errors import DomainError, InvariantError, RbcScanError, SchemaError, number
+from .errors import DomainError, InvariantError, RbcScanError, SchemaError, finite, number
 from .geometry import CameraModel, CellGrid
 from .metrics import BBox, Columns, Detection, GroundTruthObject, ImageId
 from .scanning import MAX_TRIALS, ScanConfig
@@ -126,14 +126,9 @@ def _array(value: Any, path: str) -> list:
 def _num(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:
-        raise SchemaError(
-            f"{path}: expected a finite number, got an integer too large for a float"
-        ) from None
-    if not finite:
-        raise SchemaError(f"{path}: expected a finite number, got {value}")
+    if not finite(value):
+        got = "an integer too large for a float" if isinstance(value, int) else value
+        raise SchemaError(f"{path}: expected a finite number, got {got}")
     return value
 
 

@@ -105,7 +105,8 @@ class Columns(_ColumnsFields):
     ``boxes`` holds each record's ``[x, y, w, h]`` numbers as given;
     ``scores`` is filled for detections and empty for ground truth, and
     ``Columns()`` holds no records. The parsers in ``formats`` fill these
-    columns straight from the file, and ``evaluate`` scores from them.
+    columns straight from the file, and ``evaluate`` scores from them. A
+    field that has no length raises UsageError naming it.
     """
 
     __slots__ = ()
@@ -118,6 +119,9 @@ class Columns(_ColumnsFields):
         boxes: Sequence[Sequence[float]] = (),
         scores: Sequence[float] = (),
     ) -> Columns:
+        for field, column in zip(cls._fields, (image_ids, labels, boxes, scores)):
+            if not isinstance(column, Sized):
+                raise UsageError(f"{field} must be a sequence, got {type(column).__name__}")
         n = len(image_ids)
         if not (len(labels) == len(boxes) == n and len(scores) in (0, n)):
             raise UsageError("columns must have one entry per record")
@@ -141,31 +145,12 @@ class Columns(_ColumnsFields):
         )
 
 
-class _EvalResultFields(NamedTuple):
+class EvalResult(NamedTuple):
+    """Per-threshold AP plus the derived mAP and small-object AP."""
+
     ap_per_threshold: dict[float, float]
     map_value: float
     ap_small: float
-
-
-class EvalResult(_EvalResultFields):
-    """Per-threshold AP plus the derived mAP and small-object AP."""
-
-    __slots__ = ()
-    _make = checked_make
-
-    def __new__(
-        cls, ap_per_threshold: dict[float, float], map_value: float, ap_small: float
-    ) -> EvalResult:
-        if not ap_per_threshold:
-            raise DomainError("ap_per_threshold must be non-empty")
-        for t, ap in ap_per_threshold.items():
-            number(ap, f"AP at threshold {t}", DomainError, "within [0, 1]")
-        number(ap_small, "ap_small", DomainError, "within [0, 1]")
-        number(map_value, "map_value", DomainError, "finite")
-        mean = sum(ap_per_threshold.values()) / len(ap_per_threshold)
-        if abs(map_value - mean) > 1e-12:
-            raise DomainError(f"map_value {map_value} is not the mean of ap_per_threshold ({mean})")
-        return tuple.__new__(cls, (ap_per_threshold, map_value, ap_small))
 
 
 class MatchResult(NamedTuple):
@@ -472,7 +457,9 @@ def evaluate(
     assigned = assigned[:, order]
     bounds = np.searchsorted(cls[:n][order], np.arange(len(classes) + 1)).tolist()
     # Index -1 (no match) reads the appended False.
-    is_small = np.append(boxes[n:, 2] * boxes[n:, 3] < small_cutoff_px * small_cutoff_px, False)
+    # A float squares within float range, where an int's exact square may not.
+    cutoff = float(small_cutoff_px)
+    is_small = np.append(boxes[n:, 2] * boxes[n:, 3] < cutoff * cutoff, False)
     gt_total = np.bincount(cls[n:], minlength=len(classes)).tolist()
     small_total = np.bincount(cls[n:][is_small[:-1]], minlength=len(classes)).tolist()
 
@@ -500,7 +487,7 @@ def flip_augment(gt: GroundTruthObject, image_width: int) -> GroundTruthObject:
     """
     number(image_width, "image_width", DomainError, "finite", integral=True)
     b = gt.bbox
-    if b.x < 0 or b.x + b.w > image_width:
+    if not (0 <= b.x and b.x + b.w <= image_width):  # NaN fails both
         raise DomainError(
             f"box spans [{shown(b.x, str)}, {shown(b.x + b.w, str)}], "
             f"outside image width {image_width}"

@@ -17,7 +17,9 @@ that names the parameter may escape, never a bare TypeError.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -33,7 +35,6 @@ from rbcscan import (
     CellGrid,
     Detection,
     DetectorProfile,
-    EvalResult,
     GroundTruthObject,
     PixelSize,
     ReceiverSpec,
@@ -57,7 +58,8 @@ from rbcscan import (
     simulate_guided_multi,
     simulate_traditional,
 )
-from rbcscan.errors import shown
+from rbcscan.errors import DomainError, SchemaError, finite, shown
+from rbcscan.formats import parse_scenario
 from rbcscan.scanning import MAX_TRIALS
 
 
@@ -148,10 +150,7 @@ API: dict[str, Numeric | str] = {
     "Detection": Numeric(partial(Detection, 0, BOX), (("detection score", 0.9),)),
     "GroundTruthObject": "takes an image id, a box and a label",
     "Columns": "holds columns, whose elements are trusted",
-    "EvalResult": Numeric(
-        lambda ap, map_value, ap_small: EvalResult({0.5: ap}, map_value, ap_small),
-        (("AP at threshold 0.5", 0.7), ("map_value", 0.7), ("ap_small", 0.5)),
-    ),
+    "EvalResult": "a result record of APs, built by evaluate",
     "MatchResult": "a result record of indices and flags",
     "iou": "takes two boxes",
     "match_detections": Numeric(partial(match_detections, [DET], [GT]), (("iou_threshold", 0.5),)),
@@ -251,3 +250,68 @@ def test_message_shows_an_integer_too_long_for_str_by_its_size(call, message):
     with pytest.raises(RbcScanError) as e:
         call(10**5000)
     assert str(e.value) == message
+
+
+#: The least int that float() refuses; every smaller one rounds to a float.
+INT_FLOAT_END = 2**1024 - 2**970
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        sys.float_info.max,
+        int(sys.float_info.max) + 1,
+        INT_FLOAT_END - 1,
+        INT_FLOAT_END,
+        -INT_FLOAT_END,
+        10**400,
+        math.inf,
+        math.nan,
+        np.float64(sys.float_info.max),
+        np.float64("inf"),
+    ],
+    ids=[
+        "float max",
+        "int past float max",
+        "largest int float takes",
+        "least int float refuses",
+        "its negative",
+        "10**400",
+        "inf",
+        "nan",
+        "numpy float max",
+        "numpy inf",
+    ],
+)
+def test_finite_takes_exactly_what_float_makes_finite(value):
+    try:
+        expected = math.isfinite(float(value))
+    except OverflowError:
+        expected = False
+    assert finite(value) is expected
+    # A "finite and > 0" parameter takes the magnitude exactly when float() does.
+    try:
+        spec = ReceiverSpec(abs(value), 7.0)
+    except DomainError as e:
+        assert not expected and str(e).startswith("width_cm must be finite and > 0, got ")
+    else:
+        assert expected and spec.width_cm == abs(value)
+
+
+def test_scenario_integer_past_the_largest_float_is_finite():
+    big = int(sys.float_info.max) + 1
+    doc = {
+        "camera": {"focal_px": big, "ref_width": 1280, "ref_height": 720},
+        "grid": {"rows": 8, "cols": 8, "image_width": 1280, "image_height": 720},
+        "scan": {"n_cells": 64, "t_scan_s": 2.0, "t_detect_s": 0.2, "ap": 0.7},
+        "profile": "mask-rcnn-smartphone",
+        "trials": 1000,
+        "seed": 0,
+    }
+    assert parse_scenario(json.dumps(doc)).camera.focal_px == big
+    doc["camera"]["focal_px"] = INT_FLOAT_END
+    with pytest.raises(SchemaError) as e:
+        parse_scenario(json.dumps(doc))
+    assert str(e.value) == (
+        "$.camera.focal_px: expected a finite number, got an integer too large for a float"
+    )

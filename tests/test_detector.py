@@ -428,13 +428,19 @@ class TestSampleDetections:
         expected = sample_detections(scene, builtin_profile(), 0.5, rng_seed=3)
         assert sample_detections(scene, builtin_profile(), 0.5, rng_seed=np.int64(3)) == expected
 
-    def test_wrong_receiver_centered_off_image_is_rejected(self):
-        # A zero-width box on the right edge has its center on the excluded edge.
-        grid = CellGrid(1, 2, 200, 100)
-        gt = GroundTruthObject(image_id=0, bbox=BBox(200, 10, 0, 5))
-        scene = SyntheticScene(grid=grid, receivers=((gt, 120.0),))
-        with pytest.raises(DomainError, match=r"point \(200\.0, 12\.5\) outside image 200x100"):
-            sample_detections(scene, _profile([(0.5, 0.0)]), 0.5, rng_seed=1)
+    def test_receiver_centred_on_far_edge_maps_to_last_column(self):
+        # A zero-width box on the right edge has its center on the excluded
+        # edge; its true cell is the last column of its row on every draw.
+        grid = CellGrid(2, 2, 100, 100)
+        gt = GroundTruthObject(0, BBox(100.0, 10.0, 0.0, 5.0))
+        scene = SyntheticScene(grid, ((gt, 50.0),))
+        outcomes = set()
+        for seed in range(64):
+            (det,) = sample_detections(scene, builtin_profile(), 0.5, rng_seed=seed)
+            correct = det.bbox is gt.bbox
+            outcomes.add(correct)
+            assert (detections_to_candidates([det], grid) == [grid.cols - 1]) == correct, seed
+        assert outcomes == {True, False}
 
 
 def _detected_cell_of_gt(gt):

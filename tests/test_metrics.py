@@ -353,6 +353,14 @@ class TestEvaluate:
         result = evaluate([], [])
         assert result.map_value == 1.0
 
+    def test_integer_cutoff_past_float_squares_as_a_float(self):
+        # 10**400, the exact square, is too large for the float64 areas.
+        gts = [_gt(0, 0, 10, 10), _gt(200, 200, 100, 100)]
+        dets = [_det(0, 0, 10, 10, 0.9), _det(200, 200, 100, 100, 0.8)]
+        assert evaluate(dets, gts, small_cutoff_px=10**200) == evaluate(
+            dets, gts, small_cutoff_px=1e200
+        )
+
     def test_pooling_matches_per_image_matching(self):
         # Matching images independently and pooling by (score, input order)
         # must equal the evaluator's own result: partition-safe merging.
@@ -417,6 +425,20 @@ class TestColumns:
             Columns(["img"], ["smartphone"], [])
         with pytest.raises(UsageError, match="one entry per record"):
             Columns(["img"], ["smartphone"], [(0, 0, 1, 1)], [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((5,), "image_ids"),
+            (((), 5), "labels"),
+            (((), (), None), "boxes"),
+            (((), (), (), 0.9), "scores"),
+        ],
+    )
+    def test_field_without_a_length_rejected(self, args, field):
+        with pytest.raises(UsageError) as e:
+            Columns(*args)
+        assert str(e.value) == f"{field} must be a sequence, got {type(args[-1]).__name__}"
 
     def test_detections_without_scores_rejected(self):
         with pytest.raises(UsageError, match="score"):
@@ -526,6 +548,11 @@ class TestFlipAugment:
         with pytest.raises(DomainError):
             flip_augment(_gt(-1, 0, 10, 10), 1280)
 
+    def test_nan_box_rejected(self):
+        with pytest.raises(DomainError) as e:
+            flip_augment(GroundTruthObject(0, BBox(math.nan, 0.0, 1.0, 1.0)), 100)
+        assert str(e.value) == "box spans [nan, nan], outside image width 100"
+
 
 class TestTypeInvariants:
     def test_negative_box_rejected(self):
@@ -571,19 +598,6 @@ class TestTypeInvariants:
             _det(0, 0, 1, 1, 1.5)
         with pytest.raises(DomainError):
             _det(0, 0, 1, 1, -0.1)
-
-    def test_eval_result_requires_consistent_map(self):
-        from rbcscan.metrics import EvalResult
-
-        EvalResult(ap_per_threshold={0.5: 0.8, 0.75: 0.6}, map_value=0.7, ap_small=0.5)
-        with pytest.raises(DomainError):
-            EvalResult(ap_per_threshold={0.5: 0.8, 0.75: 0.6}, map_value=0.9, ap_small=0.5)
-        with pytest.raises(DomainError):
-            EvalResult(ap_per_threshold={}, map_value=0.0, ap_small=0.0)
-        with pytest.raises(DomainError):
-            EvalResult(ap_per_threshold={0.5: 1.2}, map_value=1.2, ap_small=0.0)
-        with pytest.raises(DomainError, match="ap_small"):
-            EvalResult(ap_per_threshold={0.5: 0.8}, map_value=0.8, ap_small=1.5)
 
 
 class TestRecords:
