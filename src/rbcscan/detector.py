@@ -21,7 +21,7 @@ from importlib import resources
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError, UsageError, checked_make, number, shown
+from .errors import DomainError, UsageError, checked, number, shown
 from .geometry import CellGrid, cell_of_point
 from .metrics import BBox, Detection, GroundTruthObject, _box_array
 
@@ -30,15 +30,8 @@ CORRECT_SCORE_RANGE = (0.8, 1.0)
 WRONG_SCORE_RANGE = (0.5, 0.8)
 
 
-class _DetectorProfileFields(NamedTuple):
-    name: str
-    per_image_latency_s: float
-    ap_vs_iou: tuple[tuple[float, float], ...]
-    ap_vs_distance: tuple[tuple[float, str, float], ...] = ()
-    notes: str = ""
-
-
-class DetectorProfile(_DetectorProfileFields):
+@checked
+class DetectorProfile(NamedTuple):
     """Empirical behavior of a detector: latency and AP curves.
 
     ``ap_vs_iou`` holds (iou_threshold, ap) knots with strictly increasing
@@ -47,17 +40,13 @@ class DetectorProfile(_DetectorProfileFields):
     tuple or list, checked for its length before it is read.
     """
 
-    __slots__ = ()
-    _make = checked_make
+    name: str
+    per_image_latency_s: float
+    ap_vs_iou: tuple[tuple[float, float], ...]
+    ap_vs_distance: tuple[tuple[float, str, float], ...] = ()
+    notes: str = ""
 
-    def __new__(
-        cls,
-        name: str,
-        per_image_latency_s: float,
-        ap_vs_iou: tuple[tuple[float, float], ...],
-        ap_vs_distance: tuple[tuple[float, str, float], ...] = (),
-        notes: str = "",
-    ) -> DetectorProfile:
+    def _new(cls, name, per_image_latency_s, ap_vs_iou, ap_vs_distance, notes):
         if not isinstance(name, str):
             raise DomainError(f"name must be a str, got {shown(name)}")
         number(per_image_latency_s, "per_image_latency_s", DomainError, "finite and >= 0")
@@ -78,6 +67,11 @@ class DetectorProfile(_DetectorProfileFields):
             number(ap, f"ap_vs_iou[{i}] ap", DomainError, "within [0, 1]")
             if not t > prev_t:
                 raise DomainError(f"ap_vs_iou thresholds must be strictly increasing at {t}")
+            # ap_at interpolates over the span, which must be a finite float.
+            if i and not math.isfinite(float(t) - float(prev_t)):
+                raise DomainError(
+                    f"ap_vs_iou[{i}] threshold minus the previous one is not a finite float"
+                )
             if ap > prev_ap:
                 raise DomainError(f"ap_vs_iou must be non-increasing, rises to {ap} at {t}")
             prev_t, prev_ap = t, ap
@@ -93,23 +87,17 @@ class DetectorProfile(_DetectorProfileFields):
         return tuple.__new__(cls, (name, per_image_latency_s, ap_vs_iou, ap_vs_distance, notes))
 
 
-class _SyntheticSceneFields(NamedTuple):
-    grid: CellGrid
-    receivers: tuple[tuple[GroundTruthObject, float], ...]
-
-
-class SyntheticScene(_SyntheticSceneFields):
+@checked
+class SyntheticScene(NamedTuple):
     """A coverage grid plus receivers (ground truth box, distance in cm).
 
     ``receivers`` is a tuple or list; its elements are trusted (see ``errors``).
     """
 
-    __slots__ = ()
-    _make = checked_make
+    grid: CellGrid
+    receivers: tuple[tuple[GroundTruthObject, float], ...]
 
-    def __new__(
-        cls, grid: CellGrid, receivers: tuple[tuple[GroundTruthObject, float], ...]
-    ) -> SyntheticScene:
+    def _new(cls, grid, receivers):
         if not isinstance(grid, CellGrid):
             raise DomainError(f"grid must be a CellGrid, got {type(grid).__name__}")
         if not isinstance(receivers, (tuple, list)):

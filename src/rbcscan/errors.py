@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, the one numeric argument
-check, and the ``_make`` every checked record shares.
+check, and the decorator every checked record shares.
 
 Each class's ``exit_code`` is the CLI's exit code for it, set here and
 nowhere else: schema problems (malformed or unrecognized file content)
@@ -20,10 +20,13 @@ naming the parameter. The elements of hand-built ``Columns``,
 trusted. Messages show a caller's value through `shown`, so an integer
 too long for ``str`` still gives a short message, not a bare ValueError.
 
-Records (`checked_make`): every record is a ``NamedTuple``. One whose
-fields are checked subclasses a fields ``NamedTuple`` and checks them in
-its ``__new__``; namedtuple's ``_make``, which ``_replace`` calls, would
-skip that, so each such record takes `checked_make` as its ``_make``.
+Records (`checked`): every record is one ``NamedTuple`` class that declares
+each field, its type and its default once. One whose fields are checked
+also defines ``_new(cls, <fields>)``, which checks them and builds the
+tuple; ``NamedTuple`` forbids ``__new__`` and ``_make`` in a class body, so
+the `checked` decorator installs ``_new`` as ``__new__``, with the fields'
+defaults, and gives the record a ``_make``, which ``_replace`` calls, that
+goes through it.
 """
 
 import math
@@ -121,10 +124,18 @@ def number(value, name: str, error: type[RbcScanError], bound: str = "", integra
     return values if type(value) is tuple else values[0]
 
 
-@classmethod
-def checked_make(cls, iterable):
+def _checked_make(cls, iterable):
     """namedtuple's ``_make``, through the record's own ``__new__`` and its checks."""
     values = tuple(iterable)
     if len(values) != len(cls._fields):
         raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
     return cls(*values)
+
+
+def checked(cls):
+    """``cls``, a ``NamedTuple`` class, with its ``_new`` as ``__new__`` and the
+    fields' defaults, and with a ``_make``, which ``_replace`` calls, through it."""
+    cls._new.__defaults__ = tuple(cls._field_defaults.values())
+    cls.__new__ = staticmethod(cls._new)
+    cls._make = classmethod(_checked_make)
+    return cls

@@ -17,22 +17,18 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, checked_make, number, shown
+from .errors import DomainError, checked, number, shown
 
 
-class _CameraModelFields(NamedTuple):
+@checked
+class CameraModel(NamedTuple):
+    """Pinhole intrinsics: focal length in pixels at a reference resolution."""
+
     focal_px: float
     ref_width: int
     ref_height: int
 
-
-class CameraModel(_CameraModelFields):
-    """Pinhole intrinsics: focal length in pixels at a reference resolution."""
-
-    __slots__ = ()
-    _make = checked_make
-
-    def __new__(cls, focal_px: float, ref_width: int, ref_height: int) -> CameraModel:
+    def _new(cls, focal_px, ref_width, ref_height):
         number(focal_px, "focal_px", DomainError, "finite and > 0")
         # Stored as ints, as CellGrid's sizes.
         ref_width = number(ref_width, "ref_width", DomainError, "> 0", integral=True)
@@ -40,37 +36,29 @@ class CameraModel(_CameraModelFields):
         return tuple.__new__(cls, (focal_px, ref_width, ref_height))
 
 
-class _ReceiverSpecFields(NamedTuple):
+@checked
+class ReceiverSpec(NamedTuple):
+    """Physical dimensions of a chargeable receiver, in centimeters."""
+
     width_cm: float
     height_cm: float
 
-
-class ReceiverSpec(_ReceiverSpecFields):
-    """Physical dimensions of a chargeable receiver, in centimeters."""
-
-    __slots__ = ()
-    _make = checked_make
-
-    def __new__(cls, width_cm: float, height_cm: float) -> ReceiverSpec:
+    def _new(cls, width_cm, height_cm):
         number(width_cm, "width_cm", DomainError, "finite and > 0")
         number(height_cm, "height_cm", DomainError, "finite and > 0")
         return tuple.__new__(cls, (width_cm, height_cm))
 
 
-class _CellGridFields(NamedTuple):
+@checked
+class CellGrid(NamedTuple):
+    """Uniform partition of the coverage image into rows x cols scan cells."""
+
     rows: int
     cols: int
     image_width: int
     image_height: int
 
-
-class CellGrid(_CellGridFields):
-    """Uniform partition of the coverage image into rows x cols scan cells."""
-
-    __slots__ = ()
-    _make = checked_make
-
-    def __new__(cls, rows: int, cols: int, image_width: int, image_height: int) -> CellGrid:
+    def _new(cls, rows, cols, image_width, image_height):
         # Stored as ints: numpy integer arithmetic would wrap past 2**63.
         rows = number(rows, "rows", DomainError, ">= 1", integral=True)
         cols = number(cols, "cols", DomainError, ">= 1", integral=True)
@@ -83,18 +71,14 @@ class CellGrid(_CellGridFields):
         return self.rows * self.cols
 
 
-class _PixelSizeFields(NamedTuple):
+@checked
+class PixelSize(NamedTuple):
+    """Projected on-image size of an object, in (possibly fractional) pixels."""
+
     w_px: float
     h_px: float
 
-
-class PixelSize(_PixelSizeFields):
-    """Projected on-image size of an object, in (possibly fractional) pixels."""
-
-    __slots__ = ()
-    _make = checked_make
-
-    def __new__(cls, w_px: float, h_px: float) -> PixelSize:
+    def _new(cls, w_px, h_px):
         number(w_px, "w_px", DomainError, "finite and >= 0")
         number(h_px, "h_px", DomainError, "finite and >= 0")
         return tuple.__new__(cls, (w_px, h_px))
@@ -109,12 +93,15 @@ MIN_DETECTABLE_H_PX = 15.0
 def calibrate_focal(object_cm: float, distance_cm: float, observed_px: float) -> float:
     """Focal length in pixels from one observation of a known object.
 
-    Inverts the pinhole relation: focal_px = observed_px * distance_cm / object_cm.
+    Inverts the pinhole relation: focal_px = observed_px * distance_cm / object_cm,
+    in float arithmetic, so an exact int product cannot overflow the division;
+    a result that overflows or underflows to 0 is refused.
     """
     number(object_cm, "object_cm", DomainError, "finite and > 0")
     number(distance_cm, "distance_cm", DomainError, "finite and > 0")
     number(observed_px, "observed_px", DomainError, "finite and > 0")
-    return observed_px * distance_cm / object_cm
+    focal = float(observed_px) * distance_cm / object_cm
+    return number(focal, "observed_px * distance_cm / object_cm", DomainError, "finite and > 0")
 
 
 def reference_camera() -> CameraModel:

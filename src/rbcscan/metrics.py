@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import chain, count
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Sized
 
-from .errors import DomainError, UsageError, checked_make, number, shown
+from .errors import DomainError, UsageError, checked, number, shown
 
 # For annotations only: the functions that compute with arrays import numpy
 # themselves, so `import rbcscan` does not load it.
@@ -31,14 +31,8 @@ SMALL_OBJECT_CUTOFF_PX = 32.0
 _RECALL_SAMPLES = 101
 
 
-class _BBoxFields(NamedTuple):
-    x: float
-    y: float
-    w: float
-    h: float
-
-
-class BBox(_BBoxFields):
+@checked
+class BBox(NamedTuple):
     """Axis-aligned rectangle in pixel coordinates, top-left origin, y down.
 
     Boxes follow the minimum-circumscribed-rectangle convention: (x, y) is
@@ -46,10 +40,12 @@ class BBox(_BBoxFields):
     ``(x, y, w, h)``, so a list of boxes converts to an (n, 4) array.
     """
 
-    __slots__ = ()
-    _make = checked_make
+    x: float
+    y: float
+    w: float
+    h: float
 
-    def __new__(cls, x: float, y: float, w: float, h: float) -> BBox:
+    def _new(cls, x, y, w, h):
         if not (float is type(x) is type(y) is type(w) is type(h) and w >= 0 and h >= 0):
             # An int past float range would fail later, in float arithmetic.
             number(x, "box x", DomainError, "within float range")
@@ -63,22 +59,16 @@ class BBox(_BBoxFields):
         return self.w * self.h
 
 
-class _DetectionFields(NamedTuple):
+@checked
+class Detection(NamedTuple):
+    """A scored, labeled box predicted for one image."""
+
     image_id: ImageId
     bbox: BBox
     score: float
     class_label: str = "smartphone"
 
-
-class Detection(_DetectionFields):
-    """A scored, labeled box predicted for one image."""
-
-    __slots__ = ()
-    _make = checked_make
-
-    def __new__(
-        cls, image_id: ImageId, bbox: BBox, score: float, class_label: str = "smartphone"
-    ) -> Detection:
+    def _new(cls, image_id, bbox, score, class_label):
         if not (type(score) is float and 0.0 <= score <= 1.0):
             number(score, "detection score", DomainError, "within [0, 1]")
         return tuple.__new__(cls, (image_id, bbox, score, class_label))
@@ -92,14 +82,8 @@ class GroundTruthObject(NamedTuple):
     class_label: str = "smartphone"
 
 
-class _ColumnsFields(NamedTuple):
-    image_ids: Sequence[ImageId] = ()
-    labels: Sequence[str] = ()
-    boxes: Sequence[Sequence[float]] = ()
-    scores: Sequence[float] = ()
-
-
-class Columns(_ColumnsFields):
+@checked
+class Columns(NamedTuple):
     """Detections or ground-truth objects as columns, one entry per record.
 
     ``boxes`` holds each record's ``[x, y, w, h]`` numbers as given;
@@ -109,16 +93,12 @@ class Columns(_ColumnsFields):
     field that has no length raises UsageError naming it.
     """
 
-    __slots__ = ()
-    _make = checked_make
+    image_ids: Sequence[ImageId] = ()
+    labels: Sequence[str] = ()
+    boxes: Sequence[Sequence[float]] = ()
+    scores: Sequence[float] = ()
 
-    def __new__(
-        cls,
-        image_ids: Sequence[ImageId] = (),
-        labels: Sequence[str] = (),
-        boxes: Sequence[Sequence[float]] = (),
-        scores: Sequence[float] = (),
-    ) -> Columns:
+    def _new(cls, image_ids, labels, boxes, scores):
         for field, column in zip(cls._fields, (image_ids, labels, boxes, scores)):
             if not isinstance(column, Sized):
                 raise UsageError(f"{field} must be a sequence, got {type(column).__name__}")

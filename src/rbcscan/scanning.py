@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .errors import DomainError, UsageError, checked_make, number, shown
+from .errors import DomainError, UsageError, checked, number, shown
 
 # For annotations only: the functions that compute with arrays import numpy
 # themselves, so `import rbcscan` does not load it.
@@ -37,26 +37,20 @@ MAX_TRIALS = 10**9
 _MAX_CELLS = 1 << 63
 
 
-class _ScanConfigFields(NamedTuple):
-    n_cells: int
-    t_scan_s: float
-    t_detect_s: float = 0.0
-    ap: float = 0.0
-
-
-class ScanConfig(_ScanConfigFields):
+@checked
+class ScanConfig(NamedTuple):
     """Grid size and timing constants for one localization setup.
 
     ``ap`` is the probability that the detector's candidate cell actually
     contains the receiver, applied per episode.
     """
 
-    __slots__ = ()
-    _make = checked_make
+    n_cells: int
+    t_scan_s: float
+    t_detect_s: float = 0.0
+    ap: float = 0.0
 
-    def __new__(
-        cls, n_cells: int, t_scan_s: float, t_detect_s: float = 0.0, ap: float = 0.0
-    ) -> ScanConfig:
+    def _new(cls, n_cells, t_scan_s, t_detect_s, ap):
         # Stored as an int: numpy integer arithmetic would wrap past 2**63.
         n_cells = number(n_cells, "n_cells", DomainError, ">= 1", integral=True)
         number(t_scan_s, "t_scan_s", DomainError, "finite and > 0")

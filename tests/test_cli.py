@@ -383,6 +383,7 @@ class TestGeometryCommand:
             ["--distances", "1e-320"],  # finite, but the projected size overflows
             ["--calibrate", "14", "120", "nan"],
             ["--calibrate", "inf", "120", "124"],
+            ["--calibrate", "1", "1e200", "1e200"],  # finite, but the focal length overflows
             ["--receiver-width-cm", "nan"],
             ["--receiver-height-cm", "inf"],
             ["--min-width-px", "nan"],

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from importlib import resources
 
 import numpy as np
@@ -184,6 +185,16 @@ class TestProfileValidation:
             DetectorProfile(**dict(fields, **kwargs))
         assert str(e.value) == message
 
+    @pytest.mark.parametrize(
+        "top", [int(sys.float_info.max), 1.7e308], ids=["int-knots", "float-knots"]
+    )
+    def test_rejects_knots_whose_span_is_not_a_finite_float(self, top):
+        # ap_at interpolates over the span: from these ints it raised a bare
+        # OverflowError, from these floats it returned 0.9 where 0.7 is right.
+        with pytest.raises(DomainError) as e:
+            _profile([(-top, 0.9), (top, 0.5)])
+        assert str(e.value) == "ap_vs_iou[1] threshold minus the previous one is not a finite float"
+        assert ap_at(_profile([(-top / 2, 0.9), (top / 2, 0.5)]), 0) == pytest.approx(0.7)
 
 
 class TestBuiltinProfile:

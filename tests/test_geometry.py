@@ -42,6 +42,21 @@ class TestCalibrateFocal:
         with pytest.raises(DomainError):
             calibrate_focal(*args)
 
+    @pytest.mark.parametrize(
+        "args, focal",
+        [
+            ((1, 10**200, 10**200), "inf"),
+            ((1.0, 1e200, 1e200), "inf"),
+            ((1.0, 1e-200, 1e-200), "0.0"),
+        ],
+    )
+    def test_rejects_a_focal_length_past_float_range(self, args, focal):
+        # The ints raised a bare OverflowError; the floats returned inf or 0.0.
+        with pytest.raises(DomainError) as e:
+            calibrate_focal(*args)
+        message = "observed_px * distance_cm / object_cm must be finite and > 0"
+        assert str(e.value) == f"{message}, got {focal}"
+
 
 class TestProjectSize:
     def setup_method(self):

@@ -8,19 +8,22 @@ one bad field value with the error its constructor raises.
 
 from __future__ import annotations
 
+import importlib
 import math
 import pickle
+import pkgutil
 from typing import Any, NamedTuple
 
 import numpy as np
 import pytest
 
+import rbcscan
 from rbcscan.detector import DetectorProfile, SyntheticScene
 from rbcscan.errors import DomainError, UsageError
 from rbcscan.formats import AnnotationFile, DetectionFile, ImageInfo, ScenarioFile
 from rbcscan.geometry import CameraModel, CellGrid, PixelSize, ReceiverSpec
-from rbcscan.metrics import BBox, Columns, EvalResult, GroundTruthObject, MatchResult
-from rbcscan.scanning import ScanConfig
+from rbcscan.metrics import BBox, Columns, Detection, EvalResult, GroundTruthObject, MatchResult
+from rbcscan.scanning import ScanConfig, SimulationSummary
 
 
 class Bad(NamedTuple):
@@ -46,7 +49,27 @@ _GT_COLUMNS_REPR = (
     "Columns(image_ids=('a',), labels=('smartphone',), boxes=([1.0, 2.0, 3.0, 4.0],), scores=())"
 )
 
+_BOX_REPR = "BBox(x=1.0, y=2.0, w=3.0, h=4.0)"
+
 RECORDS = {
+    "BBox": Record(
+        BOX,
+        _BOX_REPR,
+        {},
+        Bad("w", -1.0, DomainError, "box width/height must be >= 0, got (-1.0, 4.0)"),
+    ),
+    "Detection": Record(
+        Detection("a", BOX, 0.5),
+        f"Detection(image_id='a', bbox={_BOX_REPR}, score=0.5, class_label='smartphone')",
+        {"class_label": "smartphone"},
+        Bad("score", 1.5, DomainError, "detection score must be within [0, 1], got 1.5"),
+    ),
+    "GroundTruthObject": Record(
+        GroundTruthObject("a", BOX, "tablet"),
+        f"GroundTruthObject(image_id='a', bbox={_BOX_REPR}, class_label='tablet')",
+        {"class_label": "smartphone"},
+        None,
+    ),
     "CameraModel": Record(
         CameraModel(1062.857142857143, 1280, 720),
         "CameraModel(focal_px=1062.857142857143, ref_width=1280, ref_height=720)",
@@ -115,6 +138,12 @@ RECORDS = {
         {"t_detect_s": 0.0, "ap": 0.0},
         Bad("ap", 1.5, DomainError, "ap must be within [0, 1], got 1.5"),
     ),
+    "SimulationSummary": Record(
+        SimulationSummary(1000, 2.5, 0.125, None),
+        "SimulationSummary(trials=1000, mean_time_s=2.5, stderr_s=0.125, analytic_time_s=None)",
+        {},
+        None,
+    ),
     "ImageInfo": Record(IMAGE, "ImageInfo(image_id='a', width=640, height=360)", {}, None),
     "AnnotationFile": Record(
         AnnotationFile((IMAGE,), GT_COLUMNS, {"train": 1}),
@@ -149,6 +178,9 @@ RECORDS = {
 
 #: Each record's fields, in the order of the dataclass it replaced.
 FIELDS = {
+    "BBox": ("x", "y", "w", "h"),
+    "Detection": ("image_id", "bbox", "score", "class_label"),
+    "GroundTruthObject": ("image_id", "bbox", "class_label"),
     "CameraModel": ("focal_px", "ref_width", "ref_height"),
     "ReceiverSpec": ("width_cm", "height_cm"),
     "CellGrid": ("rows", "cols", "image_width", "image_height"),
@@ -159,6 +191,7 @@ FIELDS = {
     "DetectorProfile": ("name", "per_image_latency_s", "ap_vs_iou", "ap_vs_distance", "notes"),
     "SyntheticScene": ("grid", "receivers"),
     "ScanConfig": ("n_cells", "t_scan_s", "t_detect_s", "ap"),
+    "SimulationSummary": ("trials", "mean_time_s", "stderr_s", "analytic_time_s"),
     "ImageInfo": ("image_id", "width", "height"),
     "AnnotationFile": ("images", "columns", "split"),
     "DetectionFile": ("columns",),
@@ -171,6 +204,22 @@ CHECKED = [name for name, record in RECORDS.items() if record.bad is not None]
 def test_table_covers_the_same_records():
     assert set(RECORDS) == set(FIELDS)
     assert all(type(r.instance).__name__ == name for name, r in RECORDS.items())
+
+
+def test_every_record_in_the_package_is_one_class_in_the_table():
+    # A tuple class the package defines is a record: it needs a row above,
+    # and it declares its fields itself, with no fields class between it and tuple.
+    found = {}
+    for info in pkgutil.iter_modules(rbcscan.__path__):
+        module = importlib.import_module(f"rbcscan.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, tuple):
+                if obj.__module__ == module.__name__:
+                    found[obj.__name__] = obj
+    assert set(found) == set(RECORDS)
+    for name, cls in found.items():
+        assert type(RECORDS[name].instance) is cls
+        assert cls.__mro__[1] is tuple, name
 
 
 @pytest.mark.parametrize("name", RECORDS)
