@@ -24,6 +24,7 @@ from typing import NamedTuple, Sequence
 from .errors import DomainError, UsageError, checked, number, shown
 from .geometry import CellGrid, cell_of_point
 from .metrics import BBox, Detection, GroundTruthObject, _box_array
+from .scanning import _MAX_CELLS
 
 #: Score ranges for synthesized detections, (low, high).
 CORRECT_SCORE_RANGE = (0.8, 1.0)
@@ -173,6 +174,25 @@ def builtin_profile(name: str = "mask-rcnn-smartphone") -> DetectorProfile:
     return parse_profile(text)
 
 
+def _sample_cells(grid: CellGrid, true_cells, ap: float, seed: int):
+    """(candidate_cells, scores) arrays for an int64 array of true cells.
+
+    The candidate is the true cell with probability ``ap``, else a uniformly
+    chosen other cell; scores as in the module docstring. The caller checks
+    the seed and the grid as `sample_detections` does.
+    """
+    import numpy as np
+
+    n = len(true_cells)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    correct = rng.random(n) < ap
+    wrong = rng.integers(0, max(1, grid.n_cells - 1), size=n)
+    wrong += wrong >= true_cells
+    correct_scores = rng.uniform(*CORRECT_SCORE_RANGE, size=n)
+    wrong_scores = rng.uniform(*WRONG_SCORE_RANGE, size=n)
+    return np.where(correct, true_cells, wrong), np.where(correct, correct_scores, wrong_scores)
+
+
 def sample_detections(
     scene: SyntheticScene,
     profile: DetectorProfile,
@@ -181,68 +201,48 @@ def sample_detections(
 ) -> list[Detection]:
     """Synthesize one detection per receiver, right or wrong per the profile.
 
-    A right detection keeps the receiver's box object; a wrong one moves the
-    box center to the center of a uniformly chosen other cell. Draw order is
-    fixed (four arrays: correctness uniforms, wrong-cell picks, correct
-    scores, wrong scores), so output is fully determined by
-    (scene, profile, iou_threshold, rng_seed).
-
-    The wrong detections' true cells, shifted cells and moved corners are
-    computed as arrays over the wrong subset, with the float operations of
-    `cell_of_point`, `cell_center` and `BBox(cx - w / 2, ...)` in the same
-    order, so every value is bit-identical to mapping one receiver at a
-    time. A receiver centred on the right or bottom image edge (a
-    zero-width box there) has its true cell in the last column or row, as
-    `detections_to_candidates` maps that centre, whatever the seed.
+    A receiver's true cell is `cell_of_point`'s for its box centre, or in
+    the last column or row for a centre on the right or bottom image edge
+    (a zero-width box there), as `detections_to_candidates` maps it.
+    `_sample_cells` names each detection's cell and score. A right detection
+    keeps the receiver's box object; a wrong one moves the box center to
+    its cell's center, by the float operations of `cell_center` and
+    `BBox(cx - w / 2, ...)`. Draw order is fixed (four arrays: correctness
+    uniforms, wrong-cell picks, correct scores, wrong scores), so output is
+    fully determined by (scene, profile, iou_threshold, rng_seed).
     """
     import numpy as np
 
     rng_seed = number(rng_seed, "seed", UsageError, ">= 0", integral=True)
     p = ap_at(profile, iou_threshold)
     grid = scene.grid
-    n_cells = grid.n_cells
-    if n_cells < 2 and p < 1.0:
+    # Before any draw or cell arithmetic, which would overflow int64.
+    if grid.n_cells >= _MAX_CELLS:
+        raise UsageError(f"simulation needs n_cells < 2**63, got {grid.n_cells}")
+    if grid.n_cells < 2 and p < 1.0:
         raise UsageError("a grid with a single cell cannot host a wrong detection")
-    receivers = scene.receivers
-    n = len(receivers)
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    correct = rng.random(n) < p
-    wrong_raw = rng.integers(0, max(1, n_cells - 1), size=n)
-    correct_scores = rng.uniform(*CORRECT_SCORE_RANGE, size=n)
-    wrong_scores = rng.uniform(*WRONG_SCORE_RANGE, size=n)
-
-    wrong = np.flatnonzero(~correct)
-    wrong_ids = wrong.tolist()
-    gts = list(map(itemgetter(0), receivers))
-    det_boxes = list(map(attrgetter("bbox"), gts))
-    boxes = [det_boxes[i] for i in wrong_ids]
-    xywh = _box_array(boxes, len(boxes))
-    w, h = xywh[:, 2], xywh[:, 3]
-    cx = xywh[:, 0] + w / 2
-    cy = xywh[:, 1] + h / 2
+    gts = list(map(itemgetter(0), scene.receivers))
+    boxes = list(map(attrgetter("bbox"), gts))
+    x, y, w, h = _box_array(boxes, len(boxes)).T
     width, height, cols, rows = grid.image_width, grid.image_height, grid.cols, grid.rows
-    # The scene keeps every centre within the image; one on the far edge
-    # takes the last column or row.
-    col = np.minimum(cols - 1, np.floor(cx * cols / width)).astype(np.int64)
-    row = np.minimum(rows - 1, np.floor(cy * rows / height)).astype(np.int64)
-    true_cell = row * cols + col
-    wrong_cell = wrong_raw[wrong]
-    wrong_cell += wrong_cell >= true_cell
-    wrong_row, wrong_col = np.divmod(wrong_cell, cols)
-    det_x = (wrong_col + 0.5) * width / cols - w / 2
-    det_y = (wrong_row + 0.5) * height / rows - h / 2
-
-    scores = np.where(correct, correct_scores, wrong_scores)
+    col = np.minimum(cols - 1, np.floor((x + w / 2) * cols / width)).astype(np.int64)
+    row = np.minimum(rows - 1, np.floor((y + h / 2) * rows / height)).astype(np.int64)
+    true_cells = row * cols + col
+    cells, scores = _sample_cells(grid, true_cells, p, rng_seed)
+    moved = np.flatnonzero(cells != true_cells)
+    wrong_row, wrong_col = np.divmod(cells[moved], cols)
+    det_x = (wrong_col + 0.5) * width / cols - w[moved] / 2
+    det_y = (wrong_row + 0.5) * height / rows - h[moved] / 2
     # The scene holds every box to w, h >= 0 and the scores are drawn from
-    # [0.5, 1.0], so the records are built without their constructors'
-    # checks. A moved box keeps the receiver box's own w and h, which may
-    # be ints.
+    # [0.5, 1.0], so the records skip their constructors' checks. A moved
+    # box keeps the receiver box's own w and h, which may be ints.
     new = tuple.__new__
-    for i, (_, _, bw, bh), x, y in zip(wrong_ids, boxes, det_x.tolist(), det_y.tolist()):
-        det_boxes[i] = new(BBox, (x, y, bw, bh))
+    for i, bx, by in zip(moved.tolist(), det_x.tolist(), det_y.tolist()):
+        _, _, bw, bh = boxes[i]
+        boxes[i] = new(BBox, (bx, by, bw, bh))
     return [
         new(Detection, (gt.image_id, box, score, gt.class_label))
-        for gt, box, score in zip(gts, det_boxes, scores.tolist())
+        for gt, box, score in zip(gts, boxes, scores.tolist())
     ]
 
 

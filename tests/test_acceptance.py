@@ -6,20 +6,24 @@ line per criterion. Tolerances are fixed here, not tuned elsewhere.
 
 import itertools
 import json
+import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import ap_101point_oracle, expected_time_guided, expected_time_traditional
-from rbcscan.cli import main
-from rbcscan.detector import (
-    SyntheticScene,
-    builtin_profile,
-    detections_to_candidates,
-    sample_detections,
+import test_scanning
+from oracles import (
+    ap_101point_oracle,
+    expected_time_guided,
+    expected_time_traditional,
+    scan_count_law_guided,
+    var_scans_guided,
 )
+from rbcscan.cli import main
+from rbcscan.detector import _sample_cells, ap_at, builtin_profile
 from rbcscan.formats import (
     emit_annotations,
     emit_detections,
@@ -33,7 +37,6 @@ from rbcscan.formats import (
 from rbcscan.geometry import (
     CellGrid,
     ReceiverSpec,
-    cell_center,
     project_size,
     reference_camera,
 )
@@ -52,7 +55,6 @@ from rbcscan.scanning import (
     ScanConfig,
     breakeven_ap,
     simulate_guided,
-    simulate_guided_multi,
     simulate_traditional,
     t1_analytic,
     t2_analytic,
@@ -178,9 +180,26 @@ def test_default_thresholds_and_map_definition():
     _report("default IoU thresholds are exactly 0.50..0.95 step 0.05; mAP is their mean")
 
 
-def _receiver_in_cell(grid: CellGrid, cell: int, image_id: int) -> GroundTruthObject:
-    cx, cy = cell_center(grid, cell)
-    return GroundTruthObject(image_id=image_id, bbox=BBox(cx - 62.0, cy - 31.0, 124.0, 62.0))
+def _pipeline_scans(true_cells, candidates):
+    """Scans to find each receiver: its candidate cell first, then the other
+    cells in ascending order. A miss reaches the true cell t after t + 1
+    scans, one fewer if the candidate lies below it, plus the candidate's."""
+    return np.where(candidates == true_cells, 1, 2 + true_cells - (candidates < true_cells))
+
+
+@pytest.mark.parametrize("ap", [0, Fraction(1, 3), 0.7, 1])
+@pytest.mark.parametrize("n_cells", range(2, 9))
+def test_pipeline_scan_count_follows_the_guided_law(n_cells, ap):
+    # Every (true cell t, candidate c) pair against a literal scan order. t is
+    # uniform; c is t with probability ap, else uniform over the other cells.
+    p, q = Fraction(ap), (1 - Fraction(ap)) / (n_cells - 1)
+    law = {}
+    for t, c in itertools.product(range(n_cells), repeat=2):
+        order = [c, *(k for k in range(n_cells) if k != c)]
+        scans = int(_pipeline_scans(np.int64(t), np.int64(c)))
+        assert scans == order.index(t) + 1
+        law[scans] = law.get(scans, 0) + (p if c == t else q) / n_cells
+    assert law == scan_count_law_guided(n_cells, ap)
 
 
 def test_bundled_profile_and_end_to_end_pipeline():
@@ -193,32 +212,28 @@ def test_bundled_profile_and_end_to_end_pipeline():
     assert abs(sum(values) / len(values) - 0.5766) <= 0.0001
     assert all(a >= b for a, b in zip(values, values[1:]))
 
-    # End-to-end: synthesized detections -> candidate cells -> scan episodes
-    # must reproduce the closed-form guided model within 1%.
+    # End-to-end: the detector's candidate cells -> scan episodes, as
+    # arrays, must reproduce the closed-form guided model within 1%.
     grid = CellGrid(8, 8, 1280, 720)
     episodes = 200_000
     placement = np.random.Generator(np.random.PCG64(SEED))
     true_cells = placement.integers(0, grid.n_cells, size=episodes)
-    scene = SyntheticScene(
-        grid=grid,
-        receivers=tuple(
-            (_receiver_in_cell(grid, int(cell), i), 120.0) for i, cell in enumerate(true_cells)
-        ),
-    )
-    dets = sample_detections(scene, profile, iou_threshold=0.5, rng_seed=SEED + 1)
-    total = 0.0
-    for i, det in enumerate(dets):
-        candidates = detections_to_candidates([det], grid)
-        episode = simulate_guided_multi(
-            REFERENCE_CFG, candidates, {int(true_cells[i])}, rng_seed=0, trials=1
-        )
-        total += episode.mean_time_s
-    pipeline_mean = total / episodes
+    ap = ap_at(profile, 0.5)
+    candidates, _ = _sample_cells(grid, true_cells, ap, SEED + 1)
+    scans = _pipeline_scans(true_cells, candidates)
+    t_scan_s = REFERENCE_CFG.t_scan_s
+    pipeline_mean = REFERENCE_CFG.t_detect_s + t_scan_s * float(scans.mean())
     guided_mean = simulate_guided(REFERENCE_CFG, rng_seed=SEED + 2, trials=1_000_000).mean_time_s
     assert abs(pipeline_mean - guided_mean) / guided_mean <= 0.01
+    # And within Z exact standard errors of T2 at the profile's AP.
+    t2 = t2_analytic(REFERENCE_CFG._replace(ap=ap))
+    stderr = t_scan_s * math.sqrt(var_scans_guided(grid.n_cells, ap) / episodes)
+    z = test_scanning.TestExactSpread.Z
+    assert abs(pipeline_mean - t2) <= z * stderr
     _report(
         "bundled curve averages 0.5766 and is monotone; detection pipeline mean "
-        f"{pipeline_mean:.3f} s matches guided simulation {guided_mean:.3f} s within 1%"
+        f"{pipeline_mean:.3f} s matches guided simulation {guided_mean:.3f} s within 1% "
+        f"and T2 {t2:.3f} s within {z} standard errors"
     )
 
 

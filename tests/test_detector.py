@@ -19,6 +19,7 @@ from rbcscan import formats
 from rbcscan.errors import DomainError, UsageError
 from rbcscan.geometry import CellGrid, cell_center, cell_of_point
 from rbcscan.metrics import BBox, Detection, GroundTruthObject
+from rbcscan.scanning import ScanConfig, simulate_guided
 
 GRID = CellGrid(rows=8, cols=8, image_width=1280, image_height=720)
 
@@ -438,6 +439,16 @@ class TestSampleDetections:
         scene = self._scene([1, 5, 9])
         expected = sample_detections(scene, builtin_profile(), 0.5, rng_seed=3)
         assert sample_detections(scene, builtin_profile(), 0.5, rng_seed=np.int64(3)) == expected
+
+    def test_grid_of_2_pow_63_cells_refused_as_simulate_refuses_it(self):
+        grid = CellGrid(2**32, 2**32, 2**33, 2**33)
+        scene = SyntheticScene(grid, ((GroundTruthObject(0, BBox(10, 10, 4, 2)), 120.0),))
+        with pytest.raises(UsageError) as e:
+            sample_detections(scene, builtin_profile(), 0.5, rng_seed=1)
+        with pytest.raises(UsageError) as simulated:
+            simulate_guided(ScanConfig(grid.n_cells, 2.0, 0.2, 0.7), rng_seed=1, trials=1)
+        assert str(e.value) == str(simulated.value)
+        assert str(e.value) == f"simulation needs n_cells < 2**63, got {2**64}"
 
     def test_receiver_centred_on_far_edge_maps_to_last_column(self):
         # A zero-width box on the right edge has its center on the excluded

@@ -9,10 +9,13 @@ image), profiles whose AP is 0, 1 or a knot of the bundled curve, tied
 scores, and candidate lists that are empty, repeated or out of the grid.
 Single candidates and single detections, the pipeline's own shape, get
 properties of their own, with NaN cells and centres on and off the image.
+The array sampler under ``sample_detections``, ``_sample_cells``, is checked
+draw for draw: its cells and scores are the legacy detections'.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
@@ -21,12 +24,14 @@ import legacy_pipeline as legacy
 from rbcscan.detector import (
     DetectorProfile,
     SyntheticScene,
+    _sample_cells,
+    ap_at,
     builtin_profile,
     detections_to_candidates,
     sample_detections,
 )
 from rbcscan.errors import RbcScanError, UsageError
-from rbcscan.geometry import CellGrid
+from rbcscan.geometry import CellGrid, cell_of_point
 from rbcscan.metrics import STANDARD_IOU_THRESHOLDS, BBox, Detection, GroundTruthObject
 from rbcscan.scanning import ScanConfig, simulate_guided_multi
 
@@ -123,6 +128,26 @@ def test_sample_detections_matches_legacy(scene, profile_at, seed):
     assert new == old
     # repr tells 1 from 1.0 and prints every float digit.
     assert repr(new) == repr(old)
+
+
+@settings(max_examples=15)
+@given(_scenes(), _profiles, st.integers(0, 2**63))
+def test_sample_cells_matches_legacy_draw_for_draw(scene, profile_at, seed):
+    # Legacy takes a centre on the far edge only once it is clamped into the
+    # image; the package's true cell for that centre is the clamped one's.
+    profile, iou_threshold = profile_at
+    grid, clamped = scene.grid, _clamped(scene)
+    old = legacy.sample_detections(clamped, profile, iou_threshold, seed)
+    true_cells = np.array(
+        [cell_of_point(grid, *legacy._center(gt.bbox)) for gt, _ in clamped.receivers],
+        dtype=np.int64,
+    )
+    cells, scores = _sample_cells(grid, true_cells, ap_at(profile, iou_threshold), seed)
+    assert cells.tolist() == [cell_of_point(grid, *legacy._center(d.bbox)) for d in old]
+    assert scores.tolist() == [d.score for d in old]
+    # The records' own cells are the sampler's.
+    dets = sample_detections(scene, profile, iou_threshold, seed)
+    assert [detections_to_candidates([d], grid) for d in dets] == [[c] for c in cells.tolist()]
 
 
 def test_sample_detections_single_cell_grid_matches_legacy():
