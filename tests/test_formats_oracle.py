@@ -1,45 +1,37 @@
-"""Property tests: the one-pass record parsers against the field-at-a-time oracle.
+"""Property tests: the file parsers against the field-at-a-time oracle.
 
-``legacy_formats`` holds ``parse_annotations`` and ``parse_detections`` as
-they were before each record was checked in one pass of direct type and
-bound tests. Documents are drawn valid, then given one fault or two faults
-in the same record: a field of the wrong type, a bool for a number, a
-missing or unknown key, a negative width or height, a box outside its
-image, an image side below 1, an unknown or duplicate image id, a float,
-bool or list in place of an image id, a score out of range, a box of the
-wrong shape, or an integer too large for a float; a record of the wrong
-shape is always the only fault. Both parsers must return the same values
-or raise the same class with the same message, so with two faults they
-must name the same one, the first in check order; where the oracle raises
-``OverflowError`` the new parser raises ``SchemaError``. A document both
-accept must also come back equal, with an equal repr, from
-``parse(emit(...))``.
+``legacy_formats`` holds the record parsers from before each record was
+checked in one pass, and the scenario and profile parsers and emitters from
+before the record helpers. On every document a parser and its oracle return
+equal values, with equal reprs and emitted bytes, or raise the same error
+(with two faults, the first in check order; ``SchemaError`` where the
+oracle's is ``OverflowError`` or ``RecursionError``), and a parsed value
+survives ``parse(emit(...))``.
 
-The scenario and profile parsers and emitters are checked the same way
-against ``legacy_formats``' copies from before the record helpers, on
-documents with up to two faults anywhere in them: an unknown or missing
-key, a wrong type, a bool for a number, an integer too large for a float,
-NaN or infinity, a profile row of the wrong length, an ``n_cells`` that
-does not match the grid, a trial count out of range or a negative seed.
-Here every outcome must match exactly, emitted bytes included.
+A document takes few draws: Hypothesis draws its list lengths, the record
+that takes the faults, a field index per fault and one seed, and plain
+Python builds the rest from the seed (``_build``): ids, labels, numbers in
+and past the float range, ``-0.0``, scores and key orders. One engine,
+``_fault``, breaks it: a wrong type, a bool or a huge integer for a number,
+a missing or unknown key in the faulted record or anywhere in a scenario or
+profile, and the faults of each file kind. A single fault always changes
+the text; of two in one record, one left with nothing to act on is skipped.
 
-Annotation and detection files are decoded with orjson first and with
-json where that pass fails, so single faults also cover what the two
-decoders read differently, in every field: integers too wide for 64 bits,
-escaped lone surrogates, ``1e400``, raw control characters, duplicate keys
-and nesting around the depth limits. Where the oracle's json raises
-``RecursionError`` the parser raises ``SchemaError``. One property runs
-with ``orjson.loads`` forced to raise, so the json path is covered on
-valid files too.
-
-The round-trip properties ``parse(emit(parse(x))) == parse(x)`` cover all
-four file formats, and the bundled scenario file is its own emission.
+Annotation and detection files are decoded with orjson, and with json where
+that pass fails, so single faults also cover what the two decoders read
+differently (``DECODER_FAULTS``); a census checks that the documents write
+each such value kind, and one property forces ``orjson.loads`` to raise.
+Round trips cover all four formats, and the bundled scenario file is its own
+emission.
 """
 
+import copy
 import json
 import math
+import random
+import re
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 from unittest import mock
 
@@ -73,95 +65,318 @@ WIDE = [2**63, 2**64 - 1, 2**64, -(2**63) - 1, 10**30]
 #: limit and the 1024 levels some orjson releases allow.
 DEPTHS = [4, 5, 12, 13, 14, 500, 1023, 1024, 1025, 2000]
 
-_ids = st.one_of(st.integers(-3, 30), st.text("ab1", max_size=2))
-_labels = st.sampled_from(["phone", "tablet", ""])
-_real = st.one_of(
-    st.integers(-50, 300),
-    st.floats(-50, 300),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([sys.float_info.max, -sys.float_info.max, BEYOND_FLOAT_MAX, -0.0]),
-)
-_scores = st.one_of(st.sampled_from([0, 1, 0.0, 1.0]), st.floats(0, 1))
+#: Image ids: small integers and short strings over "ab1".
+_IDS = [*range(-3, 31), *("".join(p) for n in range(3) for p in product("ab1", repeat=n))]
+_LABELS = ["phone", "tablet", ""]
+#: The largest floats, an integer above them that rounds to one, and -0.0.
+_EDGES = [sys.float_info.max, -sys.float_info.max, BEYOND_FLOAT_MAX, -0.0]
+#: Characters for free text: ASCII, escapes, controls and beyond the BMP.
+_CHARS = 'ab1 "\\\x00\n\x1f\x7f\xe9\u2028中\U0001f600'
 
 
-def _upto(limit):
-    """A number in [0, limit], an integer when it fits."""
-    return st.one_of(st.integers(0, int(limit)), st.floats(0, limit))
+def _int(rng, lo, hi):
+    """An integer in [lo, hi], an end half the time."""
+    return rng.choice((lo, hi)) if rng.random() < 0.5 else rng.randint(lo, hi)
 
 
-def _shuffled(draw, record):
-    return dict(draw(st.permutations(list(record.items()))))
+def _any_float(rng):
+    """A finite float of any sign and magnitude, subnormals included."""
+    return math.ldexp(rng.uniform(-1, 1), rng.randint(-1074, 1024))
 
 
-@st.composite
-def _annotation_docs(draw):
+def _float(rng, lo, hi):
+    """A float in [lo, hi]: an end, a whole number, a uniform draw or any
+    float clamped into it."""
+    whole = float(rng.randint(math.ceil(lo), math.floor(hi)))
+    clamped = min(max(_any_float(rng), lo), hi)
+    return rng.choice((float(lo), float(hi), whole, rng.uniform(lo, hi), clamped))
+
+
+def _number(rng, lo, hi):
+    """An integer or a float in [lo, hi]."""
+    if rng.random() < 0.5:
+        return _int(rng, math.ceil(lo), math.floor(hi))
+    return _float(rng, lo, hi)
+
+
+def _real(rng):
+    """Any finite number, most of them within [-50, 300]."""
+    return rng.choice(
+        (rng.randint(-50, 300), _float(rng, -50, 300), _any_float(rng), rng.choice(_EDGES))
+    )
+
+
+def _positive(rng):
+    return _number(rng, 1e-6, 1e6)
+
+
+def _text(rng, lo, hi):
+    return "".join(rng.choices(_CHARS, k=rng.randint(lo, hi)))
+
+
+def _shuffled(rng, record):
+    return dict(rng.sample(list(record.items()), len(record)))
+
+
+def _annotations(rng, shape):
     images = [
-        {"image_id": i, "width": draw(st.integers(1, 100)), "height": draw(st.integers(1, 100))}
-        for i in draw(st.lists(_ids, unique=True, min_size=1, max_size=4))
+        {"image_id": i, "width": _int(rng, 1, 100), "height": _int(rng, 1, 100)}
+        for i in rng.sample(_IDS, shape["images"])
     ]
     objects = []
-    for _ in range(draw(st.integers(1, 6))):
-        im = draw(st.sampled_from(images))
-        x, y = draw(_upto(im["width"])), draw(_upto(im["height"]))
+    for _ in range(shape["objects"]):
+        im = rng.choice(images)
+        x, y = _number(rng, 0, im["width"]), _number(rng, 0, im["height"])
         # x + w may still round past the edge: then both parsers reject it.
-        box = [x, y, draw(_upto(im["width"] - x)), draw(_upto(im["height"] - y))]
-        objects.append({"image_id": im["image_id"], "class_label": draw(_labels), "bbox": box})
+        box = [x, y, _number(rng, 0, im["width"] - x), _number(rng, 0, im["height"] - y)]
+        objects.append({"image_id": im["image_id"], "class_label": rng.choice(_LABELS), "bbox": box})
     doc = {
-        "images": [_shuffled(draw, r) for r in images],
-        "objects": [_shuffled(draw, r) for r in objects],
+        "images": [_shuffled(rng, r) for r in images],
+        "objects": [_shuffled(rng, r) for r in objects],
     }
-    if draw(st.booleans()):
-        doc["split"] = {k: draw(st.integers(0, 9)) for k in ("train", "dev", "test")}
+    if rng.random() < 0.5:
+        doc["split"] = {k: _int(rng, 0, 9) for k in ("train", "dev", "test")}
+    return doc
+
+
+def _detections(rng, shape):
+    def detection():
+        box = [_real(rng), _real(rng), _number(rng, 0, 300), _number(rng, 0, 300)]
+        if rng.random() < 0.5:  # any finite extent at all
+            box[2:] = [abs(_real(rng)), abs(_real(rng))]
+        record = {"image_id": rng.choice(_IDS), "class_label": rng.choice(_LABELS), "bbox": box}
+        return _shuffled(rng, dict(record, score=_number(rng, 0, 1)))
+
+    return {"detections": [detection() for _ in range(shape["detections"])]}
+
+
+def _profile(rng, shape):
+    thresholds = sorted({_float(rng, 0, 1) for _ in range(shape["ap_vs_iou"])})
+    aps = sorted((_number(rng, 0, 1) for _ in thresholds), reverse=True)
+    n = shape["ap_vs_distance"]
+    triples = [[_positive(rng), _text(rng, 1, 3), _number(rng, 0, 1)] for _ in range(n)]
+    doc = {
+        "name": _text(rng, 0, 5),
+        "per_image_latency_s": 0 if rng.random() < 0.5 else _positive(rng),
+        "ap_vs_iou": [[t, ap] for t, ap in zip(thresholds, aps)],
+    }
+    if rng.random() < 0.5:
+        doc["ap_vs_distance"] = triples
+    if rng.random() < 0.5:
+        doc["notes"] = _text(rng, 0, 5)
+    return doc
+
+
+def _scenario(rng, shape):
+    rows, cols = _int(rng, 1, 16), _int(rng, 1, 16)
+    width, height, ref_width, ref_height = (_int(rng, 1, 4000) for _ in range(4))
+    t_detect = 0 if rng.random() < 0.5 else _positive(rng)
+    scan = {"n_cells": rows * cols, "t_scan_s": _positive(rng), "t_detect_s": t_detect}
+    return {
+        "camera": {"focal_px": _positive(rng), "ref_width": ref_width, "ref_height": ref_height},
+        "grid": {"rows": rows, "cols": cols, "image_width": width, "image_height": height},
+        "scan": dict(scan, ap=_number(rng, 0, 1)),
+        "profile": _text(rng, 0, 5),
+        "trials": _int(rng, 1, 10**9),
+        "seed": _int(rng, 0, 2**63),
+    }
+
+
+#: Each file kind's builder and the length range of each of its lists.
+_BUILDERS = {
+    "annotations": (_annotations, {"images": (1, 4), "objects": (1, 6)}),
+    "detections": (_detections, {"detections": (1, 6)}),
+    "profile": (_profile, {"ap_vs_iou": (1, 5), "ap_vs_distance": (0, 3)}),
+    "scenario": (_scenario, {}),
+}
+#: The file kind of each record list.
+_KIND = {"images": "annotations", "objects": "annotations", "detections": "detections"}
+
+
+def _build(kind, shape, seed, faults=(), name=None, i=None, fields=()):
+    """The ``kind`` document of list lengths ``shape`` built from ``seed``,
+    with ``faults`` in record i of list ``name``, or anywhere when ``name``
+    is None; each fault starts from its field index in ``fields``."""
+    rng = random.Random(seed)
+    doc = _BUILDERS[kind][0](rng, shape)
+    before = _dumps(doc) if len(faults) == 1 else None
+    for fault, field in zip(faults, fields):
+        _fault(rng, doc, fault, name, i, field)
+    assert before is None or _dumps(doc) != before, f"{faults} left the document as it was"
     return doc
 
 
 @st.composite
-def _detection_docs(draw):
-    def detection():
-        box = [draw(_real), draw(_real), draw(_upto(300)), draw(_upto(300))]
-        if draw(st.booleans()):  # any finite extent at all
-            box[2:] = [abs(draw(_real)), abs(draw(_real))]
-        record = {"image_id": draw(_ids), "class_label": draw(_labels), "bbox": box}
-        return _shuffled(draw, dict(record, score=draw(_scores)))
-
-    return {"detections": [detection() for _ in range(draw(st.integers(1, 6)))]}
+def _docs(draw, kind, *faults, name=None):
+    """A ``kind`` document with ``faults`` (None stands for none) in one
+    record of list ``name``, or anywhere in it when ``name`` is None."""
+    faults = tuple(f for f in faults if f)
+    shape = {}
+    for key, (lo, hi) in _BUILDERS[kind][1].items():
+        if key == "images" and "duplicate id" in faults:
+            lo = 2  # the faulted image takes another one's id
+        shape[key] = draw(st.integers(lo, hi))
+    i = draw(st.integers(0, shape[name] - 1)) if name and faults else None
+    fields = [draw(st.integers(0, 2**16)) for _ in faults]
+    return _build(kind, shape, draw(st.integers(0, 2**32)), faults, name, i, fields)
 
 
 _ALL = ("images", "objects", "detections")
 #: Each fault, with the record lists it applies to.
 FAULTS = {
-    "type": _ALL,
-    "bool": _ALL,
-    "missing": _ALL,
-    "unknown": _ALL,
-    "record": _ALL,
-    "huge": _ALL,
-    "box type": ("objects", "detections"),
-    "arity": ("objects", "detections"),
-    "negative": ("objects", "detections"),
-    "shifted": ("objects",),
-    "outside": ("objects",),
-    "unknown id": ("objects",),
-    "id lookalike": ("objects",),
-    "duplicate id": ("images",),
-    "size": ("images",),
+    **dict.fromkeys(["type", "bool", "missing", "unknown", "record", "huge"], _ALL),
+    **dict.fromkeys(["box type", "arity", "negative"], ("objects", "detections")),
+    **dict.fromkeys(["shifted", "outside", "unknown id", "id lookalike"], ("objects",)),
+    **dict.fromkeys(["duplicate id", "size"], ("images",)),
     "score": ("detections",),
 }
-#: Faults at which orjson and json read the text differently, used one at a
-#: time.
-DECODER_FAULTS = {
-    fault: _ALL
-    for fault in ("wide", "surrogate", "1e400", "control", "duplicate key", "nesting")
-}
+#: Faults at which orjson and json read the text differently, each used alone.
+DECODER_FAULTS = dict.fromkeys(
+    ["wide", "surrogate", "1e400", "control", "duplicate key", "nesting"], _ALL
+)
+SCENARIO_FAULTS = ("unknown", "missing", "type", "bool", "huge", "nan", "n_cells", "trials", "seed")
+PROFILE_FAULTS = ("unknown", "missing", "type", "bool", "huge", "nan", "arity")
+
+#: Values of the wrong type for most fields, and of the right one for some.
+_WRONG_TYPES = [None, "1", [], {}, [1, 2, 3, 4], [0.5, 0.5], 1.5, 3]
+#: What each number fault puts in place of a number.
+_NUMBER_FAULTS = {"bool": [True, False], "huge": [HUGE, -HUGE], "nan": [math.nan, math.inf]}
+_UNKNOWN_KEYS = ["mask", "Score", "image", "n_cell", "Seed"]
 
 
-def _cases(*lists):
-    return [(None, lists[0])] + [
-        (fault, name)
-        for fault, names in (FAULTS | DECODER_FAULTS).items()
-        for name in names
-        if name in lists
-    ]
+def _put(rng, slot, values):
+    """Set the field at ``slot`` to a copy of one of ``values`` it does not hold."""
+    container, key = slot
+    value = rng.choice([v for v in values if repr(v) != repr(container[key])])
+    container[key] = copy.deepcopy(value)
+
+
+def _fault(rng, doc, fault, name, i, field):
+    """Give ``doc`` one fault in place: in record i of list ``name``, or
+    anywhere in it when ``name`` is None. ``field`` picks the field hit."""
+
+    def pick(options):
+        return options[field % len(options)]
+
+    if name is None:
+        slots = [_slot(doc, path) for path in _paths(doc)]
+        objects = [doc] + [c[k] for c, k in slots if type(c[k]) is dict]
+        numbers = [(c, k) for c, k in slots if type(c[k]) in (int, float)]
+    else:
+        record = doc[name][i]
+        box = record["bbox"] if type(record.get("bbox")) is list else []
+        slots, objects = [(record, key) for key in record], [record]
+        numbers = [(box, k) for k in range(len(box))]
+        numbers += [(record, key) for key in ("width", "height", "score") if key in record]
+    if fault == "type" and slots:
+        _put(rng, pick(slots), _WRONG_TYPES)
+    elif fault in _NUMBER_FAULTS and numbers:
+        _put(rng, pick(numbers), _NUMBER_FAULTS[fault])
+    elif fault == "missing" and slots:
+        container, key = pick([(c, k) for c, k in slots if type(c) is dict])
+        del container[key]
+    elif fault == "unknown":
+        rng.choice(objects)[rng.choice(_UNKNOWN_KEYS)] = 1
+    elif name is not None:
+        _record_fault(rng, doc, name, i, fault, box, numbers, pick)
+    elif fault == "arity":
+        rows = [c[k] for c, k in slots if type(c) is list and type(c[k]) is list]
+        if rows:
+            row = pick(rows)
+            if row and rng.random() < 0.5:
+                row.pop()
+            else:
+                row.append(0.5)
+    elif fault == "n_cells" and type(doc.get("scan")) is dict:
+        if type(doc["scan"].get("n_cells")) is int:
+            doc["scan"]["n_cells"] += rng.choice([-1, 1, 2**63])
+    elif fault == "trials":
+        doc["trials"] = rng.choice([0, -1, MAX_TRIALS + 1, 10**30])
+    elif fault == "seed":
+        doc["seed"] = -1
+
+
+def _record_fault(rng, doc, name, i, fault, box, numbers, pick):
+    """One of the faults only records take, in record i."""
+    record = doc[name][i]
+    strings = [(record, key) for key in ("image_id", "class_label") if key in record]
+    # Wide and unbounded numbers also go in an integer id or a split count.
+    if type(record.get("image_id")) is int:
+        numbers = numbers + [(record, "image_id")]
+    if name == "images" and "split" in doc:
+        numbers = numbers + [(doc["split"], key) for key in doc["split"]]
+    if fault == "record":
+        doc[name][i] = rng.choice([None, 1, "x", [], box])
+    elif fault == "box type" and numbers[:4]:
+        _put(rng, pick(numbers[:4]), _WRONG_TYPES)
+    elif fault == "arity":
+        record["bbox"] = rng.choice([[], box[:3], box + [1]])
+    elif fault == "negative" and len(box) >= 4:
+        box[rng.randint(2, 3)] = -rng.choice([1, 0.5, 1e-300])
+    elif fault == "shifted":
+        # A shifted bool or huge integer would lose its fault or overflow.
+        slots = [k for k, v in enumerate(box[:4]) if type(v) in (int, float) and abs(v) < 1e300]
+        if slots:
+            k = pick(slots)
+            box[k] += rng.choice([d for d in (-1e-9, -1, 200, 1e300) if box[k] + d != box[k]])
+    elif fault == "outside":  # x and w each within the image, x + w not
+        image = next((im for im in doc["images"] if im["image_id"] == record.get("image_id")), None)
+        if image is not None and len(box) >= 4:
+            k = rng.randint(0, 1)
+            side = image[("width", "height")[k]]
+            box[k + 2] = rng.randint(1, side)
+            box[k] = side - box[k + 2] + rng.choice([1, 2**-30])
+    elif fault == "unknown id":
+        record["image_id"] = "ghost"
+    elif fault == "id lookalike":  # equal to an image id, or unhashable
+        image_id = record.get("image_id")
+        lookalikes = [float(image_id), True] if type(image_id) is int else [[image_id]]
+        record["image_id"] = rng.choice(lookalikes)
+    elif fault == "duplicate id":
+        record["image_id"] = rng.choice([im for im in doc["images"] if im is not record])["image_id"]
+    elif fault == "size":
+        record[pick(["width", "height"])] = rng.choice([0, -1])
+    elif fault == "score":
+        record["score"] = rng.choice([1.5, -0.25, 1.0000000000000002, -1e-300, 2])
+    elif fault == "wide":
+        _put(rng, pick(numbers), WIDE)
+    elif fault == "surrogate":
+        _put(rng, pick(strings), ["\ud800", "a\udfff", "\udc00\ud800"])
+    elif fault == "1e400":
+        container, key = pick(numbers)
+        container[key] = _Raw(rng.choice(["1e400", "-1e400", "1E+400", "2e308"]))
+    elif fault == "control":
+        container, key = pick(strings)
+        container[key] = _Raw(rng.choice(['"\x01"', '"a\tb"', '"\x1f"', '"\n"']))
+    elif fault == "duplicate key":
+        key = pick(sorted(record))
+        again = (key, rng.choice([record[key], None, -1, "x"]))
+        items = list(record.items())
+        items = items + [again] if rng.random() < 0.5 else [again] + items
+        fields = ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in items)
+        doc[name][i] = _Raw("{" + fields + "}")
+    elif fault == "nesting":
+        depth = rng.choice(DEPTHS)
+        nested = rng.choice(["[" * depth + "]" * depth, '{"a": ' * depth + "0" + "}" * depth])
+        if rng.random() < 0.5:
+            doc[name][i] = _Raw(nested)
+        else:
+            record[pick(sorted(record))] = _Raw(nested)
+
+
+def _paths(value, prefix=()):
+    """The key path of every field under an object or array, depth first."""
+    for key in list(value) if type(value) is dict else range(len(value)):
+        yield prefix + (key,)
+        if type(value[key]) in (dict, list):
+            yield from _paths(value[key], prefix + (key,))
+
+
+def _slot(doc, path):
+    """The container and key of the field at a key path."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc, path[-1]
 
 
 class _Raw:
@@ -185,6 +400,57 @@ def _dumps(doc):
     return text
 
 
+#: Each file kind's parser and emitter, then the oracle's.
+_PARSERS = {
+    "annotations": (parse_annotations, emit_annotations, legacy.parse_annotations, emit_annotations),
+    "detections": (parse_detections, emit_detections, legacy.parse_detections, emit_detections),
+    "profile": (parse_profile, emit_profile, legacy.parse_profile, legacy.emit_profile),
+    "scenario": (parse_scenario, emit_scenario, legacy.parse_scenario, legacy.emit_scenario),
+}
+#: What the parsers raise where the oracle raises one of these.
+_MAPPED = {
+    OverflowError: "too large for a float",
+    RecursionError: "not valid JSON: arrays or objects nested too deeply",
+}
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (RbcScanError, OverflowError, RecursionError) as e:
+        return type(e), str(e)
+
+
+def _assert_agrees(kind, doc):
+    """The ``kind`` parser and its oracle agree on ``doc``: equal values with
+    equal reprs and emitted bytes, or the same error. A parsed file also
+    survives ``emit`` unchanged."""
+    parse, emit, oracle_parse, oracle_emit = _PARSERS[kind]
+    text = _dumps(doc)
+    got, want = _outcome(parse, text), _outcome(oracle_parse, text)
+    if type(want) is tuple and want[0] in _MAPPED:
+        assert isinstance(got, tuple) and got[0] is SchemaError, got
+        assert _MAPPED[want[0]] in got[1]
+        return
+    assert got == want
+    # == holds between 1 and 1.0; repr tells them apart.
+    assert repr(got) == repr(want)
+    if type(got) is not tuple:
+        assert emit(got) == oracle_emit(want)
+        again = parse(emit(got))
+        assert again == got
+        assert repr(again) == repr(got)
+
+
+def _cases(*lists):
+    return [(None, lists[0])] + [
+        (fault, name)
+        for fault, names in (FAULTS | DECODER_FAULTS).items()
+        for name in names
+        if name in lists
+    ]
+
+
 def _pairs(*lists):
     """Every two distinct faults that can share a record of the named lists."""
     return [
@@ -195,169 +461,22 @@ def _pairs(*lists):
     ]
 
 
-@st.composite
-def _with_faults(draw, docs, faults, name):
-    """A document with the faults, if any, all in one record of the named list.
-
-    Each fault is applied to the record as the faults before it left it; a
-    fault with nothing left to act on (no box to shift, say) is skipped.
-    """
-    doc = draw(docs)
-    if not faults:
-        return doc
-    i = draw(st.integers(0, len(doc[name]) - 1))
-    for fault in faults:
-        _apply(draw, doc, name, i, fault)
-    return doc
-
-
-def _apply(draw, doc, name, i, fault):
-    record = doc[name][i]
-    box = record.get("bbox")
-    box = box if type(box) is list else []
-    numbers = [(box, k) for k in range(len(box))] + [
-        (record, key) for key in ("width", "height", "score") if key in record
-    ]
-    if fault in ("type", "box type"):
-        slots = [(record, key) for key in record] if fault == "type" else numbers[:4]
-        if slots:
-            container, key = draw(st.sampled_from(slots))
-            container[key] = draw(st.sampled_from([None, "1", [], {}, [1, 2, 3, 4], 1.5, 3]))
-    elif fault in ("bool", "huge"):
-        if numbers:
-            container, key = draw(st.sampled_from(numbers))
-            value = st.booleans() if fault == "bool" else st.sampled_from([HUGE, -HUGE])
-            container[key] = draw(value)
-    elif fault == "missing":
-        del record[draw(st.sampled_from(sorted(record)))]
-    elif fault == "unknown":
-        record[draw(st.sampled_from(["mask", "Score", "image"]))] = 1
-    elif fault == "record":
-        doc[name][i] = draw(st.sampled_from([None, 1, "x", [], box]))
-    elif fault == "arity":
-        record["bbox"] = draw(st.sampled_from([[], box[:3], box + [1]]))
-    elif fault == "negative":
-        if len(box) >= 4:
-            box[draw(st.integers(2, 3))] = -draw(st.sampled_from([1, 0.5, 1e-300]))
-    elif fault == "shifted":
-        # A shifted bool or huge integer would lose its fault or overflow.
-        slots = [
-            k for k, v in enumerate(box[:4]) if type(v) in (int, float) and abs(v) < 1e300
-        ]
-        if slots:
-            box[draw(st.sampled_from(slots))] += draw(st.sampled_from([-1e-9, -1, 200, 1e300]))
-    elif fault == "outside":  # x and w each within the image, x + w not
-        image_id = record.get("image_id")
-        image = next((im for im in doc["images"] if im["image_id"] == image_id), None)
-        if image is not None and len(box) >= 4:
-            k = draw(st.integers(0, 1))
-            side = image[("width", "height")[k]]
-            box[k + 2] = draw(st.integers(1, side))
-            box[k] = side - box[k + 2] + draw(st.sampled_from([1, 2**-30]))
-    elif fault == "unknown id":
-        record["image_id"] = "ghost"
-    elif fault == "id lookalike":  # equal to an image id, or unhashable
-        image_id = record.get("image_id")
-        record["image_id"] = draw(
-            st.sampled_from([float(image_id), True] if type(image_id) is int else [[image_id]])
-        )
-    elif fault == "duplicate id":
-        record["image_id"] = doc[name][i - 1].get("image_id")  # its own id when alone
-    elif fault == "size":
-        record[draw(st.sampled_from(["width", "height"]))] = draw(st.sampled_from([0, -1]))
-    elif fault == "score":
-        record["score"] = draw(st.sampled_from([1.5, -0.25, 1.0000000000000002, -1e-300, 2]))
-    else:
-        _apply_decoder_fault(draw, doc, record, numbers, name, i, fault)
-
-
-def _apply_decoder_fault(draw, doc, record, numbers, name, i, fault):
-    """One of ``DECODER_FAULTS`` in record i, or in the split counts."""
-    if type(record.get("image_id")) is int:
-        numbers = numbers + [(record, "image_id")]
-    if name == "images" and "split" in doc:
-        numbers = numbers + [(doc["split"], key) for key in doc["split"]]
-    strings = [(record, key) for key in ("image_id", "class_label") if key in record]
-    if fault == "wide":
-        if numbers:
-            container, key = draw(st.sampled_from(numbers))
-            container[key] = draw(st.sampled_from(WIDE))
-    elif fault == "surrogate":
-        container, key = draw(st.sampled_from(strings))
-        container[key] = draw(st.sampled_from(["\ud800", "a\udfff", "\udc00\ud800"]))
-    elif fault == "1e400":
-        if numbers:
-            container, key = draw(st.sampled_from(numbers))
-            container[key] = _Raw(draw(st.sampled_from(["1e400", "-1e400", "1E+400", "2e308"])))
-    elif fault == "control":
-        container, key = draw(st.sampled_from(strings))
-        container[key] = _Raw(draw(st.sampled_from(['"\x01"', '"a\tb"', '"\x1f"', '"\n"'])))
-    elif fault == "duplicate key":
-        key = draw(st.sampled_from(sorted(record)))
-        again = (key, draw(st.sampled_from([record[key], None, -1, "x"])))
-        items = list(record.items())
-        items = items + [again] if draw(st.booleans()) else [again] + items
-        fields = ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in items)
-        doc[name][i] = _Raw("{" + fields + "}")
-    elif fault == "nesting":
-        depth = draw(st.sampled_from(DEPTHS))
-        nested = "[" * depth + "]" * depth
-        if draw(st.booleans()):
-            nested = '{"a": ' * depth + "0" + "}" * depth
-        if draw(st.booleans()):
-            doc[name][i] = _Raw(nested)
-        else:
-            record[draw(st.sampled_from(sorted(record)))] = _Raw(nested)
-
-
-def _outcome(parse, text):
-    try:
-        return parse(text)
-    except (RbcScanError, OverflowError, RecursionError) as e:
-        return type(e), str(e)
-
-
-#: What the parsers raise where the oracle raises one of these.
-_MAPPED = {
-    OverflowError: "too large for a float",
-    RecursionError: "not valid JSON: arrays or objects nested too deeply",
-}
-
-
-def _assert_agrees(parse, oracle, emit, doc):
-    """``parse`` and ``oracle`` agree on ``doc``, emitted bytes included; a
-    parsed file also survives ``emit``, which writes it from its columns,
-    unchanged."""
-    text = _dumps(doc)
-    got, want = _outcome(parse, text), _outcome(oracle, text)
-    if type(want) is tuple and want[0] in _MAPPED:
-        assert isinstance(got, tuple) and got[0] is SchemaError, got
-        assert _MAPPED[want[0]] in got[1]
-        return
-    assert got == want
-    # == holds between 1 and 1.0; repr tells them apart.
-    assert repr(got) == repr(want)
-    if type(got) is not tuple:
-        assert emit(got) == emit(want)
-        again = parse(emit(got))
-        assert again == got
-        assert repr(again) == repr(got)
+def _pair_id(case):
+    return "+".join(case) if isinstance(case, tuple) else case
 
 
 @pytest.mark.parametrize("fault, name", _cases("images", "objects"))
 @settings(max_examples=15)
 @given(data=st.data())
 def test_parse_annotations_matches_legacy(fault, name, data):
-    doc = data.draw(_with_faults(_annotation_docs(), (fault,) if fault else (), name))
-    _assert_agrees(parse_annotations, legacy.parse_annotations, emit_annotations, doc)
+    _assert_agrees("annotations", data.draw(_docs("annotations", fault, name=name)))
 
 
 @pytest.mark.parametrize("fault, name", _cases("detections"))
 @settings(max_examples=15)
 @given(data=st.data())
 def test_parse_detections_matches_legacy(fault, name, data):
-    doc = data.draw(_with_faults(_detection_docs(), (fault,) if fault else (), name))
-    _assert_agrees(parse_detections, legacy.parse_detections, emit_detections, doc)
+    _assert_agrees("detections", data.draw(_docs("detections", fault, name=name)))
 
 
 @settings(max_examples=100)
@@ -367,17 +486,26 @@ def test_json_path_alone_matches_legacy(data):
     decoding forced to fail, so that every file, valid ones included, is
     read by json."""
     fault, name = data.draw(st.sampled_from(_cases("images", "objects") + _cases("detections")))
-    if name == "detections":
-        doc = data.draw(_with_faults(_detection_docs(), (fault,) if fault else (), name))
-        parse, oracle, emit = parse_detections, legacy.parse_detections, emit_detections
-    else:
-        doc = data.draw(_with_faults(_annotation_docs(), (fault,) if fault else (), name))
-        parse, oracle, emit = parse_annotations, legacy.parse_annotations, emit_annotations
+    doc = data.draw(_docs(_KIND[name], fault, name=name))
     failure = orjson.JSONDecodeError("forced", "", 0)
     with mock.patch.object(orjson, "loads", side_effect=failure) as loads:
-        _assert_agrees(parse, oracle, emit, doc)
+        _assert_agrees(_KIND[name], doc)
     if fault is None:
         assert loads.called
+
+
+@pytest.mark.parametrize("faults, name", _pairs("images", "objects"), ids=_pair_id)
+@settings(max_examples=5)
+@given(data=st.data())
+def test_parse_annotations_two_faults_match_legacy(faults, name, data):
+    _assert_agrees("annotations", data.draw(_docs("annotations", *faults, name=name)))
+
+
+@pytest.mark.parametrize("faults, name", _pairs("detections"), ids=_pair_id)
+@settings(max_examples=5)
+@given(data=st.data())
+def test_parse_detections_two_faults_match_legacy(faults, name, data):
+    _assert_agrees("detections", data.draw(_docs("detections", *faults, name=name)))
 
 
 _WIDE_ANNOTATIONS = {
@@ -393,19 +521,13 @@ _WIDE_DETECTIONS = {
 @pytest.mark.parametrize("value", WIDE)
 def test_wide_integers_in_every_numeric_field_match_legacy(value):
     """Each wide integer in each numeric field of a valid file, one at a time."""
-    cases = [
-        (_WIDE_ANNOTATIONS, path, parse_annotations, legacy.parse_annotations, emit_annotations)
-        for path in _paths(_WIDE_ANNOTATIONS)
-    ] + [
-        (_WIDE_DETECTIONS, path, parse_detections, legacy.parse_detections, emit_detections)
-        for path in _paths(_WIDE_DETECTIONS)
-    ]
-    for base, path, parse, oracle, emit in cases:
-        doc = json.loads(json.dumps(base))
-        container, key = _slot(doc, path)
-        if type(container[key]) is int:
-            container[key] = value
-            _assert_agrees(parse, oracle, emit, doc)
+    for kind, base in (("annotations", _WIDE_ANNOTATIONS), ("detections", _WIDE_DETECTIONS)):
+        for path in _paths(base):
+            doc = json.loads(json.dumps(base))
+            container, key = _slot(doc, path)
+            if type(container[key]) is int:
+                container[key] = value
+                _assert_agrees(kind, doc)
 
 
 def test_wide_box_integer_keeps_its_value():
@@ -418,79 +540,42 @@ def test_wide_box_integer_keeps_its_value():
     assert emitted["bbox"] == [10**30, 0, 1, 1] and type(emitted["bbox"][0]) is int
 
 
-def _pair_id(case):
-    return "+".join(case) if isinstance(case, tuple) else case
-
-
-@pytest.mark.parametrize("faults, name", _pairs("images", "objects"), ids=_pair_id)
-@settings(max_examples=5)
-@given(data=st.data())
-def test_parse_annotations_two_faults_match_legacy(faults, name, data):
-    doc = data.draw(_with_faults(_annotation_docs(), faults, name))
-    _assert_agrees(parse_annotations, legacy.parse_annotations, emit_annotations, doc)
-
-
-@pytest.mark.parametrize("faults, name", _pairs("detections"), ids=_pair_id)
-@settings(max_examples=5)
-@given(data=st.data())
-def test_parse_detections_two_faults_match_legacy(faults, name, data):
-    doc = data.draw(_with_faults(_detection_docs(), faults, name))
-    _assert_agrees(parse_detections, legacy.parse_detections, emit_detections, doc)
-
-
-# ---------------------------------------------------------------------------
-# round trips
-# ---------------------------------------------------------------------------
-
-_positive = st.one_of(st.integers(1, 10**6), st.floats(1e-6, 1e6))
-_unit = st.one_of(st.sampled_from([0, 1]), st.floats(0, 1))
-
-
-@st.composite
-def _profile_docs(draw):
-    thresholds = sorted(draw(st.lists(st.floats(0, 1), min_size=1, max_size=5, unique=True)))
-    aps = sorted((draw(_unit) for _ in thresholds), reverse=True)
-    doc = {
-        "name": draw(st.text(max_size=5)),
-        "per_image_latency_s": draw(st.one_of(st.just(0), _positive)),
-        "ap_vs_iou": [[t, ap] for t, ap in zip(thresholds, aps)],
+def _value_kinds(text):
+    """The value kinds of ``DECODER_FAULTS`` that a document's text holds."""
+    numbers = set(re.findall(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?", text))
+    found = {
+        "wide": numbers & {str(v) for v in WIDE},
+        "1e400": [n for n in numbers if "e" in n.lower() and math.isinf(float(n))],
+        "surrogate": re.search(r"\\ud[89a-f]", text),
+        "control": re.search(r"[\x00-\x1f]", text),
+        "duplicate key": re.search(r'\{[^{}]*"(\w+)": [^{}]*"\1": ', text),
     }
-    if draw(st.booleans()):
-        triple = st.tuples(_positive, st.text(min_size=1, max_size=3), _unit).map(list)
-        doc["ap_vs_distance"] = draw(st.lists(triple, max_size=3))
-    if draw(st.booleans()):
-        doc["notes"] = draw(st.text(max_size=5))
-    return doc
+    kinds = {kind for kind, hits in found.items() if hits}
+    # A run of "[" that opens a record list holds one bracket of the list's own.
+    for key, run in re.findall(r'(?:"(\w+)": )?(\[+)\]', text):
+        kinds.add(("nesting", len(run) - (key in _KIND)))
+    for run in re.findall(r'((?:\{"a": )+)0', text):
+        kinds.add(("nesting", len(run) // len('{"a": ')))
+    return kinds
 
 
-@st.composite
-def _scenario_docs(draw):
-    rows, cols = draw(st.integers(1, 16)), draw(st.integers(1, 16))
-    return {
-        "camera": {
-            "focal_px": draw(_positive),
-            "ref_width": draw(st.integers(1, 4000)),
-            "ref_height": draw(st.integers(1, 4000)),
-        },
-        "grid": {
-            "rows": rows,
-            "cols": cols,
-            "image_width": draw(st.integers(1, 4000)),
-            "image_height": draw(st.integers(1, 4000)),
-        },
-        "scan": {
-            "n_cells": rows * cols,
-            "t_scan_s": draw(_positive),
-            "t_detect_s": draw(st.one_of(st.just(0), _positive)),
-            "ap": draw(_unit),
-        },
-        "profile": draw(st.text(max_size=5)),
-        "trials": draw(st.integers(1, 10**9)),
-        "seed": draw(st.integers(0, 2**63)),
-    }
+def test_decoder_faults_write_every_value_kind():
+    """Decoder-fault documents built from seeds below 60 write into each
+    record list a wide integer, a lone surrogate, a number past the float
+    range, a raw control character, a duplicate key and each of ``DEPTHS``."""
+    expected = {"wide", "surrogate", "1e400", "control", "duplicate key"}
+    expected |= {("nesting", depth) for depth in DEPTHS}
+    for name, kind in _KIND.items():
+        shape = {key: hi for key, (lo, hi) in _BUILDERS[kind][1].items()}
+        seen = set()
+        for seed, fault in product(range(60), DECODER_FAULTS):
+            if seen != expected:
+                doc = _build(kind, shape, seed, (fault,), name, seed % shape[name], (seed,))
+                seen |= _value_kinds(_dumps(doc))
+        assert seen == expected, name
 
 
-@given(_annotation_docs())
+@given(_docs("annotations"))
 def test_annotations_round_trip(doc):
     try:
         first = parse_annotations(json.dumps(doc))
@@ -499,19 +584,19 @@ def test_annotations_round_trip(doc):
     assert parse_annotations(emit_annotations(first)) == first
 
 
-@given(_detection_docs())
+@given(_docs("detections"))
 def test_detections_round_trip(doc):
     first = parse_detections(json.dumps(doc))
     assert parse_detections(emit_detections(first)) == first
 
 
-@given(_profile_docs())
+@given(_docs("profile"))
 def test_profile_round_trip(doc):
     first = parse_profile(json.dumps(doc))
     assert parse_profile(emit_profile(first)) == first
 
 
-@given(_scenario_docs())
+@given(_docs("scenario"))
 def test_scenario_round_trip(doc):
     first = parse_scenario(json.dumps(doc))
     assert parse_scenario(emit_scenario(first)) == first
@@ -526,102 +611,17 @@ def test_default_scenario_is_its_own_emission():
     assert emit_scenario(parse_scenario(_DEFAULT_SCENARIO_TEXT)) == _DEFAULT_SCENARIO_TEXT
 
 
-# ---------------------------------------------------------------------------
-# scenarios and profiles against the oracle
-# ---------------------------------------------------------------------------
-
-SCENARIO_FAULTS = ("unknown", "missing", "type", "bool", "huge", "nan", "n_cells", "trials", "seed")
-PROFILE_FAULTS = ("unknown", "missing", "type", "bool", "huge", "nan", "arity")
+_SMALL_PROFILE = json.loads(emit_profile(builtin_profile()))
+_SMALL_PROFILE.update((key, _SMALL_PROFILE[key][:2]) for key in ("ap_vs_iou", "ap_vs_distance"))
+#: Valid documents to null fields in.
+_NULLED = {"scenario": json.loads(_DEFAULT_SCENARIO_TEXT), "profile": _SMALL_PROFILE}
 
 
-def _paths(value, prefix=()):
-    """The key path of every field under an object or array, depth first."""
-    for key in list(value) if type(value) is dict else range(len(value)):
-        yield prefix + (key,)
-        if type(value[key]) in (dict, list):
-            yield from _paths(value[key], prefix + (key,))
-
-
-def _slot(doc, path):
-    """The container and key of the field at a key path."""
-    for key in path[:-1]:
-        doc = doc[key]
-    return doc, path[-1]
-
-
-def _apply_anywhere(draw, doc, fault):
-    """Give ``doc`` one fault in place; one with nothing to act on is skipped."""
-    slots = [_slot(doc, path) for path in _paths(doc)]
-    objects = [doc] + [c[k] for c, k in slots if type(c[k]) is dict]
-    numbers = [(c, k) for c, k in slots if type(c[k]) in (int, float)]
-    rows = [c[k] for c, k in slots if type(c) is list and type(c[k]) is list]
-    if fault == "unknown":
-        draw(st.sampled_from(objects))[draw(st.sampled_from(["mask", "n_cell", "Seed"]))] = 1
-    elif fault == "missing" and any(objects):
-        record = draw(st.sampled_from([o for o in objects if o]))
-        del record[draw(st.sampled_from(sorted(record)))]
-    elif fault == "type" and slots:
-        container, key = draw(st.sampled_from(slots))
-        container[key] = draw(st.sampled_from([None, "1", [], {}, [0.5, 0.5], 1.5, 3]))
-    elif fault in ("bool", "huge", "nan") and numbers:
-        container, key = draw(st.sampled_from(numbers))
-        values = {"bool": [True, False], "huge": [HUGE, -HUGE], "nan": [math.nan, math.inf]}
-        container[key] = draw(st.sampled_from(values[fault]))
-    elif fault == "arity" and rows:
-        row = draw(st.sampled_from(rows))
-        if row and draw(st.booleans()):
-            row.pop()
-        else:
-            row.append(0.5)
-    elif fault == "n_cells" and type(doc.get("scan")) is dict:
-        n_cells = doc["scan"].get("n_cells")
-        if type(n_cells) is int:
-            doc["scan"]["n_cells"] = n_cells + draw(st.sampled_from([-1, 1, 2**63]))
-    elif fault == "trials":
-        doc["trials"] = draw(st.sampled_from([0, -1, MAX_TRIALS + 1, 10**30]))
-    elif fault == "seed":
-        doc["seed"] = -1
-
-
-@st.composite
-def _faulty(draw, docs, faults):
-    doc = draw(docs)
-    for fault in faults:
-        _apply_anywhere(draw, doc, fault)
-    return doc
-
-
-def _assert_same(parse, emit, oracle_parse, oracle_emit, doc):
-    """Equal values with identical emitted bytes, or the same error."""
-    text = json.dumps(doc)
-    got, want = _outcome(parse, text), _outcome(oracle_parse, text)
-    assert got == want
-    assert repr(got) == repr(want)
-    if type(got) is not tuple:
-        assert emit(got) == oracle_emit(want)
-
-
-_BUNDLED_PROFILE = json.loads(emit_profile(builtin_profile()))
-_SMALL_PROFILE = dict(
-    _BUNDLED_PROFILE,
-    ap_vs_iou=_BUNDLED_PROFILE["ap_vs_iou"][:2],
-    ap_vs_distance=_BUNDLED_PROFILE["ap_vs_distance"][:2],
-)
-_DEFAULT_SCENARIO = json.loads(_DEFAULT_SCENARIO_TEXT)
-
-
-@pytest.mark.parametrize(
-    "doc, parse, emit, oracle_parse, oracle_emit",
-    [
-        (_DEFAULT_SCENARIO, parse_scenario, emit_scenario, legacy.parse_scenario,
-         legacy.emit_scenario),
-        (_SMALL_PROFILE, parse_profile, emit_profile, legacy.parse_profile, legacy.emit_profile),
-    ],
-    ids=["scenario", "profile"],
-)
-def test_every_two_null_fields_match_legacy(doc, parse, emit, oracle_parse, oracle_emit):
+@pytest.mark.parametrize("kind", _NULLED)
+def test_every_two_null_fields_match_legacy(kind):
     """Null, a wrong type everywhere, in each field and in each two fields:
     both parsers name the same field first."""
+    doc = _NULLED[kind]
     paths = list(_paths(doc))
     for a, b in [(a, a) for a in paths] + list(combinations(paths, 2)):
         if b[: len(a)] == a and a != b:  # b lies inside a
@@ -630,36 +630,32 @@ def test_every_two_null_fields_match_legacy(doc, parse, emit, oracle_parse, orac
         for path in (a, b):
             container, key = _slot(faulty, path)
             container[key] = None
-        _assert_same(parse, emit, oracle_parse, oracle_emit, faulty)
+        _assert_agrees(kind, faulty)
 
 
 @pytest.mark.parametrize("fault", [None, *SCENARIO_FAULTS])
 @settings(max_examples=15)
 @given(data=st.data())
 def test_parse_scenario_matches_legacy(fault, data):
-    doc = data.draw(_faulty(_scenario_docs(), (fault,) if fault else ()))
-    _assert_same(parse_scenario, emit_scenario, legacy.parse_scenario, legacy.emit_scenario, doc)
+    _assert_agrees("scenario", data.draw(_docs("scenario", fault)))
 
 
 @settings(max_examples=150)
 @given(data=st.data())
 def test_parse_scenario_two_faults_match_legacy(data):
     faults = data.draw(st.lists(st.sampled_from(SCENARIO_FAULTS), min_size=2, max_size=2))
-    doc = data.draw(_faulty(_scenario_docs(), faults))
-    _assert_same(parse_scenario, emit_scenario, legacy.parse_scenario, legacy.emit_scenario, doc)
+    _assert_agrees("scenario", data.draw(_docs("scenario", *faults)))
 
 
 @pytest.mark.parametrize("fault", [None, *PROFILE_FAULTS])
 @settings(max_examples=15)
 @given(data=st.data())
 def test_parse_profile_matches_legacy(fault, data):
-    doc = data.draw(_faulty(_profile_docs(), (fault,) if fault else ()))
-    _assert_same(parse_profile, emit_profile, legacy.parse_profile, legacy.emit_profile, doc)
+    _assert_agrees("profile", data.draw(_docs("profile", fault)))
 
 
 @settings(max_examples=150)
 @given(data=st.data())
 def test_parse_profile_two_faults_match_legacy(data):
     faults = data.draw(st.lists(st.sampled_from(PROFILE_FAULTS), min_size=2, max_size=2))
-    doc = data.draw(_faulty(_profile_docs(), faults))
-    _assert_same(parse_profile, emit_profile, legacy.parse_profile, legacy.emit_profile, doc)
+    _assert_agrees("profile", data.draw(_docs("profile", *faults)))

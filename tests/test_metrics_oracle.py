@@ -12,9 +12,12 @@ boxes, meets components of many pairs and IoUs exactly at a threshold.
 The same scenes, written as files, check the parsers' columns end to end:
 parsed by ``rbcscan.formats`` and scored from its columns, they must give
 the result the legacy parsers' record objects give the legacy evaluator.
+A scene takes few draws, its sizes and a seed; plain Python builds every
+box and score from the seed.
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -36,15 +39,17 @@ from rbcscan.metrics import (
 
 TOL = 1e-12
 
-_coord = st.one_of(st.integers(0, 60), st.floats(0, 60, allow_nan=False))
-# Sides up to 64 px put areas on both sides of the default 32 x 32 cutoff.
-_side = st.one_of(st.integers(1, 64), st.floats(0.5, 64), st.just(0))
-_boxes = st.builds(BBox, _coord, _coord, _side, _side)
-_shift = st.integers(-4, 4)
-_inset = st.integers(1, 4)
-_scores = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]), st.floats(0, 1))
-_images = st.sampled_from([0, 1, "0", "b"])
-_labels = st.sampled_from(["phone", "tablet", "watch"])
+def _box(rng):
+    # Sides up to 64 px put areas on both sides of the default 32 x 32 cutoff.
+    x, y = (rng.randint(0, 60) if rng.random() < 0.5 else rng.uniform(0, 60) for _ in "xy")
+    w, h = (rng.choice((rng.randint(1, 64), rng.uniform(0.5, 64), 0)) for _ in "wh")
+    return BBox(x, y, w, h)
+
+
+def _score(rng):
+    return rng.choice((0.0, 0.3, 0.5, 0.9, 1.0)) if rng.random() < 0.5 else rng.random()
+
+
 _threshold_lists = st.lists(
     st.one_of(st.sampled_from([0.3, 0.5, 0.75, 1.0]), st.floats(0.01, 1.0)),
     min_size=1,
@@ -57,55 +62,40 @@ _thresholds = st.one_of(
 )
 
 
-def _moved(box):
+def _moved(rng, box):
     """The box as is, shifted, or shrunk inside itself."""
-    return st.one_of(
-        st.just(box),
-        st.builds(lambda dx, dy: BBox(box.x + dx, box.y + dy, box.w, box.h), _shift, _shift),
-        st.builds(
-            lambda d: BBox(box.x + d, box.y + d, max(box.w - 2 * d, 0), max(box.h - 2 * d, 0)),
-            _inset,
-        ),
-    )
+    dx, dy, d = rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(1, 4)
+    shifted = BBox(box.x + dx, box.y + dy, box.w, box.h)
+    shrunk = BBox(box.x + d, box.y + d, max(box.w - 2 * d, 0), max(box.h - 2 * d, 0))
+    return rng.choice((box, shifted, shrunk))
 
 
 @st.composite
-def _scenes(draw, images=_images, labels=_labels):
+def _scenes(draw, images=(0, 1, "0", "b"), labels=("phone", "tablet", "watch")):
     """Detections and ground truth on a few images and classes.
 
-    Ground truth uses a prefix of the scene's images and a prefix of its
-    classes, random detections a suffix of its classes, so images without
-    ground truth and classes on one side only are common. The other
-    detections sit on annotated boxes: exact copies, shifted, or nested
-    inside, as a detector's hits would.
+    Hypothesis draws n annotations and m random detections (0 to 10 each)
+    and a seed; plain Python builds the rest. Ground truth uses a prefix of
+    the scene's images and a prefix of its classes, random detections a
+    suffix of its classes, so images without ground truth and classes on one
+    side only are common. The other detections sit on annotated boxes: exact
+    copies, shifted, or nested inside, as a detector's hits would.
     """
-    imgs = draw(st.lists(images, min_size=1, max_size=3, unique=True))
-    labs = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
-    n_gt_imgs = draw(st.integers(1, len(imgs)))
-    n_gt_labs = draw(st.integers(1, len(labs)))
-    first_det_lab = draw(st.integers(0, len(labs) - 1))
-    gt = st.builds(
-        GroundTruthObject,
-        st.sampled_from(imgs[:n_gt_imgs]),
-        _boxes,
-        st.sampled_from(labs[:n_gt_labs]),
-    )
-    gts = draw(st.lists(gt, max_size=10))
+    n, m = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    rng = random.Random(draw(st.integers()))
+    imgs = rng.sample(images, rng.randint(1, min(3, len(images))))
+    labs = rng.sample(labels, rng.randint(1, min(3, len(labels))))
+    gt_imgs, gt_labs = imgs[: rng.randint(1, len(imgs))], labs[: rng.randint(1, len(labs))]
+    det_labs = labs[rng.randrange(len(labs)) :]
+    gts = [GroundTruthObject(rng.choice(gt_imgs), _box(rng), rng.choice(gt_labs)) for _ in range(n)]
     # Repeating a few annotations gives a detection equal IoU with two boxes.
-    gts += gts[: draw(st.integers(0, 2))]
-    hits = [
-        Detection(g.image_id, draw(_moved(g.bbox)), draw(_scores), g.class_label)
-        for g in gts
-        if draw(st.booleans())
-    ]
-    det = st.builds(
-        Detection,
-        st.sampled_from(imgs),
-        _boxes,
-        _scores,
-        st.sampled_from(labs[first_det_lab:]),
-    )
-    return draw(st.permutations(hits + draw(st.lists(det, max_size=10)))), gts
+    gts += gts[: rng.randint(0, 2)]
+    hits = [Detection(g.image_id, _moved(rng, g.bbox), _score(rng), g.class_label) for g in gts]
+    dets = rng.sample(hits, rng.randint(0, len(hits)))
+    for _ in range(m):
+        dets.append(Detection(rng.choice(imgs), _box(rng), _score(rng), rng.choice(det_labs)))
+    rng.shuffle(dets)
+    return dets, gts
 
 
 def _assert_same(got, want):
@@ -174,7 +164,7 @@ def test_evaluate_on_parsed_columns_matches_legacy(scene, thresholds):
         )
 
 
-@given(_scenes(images=st.just("img"), labels=st.just("phone")), st.floats(0.01, 1.0))
+@given(_scenes(images=("img",), labels=("phone",)), st.floats(0.01, 1.0))
 def test_match_detections_matches_legacy(scene, threshold):
     dets, gts = scene
     assert match_detections(dets, gts, threshold) == legacy.match_detections(dets, gts, threshold)
@@ -197,25 +187,29 @@ def _chain_scenes(draw, images=(0, "b"), labels=("phone", "tablet")):
     the line at integer offsets, most of them the boxes' size. One detection
     then overlaps several boxes and one box several detections, so matches
     hang together in chains longer than one pair, and the lines, 50 px
-    apart, give one image and class several such components.
+    apart, give one image and class several such components. Hypothesis
+    draws the number of lines and a seed.
     """
+    rows, rng = draw(st.integers(1, 4)), random.Random(draw(st.integers()))
     gts, dets = [], []
-    for row in range(draw(st.integers(1, 4))):
-        image, label = draw(st.sampled_from(images)), draw(st.sampled_from(labels))
-        side, step = draw(
-            st.sampled_from([(30, 10), (30, 15), (40, 8), (40, 10)])
-            | st.integers(4, 40).flatmap(lambda s: st.tuples(st.just(s), st.integers(1, s - 1)))
-        )
-        x0, y, k = draw(st.integers(0, 20)), 50 * row, draw(st.integers(1, 6))
+    for row in range(rows):
+        image, label = rng.choice(images), rng.choice(labels)
+        side, step = rng.choice([(30, 10), (30, 15), (40, 8), (40, 10)])
+        if rng.random() < 0.5:
+            side = rng.randint(4, 40)
+            step = rng.randint(1, side - 1)
+        x0, y, k = rng.randint(0, 20), 50 * row, rng.randint(1, 6)
         boxes = [BBox(x0 + j * step, y, side, side) for j in range(k)]
         gts += [GroundTruthObject(image, box, label) for box in boxes]
-        for _ in range(draw(st.integers(0, k + 2))):
-            x = x0 + draw(st.integers(-step, k * step))
-            w = side + draw(st.sampled_from([0, 0, 0, -3, 4]))
-            box = BBox(x, y + draw(st.sampled_from([0, 0, 1, -2])), w, side)
-            score = draw(st.sampled_from([0.2, 0.5, 0.9]) | _scores)
+        for _ in range(rng.randint(0, k + 2)):
+            x = x0 + rng.randint(-step, k * step)
+            w = side + rng.choice([0, 0, 0, -3, 4])
+            box = BBox(x, y + rng.choice([0, 0, 1, -2]), w, side)
+            score = rng.choice([0.2, 0.5, 0.9]) if rng.random() < 0.5 else _score(rng)
             dets.append(Detection(image, box, score, label))
-    return draw(st.permutations(dets)), draw(st.permutations(gts))
+    rng.shuffle(dets)
+    rng.shuffle(gts)
+    return dets, gts
 
 
 @given(_chain_scenes(), st.one_of(st.just(STANDARD_IOU_THRESHOLDS), _exact_thresholds))
