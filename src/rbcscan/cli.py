@@ -278,7 +278,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.output is None:
             sys.stdout.write(text)
         else:
-            Path(args.output).write_text(text, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as f:
+                f.write(text)
         return 0
     except (RbcScanError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

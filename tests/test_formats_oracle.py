@@ -479,13 +479,13 @@ def test_parse_detections_matches_legacy(fault, name, data):
     _assert_agrees("detections", data.draw(_docs("detections", fault, name=name)))
 
 
-@settings(max_examples=100)
+@pytest.mark.parametrize("fault, name", _cases("images", "objects") + _cases("detections"))
+@settings(max_examples=2)
 @given(data=st.data())
-def test_json_path_alone_matches_legacy(data):
+def test_json_path_alone_matches_legacy(fault, name, data):
     """The single-fault properties of both record parsers with orjson's
     decoding forced to fail, so that every file, valid ones included, is
     read by json."""
-    fault, name = data.draw(st.sampled_from(_cases("images", "objects") + _cases("detections")))
     doc = data.draw(_docs(_KIND[name], fault, name=name))
     failure = orjson.JSONDecodeError("forced", "", 0)
     with mock.patch.object(orjson, "loads", side_effect=failure) as loads:
