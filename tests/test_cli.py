@@ -128,6 +128,21 @@ class TestAnalyticCommand:
         kinds = [row[0] for row in rows[1:]]
         assert kinds == ["curve", "breakeven"]
 
+    def test_sweep_bound_outside_unit_interval(self, capsys):
+        rc, captured = _run(capsys, ["analytic", "--ap-start", "2"])
+        assert rc == 3
+        assert "AP sweep bounds" in _error_line(captured)
+
+    @pytest.mark.parametrize("flag", ["--ap-start", "--ap-stop"])
+    @pytest.mark.parametrize("value", ["2", "-0.5", "nan"])
+    def test_sweep_bound_error_names_its_flag(self, capsys, flag, value):
+        rc, captured = _run(capsys, ["analytic", flag, value])
+        assert rc == 3
+        assert (
+            f"AP sweep bounds must lie within [0, 1], got {flag} {float(value)}\n"
+            in _error_line(captured)
+        )
+
     def test_row_cap_is_exact(self):
         # Counted by _ap_grid before any row of the sweep is computed.
         assert len(_ap_grid(0.0, 1.0, 1 / (MAX_AP_ROWS - 1))) == MAX_AP_ROWS
@@ -218,6 +233,21 @@ class TestGeometryCommand:
         rc2, calibrated = _run(capsys, ["geometry", "--calibrate", "14", "120", "124"])
         assert rc == rc2 == 0
         assert defaults.out == calibrated.out
+
+    def test_focal_and_calibrate_conflict(self, capsys):
+        rc, captured = _run(
+            capsys, ["geometry", "--focal-px", "1000", "--calibrate", "14", "120", "124"]
+        )
+        assert rc == 3
+
+    def test_focal_and_calibrate_conflict_names_both_flags(self, capsys):
+        rc, captured = _run(
+            capsys, ["geometry", "--focal-px", "1000", "--calibrate", "14", "120", "124"]
+        )
+        assert (rc, captured.out) == (3, "")
+        assert captured.err == (
+            "error: argument --calibrate: not allowed with argument --focal-px\n"
+        )
 
     def test_custom_resolution_list(self, capsys):
         rc, captured = _run(capsys, ["geometry", "--resolutions", "1280x720"])
@@ -317,15 +347,6 @@ CASES = {
         "error: --ap-stop (0.1) must be >= --ap-start (0.9)\n",
     ),
     **{
-        f"analytic {flag} {value}": Case(
-            ("analytic", flag, value),
-            3,
-            f"AP sweep bounds must lie within [0, 1], got {flag} {float(value)}\n",
-        )
-        for flag in ("--ap-start", "--ap-stop")
-        for value in ("2", "-0.5", "nan")
-    },
-    **{
         f"analytic --ap-step={step}": Case(("analytic", f"--ap-step={step}"), 3, "--ap-step")
         for step in ("nan", "-0.1", "0", "1e-12", "1e-320")
     },
@@ -390,11 +411,6 @@ CASES = {
     ),
     "simulate profile knot ap 1.5": Case(
         SIMULATE, 2, "ap_vs_distance", CUSTOM, _profile(ap_vs_distance=[[120, "1280x720", 1.5]])
-    ),
-    "geometry --focal-px with --calibrate": Case(
-        ("geometry", "--focal-px", "1000", "--calibrate", "14", "120", "124"),
-        3,
-        "error: argument --calibrate: not allowed with argument --focal-px\n",
     ),
     "geometry --resolutions 1280by720": Case(
         ("geometry", "--resolutions", "1280by720"), 3, "--resolutions"
@@ -594,10 +610,11 @@ def main_exit(argv):
         except SystemExit as e:  # --help
             return e.code
 
+WATCHED = set(sys.argv[1:])  # the modules whose loading this run checks
+
 def check(step, numpy_free=True):
-    assert "dataclasses" not in sys.modules, step
-    if numpy_free:
-        assert "numpy" not in sys.modules and "inspect" not in sys.modules, step
+    unwanted = {"dataclasses"} | ({"numpy", "inspect"} if numpy_free else set())
+    assert not unwanted & WATCHED & set(sys.modules), step
 
 import rbcscan
 check("import rbcscan")
@@ -632,10 +649,16 @@ assert cell_center(grid, np.int64(3)) == cell_center(grid, 3)
 
 def test_numpy_is_loaded_only_by_the_commands_that_compute_with_arrays():
     """``import rbcscan``, ``--help``, ``analytic``, ``geometry``, ``augment``
-    and rejected arguments run without numpy or ``inspect``; ``eval`` and
-    ``simulate`` load numpy, and numpy scalars are accepted once it is
-    loaded. Records are NamedTuples, so no command loads ``dataclasses``."""
-    proc = _python("-c", _IMPORT_GRAPH)
+    and rejected arguments run without numpy; ``eval`` and ``simulate`` load
+    it, and numpy scalars are accepted once it is loaded."""
+    proc = _python("-c", _IMPORT_GRAPH, "numpy")
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_records_load_neither_dataclasses_nor_inspect():
+    """Records are NamedTuples, so no command loads ``dataclasses``, and
+    the numpy-free ones do not load ``inspect`` either."""
+    proc = _python("-c", _IMPORT_GRAPH, "dataclasses", "inspect")
     assert proc.returncode == 0, proc.stderr.decode()
 
 
