@@ -21,9 +21,8 @@ import sys
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from . import formats, geometry, metrics, scanning
+from . import geometry, metrics, scanning
 from .errors import RbcScanError, UsageError, number
-from .formats import read_text
 
 T = TypeVar("T")
 
@@ -71,8 +70,10 @@ def _resolution(text: str) -> tuple[int, int]:
 
 
 def cmd_eval(args: argparse.Namespace) -> str:
-    gts = formats.parse_annotations(read_text(args.ground_truth))
-    dets = formats.parse_detections(read_text(args.detections))
+    from . import formats  # here, not at the top: only file commands load formats and detector
+
+    gts = formats.parse_annotations(formats.read_text(args.ground_truth))
+    dets = formats.parse_detections(formats.read_text(args.detections))
     thresholds = _parse_list(args.thresholds, "--thresholds", float)
     result = metrics.evaluate(
         dets.columns, gts.columns, thresholds, small_cutoff_px=args.small_cutoff
@@ -122,7 +123,9 @@ def cmd_analytic(args: argparse.Namespace) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> str:
-    scenario = formats.parse_scenario(read_text(args.scenario))
+    from . import formats
+
+    scenario = formats.parse_scenario(formats.read_text(args.scenario))
     formats.resolve_profile(scenario.profile, Path(args.scenario).parent)
     trials = args.trials if args.trials is not None else scenario.trials
     seed = args.seed if args.seed is not None else scenario.seed
@@ -178,7 +181,9 @@ def cmd_geometry(args: argparse.Namespace) -> str:
 
 
 def cmd_augment(args: argparse.Namespace) -> str:
-    af = formats.parse_annotations(read_text(args.annotations))
+    from . import formats
+
+    af = formats.parse_annotations(formats.read_text(args.annotations))
     widths = {im.image_id: im.width for im in af.images}
     # Derived ids get a _flip suffix, extended until unique so re-running on
     # already-augmented output keeps quadrupling instead of colliding.

@@ -250,8 +250,8 @@ def _record_bbox(value: Any, records: str, i: int, bound: float) -> list:
     return _bbox(value, path)
 
 
-#: Every byte but the two bracket pairs, the quote and the backslash.
-_NOT_NESTING = bytes(b for b in range(256) if b not in b'[]{}"\\')
+#: Every byte but the two bracket pairs and the quote.
+_NOT_NESTING = bytes(b for b in range(256) if b not in b'[]{}"')
 #: Passes of _orjson_loads' depth test.
 _NESTING_PASSES = 4
 
@@ -262,17 +262,24 @@ def _orjson_loads(text: str) -> Any:
     orjson 3.8.3 has no depth limit: it converts nested arrays and objects
     recursively in C, and 80,000 nested objects (a 400 kB file) overflow an
     8 MB stack and kill the process, where json raises RecursionError. So
-    orjson decodes only a text first shown shallow, in C: of its UTF-8
-    bytes only brackets, quotes and backslashes are kept, and each pass
-    deletes the adjacent pairs "", [] and {}. A valid file is empty after
-    two passes. A backslash is never deleted, so in a text left empty the
-    quotes alternate between opening and closing a string and no bracket
-    inside a string pairs with one outside. Each pass takes off at most
-    three levels, so such a text nests at most 3 * _NESTING_PASSES deep.
+    orjson decodes only a text first shown shallow, in C. A text in which
+    a backslash precedes a quote or another backslash goes to json. In any
+    other text no quote is escaped, so the quotes alternate between
+    opening and closing a string and no bracket inside a string pairs with
+    one outside; its other escapes (a newline, a non-ASCII character as
+    json.dumps writes it, a slash) keep it on orjson. Of the text's UTF-8
+    bytes only brackets and quotes are kept, and each pass deletes the
+    adjacent pairs "", [] and {}. A valid file is empty after two passes.
+    Each pass takes off at most three levels, so a text left empty nests
+    at most 3 * _NESTING_PASSES deep.
     """
     import orjson  # here, not at the top: `import rbcscan` does not pay for it
 
-    skeleton = text.encode("utf-8", "surrogatepass").translate(None, _NOT_NESTING)
+    data = text.encode("utf-8", "surrogatepass")
+    # Most files hold no backslash at all, which one byte scan shows.
+    if b"\\" in data and (b'\\"' in data or b"\\\\" in data):
+        raise SchemaError("an escaped quote or backslash; json decodes it")
+    skeleton = data.translate(None, _NOT_NESTING)
     for _ in range(_NESTING_PASSES):
         skeleton = skeleton.replace(b'""', b"").replace(b"[]", b"").replace(b"{}", b"")
     if skeleton:
@@ -434,11 +441,13 @@ def emit_profile(profile: DetectorProfile) -> str:
 def read_text(path: str | Path) -> str:
     """A file's text, decoded as UTF-8: the one way input files are read.
 
-    Bytes that are not UTF-8 raise SchemaError naming the path; OSError
-    passes through.
+    The path is opened as given, so an empty one names no file rather
+    than the working directory. Bytes that are not UTF-8 raise SchemaError
+    naming the path; OSError passes through.
     """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as e:
         raise SchemaError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
@@ -446,17 +455,17 @@ def read_text(path: str | Path) -> str:
 def resolve_profile(ref: str, base_dir: str | Path | None = None) -> DetectorProfile:
     """Load a profile reference: a bundled profile name or a file path.
 
-    A reference that is neither raises SchemaError naming it; a file that
-    is not UTF-8 raises ``read_text``'s SchemaError, and one that does not
-    parse as a profile raises its parse error, prefixed with the reference
-    and the resolved path.
+    A relative path is taken from ``base_dir``. A reference that is
+    neither, the empty one included, raises SchemaError naming it; a file
+    that is not UTF-8 raises ``read_text``'s SchemaError, and one that
+    does not parse as a profile raises its parse error, prefixed with the
+    reference and the resolved path.
     """
     names = builtin_profile_names()
     if ref in names:
         return builtin_profile(ref)
-    path = Path(ref)
-    if base_dir is not None and not path.is_absolute():
-        path = Path(base_dir) / path
+    # An empty reference is opened as it is, not as base_dir itself.
+    path = Path(base_dir or "", ref) if ref else ref
     try:
         text = read_text(path)
     except OSError as e:

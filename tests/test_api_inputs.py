@@ -192,9 +192,15 @@ def _hostile(kind, valid):
 
 
 def test_table_lists_every_exported_callable():
-    exported = {name for name, value in vars(rbcscan).items() if callable(value)}
-    exported -= {name for name in exported if name.startswith("_")}
+    # Names bind on first read, so the exports are read through __all__.
+    exported = {name for name in rbcscan.__all__ if callable(getattr(rbcscan, name))}
     assert set(API) == exported
+    # The 43 names the package has always exported (41 callables and two
+    # constants) and the five submodules `import rbcscan` has always bound.
+    constants = {"SMALL_OBJECT_CUTOFF_PX", "STANDARD_IOU_THRESHOLDS"}
+    submodules = {"detector", "errors", "geometry", "metrics", "scanning"}
+    assert len(API) == 41
+    assert sorted(rbcscan.__all__) == sorted(set(API) | constants | submodules)
 
 
 @given(st.sampled_from(HOSTILE))

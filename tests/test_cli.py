@@ -331,6 +331,10 @@ class Case(NamedTuple):
     files: dict = {}
 
 
+#: The error line of a call given an empty path.
+NO_FILE = "error: [Errno 2] No such file or directory: ''\n"
+
+
 def _profile(**fields):
     return {"custom.json": json.dumps(dict(PROFILE, **fields))}
 
@@ -354,8 +358,20 @@ CASES = {
     "analytic --n-cells 1e400": Case(
         ("analytic", "--n-cells", str(10**400)), 2, "error: scan times overflow"
     ),
-    "analytic --output empty": Case(
-        ("analytic", "--output", ""), 1, "error: [Errno 2] No such file or directory: ''\n"
+    # An empty path names no file, not the working directory.
+    "analytic --output empty": Case(("analytic", "--output", ""), 1, NO_FILE),
+    "eval --ground-truth empty": Case(
+        ("eval", "--ground-truth", "", "--detections", "{tmp}/det.json"), 1, NO_FILE
+    ),
+    "eval --detections empty": Case(("eval", "--ground-truth", GT, "--detections", ""), 1, NO_FILE),
+    "simulate --scenario empty": Case(("simulate", "--scenario", ""), 1, NO_FILE),
+    "augment --annotations empty": Case(("augment", "--annotations", ""), 1, NO_FILE),
+    "simulate profile empty": Case(
+        SIMULATE,
+        1,
+        "error: profile '' is neither a bundled profile (mask-rcnn-smartphone) "
+        "nor a readable file: No such file or directory ()\n",
+        {"profile": ""},
     ),
     "simulate --seed -1": Case((*SIMULATE, "--seed", "-1"), 3, "error: seed must be >= 0, got -1\n"),
     "simulate seed -5": Case(SIMULATE, 2, "error: $.seed: must be >= 0, got -5\n", {"seed": -5}),
@@ -611,34 +627,31 @@ def main_exit(argv):
             return e.code
 
 WATCHED = set(sys.argv[1:])  # the modules whose loading this run checks
+CLI = {"rbcscan.cli", "rbcscan.errors", "rbcscan.geometry", "rbcscan.metrics", "rbcscan.scanning"}
+FILES = CLI | {"rbcscan.formats", "rbcscan.detector"}
+ARRAYS = FILES | {"numpy", "inspect"}  # numpy imports inspect itself, but not dataclasses
 
-def check(step, numpy_free=True):
-    unwanted = {"dataclasses"} | ({"numpy", "inspect"} if numpy_free else set())
-    assert not unwanted & WATCHED & set(sys.modules), step
+def check(step, loaded=frozenset()):  # only the watched modules in `loaded` may be loaded
+    assert not (WATCHED - loaded) & set(sys.modules), step
 
 import rbcscan
 check("import rbcscan")
 from rbcscan.cli import main
-check("import rbcscan.cli")
-for argv, code in [
-    (["--help"], 0),
-    (["analytic"], 0),
-    (["geometry"], 0),
-    (["augment", "--annotations", "data/sample_annotations.json"], 0),
-    (["analytic", "--n-cells", "0"], 2),
-    (["analytic", "--n-cells", "1"], 3),
+check("import rbcscan.cli", CLI)
+for argv, code, loaded in [
+    (["--help"], 0, CLI),
+    (["analytic"], 0, CLI),
+    (["geometry"], 0, CLI),
+    (["analytic", "--n-cells", "0"], 2, CLI),
+    (["analytic", "--n-cells", "1"], 3, CLI),
+    (["augment", "--annotations", "data/sample_annotations.json"], 0, FILES),
+    (["eval", "--ground-truth", "data/sample_annotations.json",
+      "--detections", "data/sample_detections.json"], 0, ARRAYS),
+    (["simulate", "--scenario", "scenarios/default.json", "--trials", "1000"], 0, ARRAYS),
 ]:
     assert main_exit(argv) == code, argv
-    check(argv)
-# numpy imports inspect itself, but not dataclasses.
-for argv in (
-    ["eval", "--ground-truth", "data/sample_annotations.json",
-     "--detections", "data/sample_detections.json"],
-    ["simulate", "--scenario", "scenarios/default.json", "--trials", "1000"],
-):
-    assert main_exit(argv) == 0, argv
-    assert "numpy" in sys.modules, argv
-    check(argv, numpy_free=False)
+    assert loaded is not ARRAYS or "numpy" in sys.modules, argv
+    check(argv, loaded)
 # number() must see numpy's scalar types once numpy is loaded.
 import numpy as np
 from rbcscan import CellGrid, cell_center
@@ -659,6 +672,41 @@ def test_records_load_neither_dataclasses_nor_inspect():
     """Records are NamedTuples, so no command loads ``dataclasses``, and
     the numpy-free ones do not load ``inspect`` either."""
     proc = _python("-c", _IMPORT_GRAPH, "dataclasses", "inspect")
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_submodules_are_loaded_by_the_commands_that_use_them():
+    """``import rbcscan`` loads no submodule; the CLI loads its parser's
+    modules, and only ``eval``, ``simulate`` and ``augment`` load
+    ``formats`` and ``detector``."""
+    package = Path(rbcscan.__file__).parent
+    submodules = sorted(f"rbcscan.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+    proc = _python("-c", _IMPORT_GRAPH, *submodules)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+_EXPORTS = """
+import sys
+import rbcscan
+assert set(rbcscan.__all__) <= set(dir(rbcscan)), dir(rbcscan)
+assert not hasattr(rbcscan, "no_such_name")
+resolved = {name: getattr(rbcscan, name) for name in rbcscan.__all__}
+assert set(rbcscan.__all__) <= set(vars(rbcscan))  # bound, so read once through __getattr__
+bound = {}
+exec("from rbcscan import *", bound)
+modules = [sys.modules[f"rbcscan.{m}"] for m in ("detector", "errors", "geometry", "metrics", "scanning")]
+for name, value in resolved.items():
+    assert bound[name] is value is getattr(rbcscan, name), name
+    assert any(value is m or vars(m).get(name) is value for m in modules), name
+"""
+
+
+def test_every_export_resolves_on_first_read():
+    """In a fresh process, each name in ``__all__`` (the exports and the
+    submodules ``import rbcscan`` binds) is listed by ``dir``, resolves to
+    its submodule's object, is then bound in the package, and is bound by
+    ``from rbcscan import *``."""
+    proc = _python("-c", _EXPORTS)
     assert proc.returncode == 0, proc.stderr.decode()
 
 

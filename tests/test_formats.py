@@ -377,6 +377,22 @@ class TestDecoding:
             parse = parse_annotations if "detection" not in path.name else parse_detections
             parse(path.read_text(encoding="utf-8"))
 
+    def test_escaped_text_is_decoded_by_orjson_alone(self, monkeypatch):
+        def json_decode(text):
+            raise AssertionError("decoded with json")
+
+        # A non-ASCII label as json.dumps writes it, a newline and a slash.
+        text = DETECTIONS_TEXT.replace('"smartphone"', r'"caf\u00e9\n\/"')
+        monkeypatch.setattr(formats, "_decode", json_decode)
+        assert parse_detections(text).columns.labels == ("café\n/",)
+
+    @pytest.mark.parametrize("label", [r'"say \"hi\""', r'"C:\\data"'])
+    def test_escaped_quote_or_backslash_is_decoded_by_json(self, label):
+        text = DETECTIONS_TEXT.replace('"smartphone"', label)
+        with pytest.raises(SchemaError, match="json decodes it"):
+            formats._orjson_loads(text)
+        assert parse_detections(text).columns.labels == (json.loads(label),)
+
     def test_faults_get_json_messages(self):
         with pytest.raises(SchemaError) as e:
             parse_detections('{"detections": [1,]}')
@@ -400,7 +416,10 @@ class TestDecoding:
             "from rbcscan.formats import parse_annotations, parse_detections\n"
             "n = 200_000\n"
             "masked = '[\"]\",' * n + '0' + ',\"[\"]' * n\n"
-            "for inner in ('{\"a\":' * n + '0' + '}' * n, '[' * n + ']' * n, masked):\n"
+            "text = '\\u00e9' + chr(92) + 'n'\n"  # an e-acute and a newline escape
+            "escaped = ('[\"]' + text + '\",') * n + '0' + (',\"' + text + '[\"]') * n\n"
+            "for inner in ('{\"a\":' * n + '0' + '}' * n, '[' * n + ']' * n, masked,\n"
+            "              ('{\"' + text + '\":') * n + '0' + '}' * n, escaped):\n"
             "    for parse in (parse_annotations, parse_detections):\n"
             "        try:\n"
             "            parse('{\"detections\": ' + inner + '}')\n"
@@ -413,4 +432,4 @@ class TestDecoding:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "not valid JSON: arrays or objects nested too deeply\n" * 6
+        assert proc.stdout == "not valid JSON: arrays or objects nested too deeply\n" * 10
