@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import geometry, metrics, scanning
-from .errors import RbcScanError, UsageError, number
+from .errors import DomainError, RbcScanError, UsageError, number
 
 T = TypeVar("T")
 
@@ -155,8 +155,9 @@ def cmd_geometry(args: argparse.Namespace) -> str:
         focal = geometry.calibrate_focal(obj_cm, dist_cm, obs_px)
     elif args.focal_px is not None:
         focal = args.focal_px
-    else:
-        focal = geometry.reference_camera().focal_px
+    else:  # the reference camera's, scaled to --ref-width as project_size scales outputs
+        focal, width, _ = geometry.reference_camera()
+        focal *= number(args.ref_width, "ref_width", DomainError, "finite and > 0") / width
     cam = geometry.CameraModel(focal_px=focal, ref_width=args.ref_width, ref_height=args.ref_height)
     spec = geometry.ReceiverSpec(
         width_cm=args.receiver_width_cm, height_cm=args.receiver_height_cm

@@ -262,12 +262,12 @@ def _orjson_loads(text: str) -> Any:
     orjson 3.8.3 has no depth limit: it converts nested arrays and objects
     recursively in C, and 80,000 nested objects (a 400 kB file) overflow an
     8 MB stack and kill the process, where json raises RecursionError. So
-    orjson decodes only a text first shown shallow, in C. A text in which
-    a backslash precedes a quote or another backslash goes to json. In any
-    other text no quote is escaped, so the quotes alternate between
+    orjson decodes only a text first shown shallow, in C. Each escaped
+    backslash, then each escaped quote, is deleted: read left to right, as
+    JSON reads a string's escapes, so the quotes left alternate between
     opening and closing a string and no bracket inside a string pairs with
-    one outside; its other escapes (a newline, a non-ASCII character as
-    json.dumps writes it, a slash) keep it on orjson. Of the text's UTF-8
+    one outside. (A backslash outside a string is invalid JSON, which
+    orjson rejects before it converts anything.) Of the remaining UTF-8
     bytes only brackets and quotes are kept, and each pass deletes the
     adjacent pairs "", [] and {}. A valid file is empty after two passes.
     Each pass takes off at most three levels, so a text left empty nests
@@ -277,8 +277,8 @@ def _orjson_loads(text: str) -> Any:
 
     data = text.encode("utf-8", "surrogatepass")
     # Most files hold no backslash at all, which one byte scan shows.
-    if b"\\" in data and (b'\\"' in data or b"\\\\" in data):
-        raise SchemaError("an escaped quote or backslash; json decodes it")
+    if b"\\" in data:
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
     skeleton = data.translate(None, _NOT_NESTING)
     for _ in range(_NESTING_PASSES):
         skeleton = skeleton.replace(b'""', b"").replace(b"[]", b"").replace(b"{}", b"")

@@ -257,9 +257,8 @@ def simulate_guided_multi(
     ends at the first cell that holds a receiver, and detection time is
     charged once. With both sets fixed every episode is identical, so the
     mean equals the single-episode time and the spread is zero; no closed
-    form is reported. ``rng_seed`` draws nothing but is checked as a seed;
-    it stays in the signature because the acceptance pipeline test and the
-    benchmark's pipeline operation pass it on every episode.
+    form is reported. ``rng_seed`` draws nothing but is checked as a seed,
+    and stays because the benchmark's pipeline operation passes it.
 
     A single candidate, the only shape the detector pipeline produces, takes
     a loop-free path: rank 1 on a hit, else 2 + t - (c < t) for the lowest

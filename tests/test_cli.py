@@ -128,6 +128,13 @@ class TestAnalyticCommand:
         kinds = [row[0] for row in rows[1:]]
         assert kinds == ["curve", "breakeven"]
 
+    def test_tiny_steps_print_each_ap(self, capsys):
+        argv = ["analytic", "--ap-start", "0", "--ap-stop", "1e-6", "--ap-step", "1e-7"]
+        rc, captured = _run(capsys, argv)
+        assert rc == 0
+        aps = [float(row[1]) for row in _rows(captured.out)[1:] if row[0] == "curve"]
+        assert aps == pytest.approx([i * 1e-7 for i in range(11)], rel=0, abs=1e-10)
+
     def test_sweep_bound_outside_unit_interval(self, capsys):
         rc, captured = _run(capsys, ["analytic", "--ap-start", "2"])
         assert rc == 3
@@ -227,6 +234,25 @@ class TestGeometryCommand:
         assert table[("120", "1280x720")][2:] == ["124", "62", "true"]
         assert table[("120", "640x360")][2:] == ["62", "31", "true"]
         assert table[("350", "640x360")][4] == "false"
+
+    def test_table_is_the_pinhole_projection(self, capsys):
+        """Every default row, against the pinhole model worked by hand: 124 px
+        at 120 cm in a 1280x720 frame, scaled by distance and resolution, and
+        rounded half to even (59.52 px at 250 cm prints 60). A 640x360
+        reference frame changes no row: it sets only the aspect ratio."""
+        expected = []
+        for distance in (120, 200, 250, 350):
+            for width, height in ((1280, 720), (640, 360)):
+                w_px = 124 * 120 / distance * width / 1280
+                h_px = w_px * 7 / 14
+                ok = max(w_px, h_px) >= 30 and min(w_px, h_px) >= 15
+                row = [str(distance), f"{width}x{height}", str(round(w_px)), str(round(h_px))]
+                expected.append(row + [str(ok).lower()])
+        assert expected[4][:3] == ["250", "1280x720", "60"]
+        for argv in (["geometry"], ["geometry", "--ref-width", "640", "--ref-height", "360"]):
+            rc, captured = _run(capsys, argv)
+            assert rc == 0
+            assert _rows(captured.out)[1:] == expected
 
     def test_calibrate_flag_matches_default(self, capsys):
         rc, defaults = _run(capsys, ["geometry"])
@@ -435,6 +461,10 @@ CASES = {
         ("geometry", "--resolutions", "640x480"), 2, "640x480 does not match"
     ),
     "geometry --resolutions 0x0": Case(("geometry", "--resolutions", "0x0"), 2, "0x0"),
+    # The reference focal length is scaled by the width, which must fit a float.
+    "geometry --ref-width 400 digits": Case(
+        ("geometry", "--ref-width", "1" * 400), 2, "error: ref_width must be finite and > 0, got 1"
+    ),
     **{
         " ".join(("geometry", *option)): Case(("geometry", *option), 2, "finite")
         for option in [

@@ -381,17 +381,17 @@ class TestDecoding:
         def json_decode(text):
             raise AssertionError("decoded with json")
 
-        # A non-ASCII label as json.dumps writes it, a newline and a slash.
-        text = DETECTIONS_TEXT.replace('"smartphone"', r'"caf\u00e9\n\/"')
         monkeypatch.setattr(formats, "_decode", json_decode)
-        assert parse_detections(text).columns.labels == ("café\n/",)
-
-    @pytest.mark.parametrize("label", [r'"say \"hi\""', r'"C:\\data"'])
-    def test_escaped_quote_or_backslash_is_decoded_by_json(self, label):
-        text = DETECTIONS_TEXT.replace('"smartphone"', label)
-        with pytest.raises(SchemaError, match="json decodes it"):
-            formats._orjson_loads(text)
-        assert parse_detections(text).columns.labels == (json.loads(label),)
+        # A non-ASCII label as json.dumps writes it, a newline and a slash;
+        # escaped quotes and backslashes, runs of them and brackets among them.
+        strings = [
+            r'"caf\u00e9\n\/"', r'"say \"hi\""', r'"C:\\data"', r'"\\"', r'"\\\""',
+            r'"\\\\[\"]\\"',
+        ]
+        for label, image_id in zip(strings, strings[::-1]):
+            text = DETECTIONS_TEXT.replace('"smartphone"', label).replace('"img1"', image_id)
+            got = parse_detections(text).columns
+            assert (got.labels, got.image_ids) == ((json.loads(label),), (json.loads(image_id),))
 
     def test_faults_get_json_messages(self):
         with pytest.raises(SchemaError) as e:
@@ -416,10 +416,14 @@ class TestDecoding:
             "from rbcscan.formats import parse_annotations, parse_detections\n"
             "n = 200_000\n"
             "masked = '[\"]\",' * n + '0' + ',\"[\"]' * n\n"
-            "text = '\\u00e9' + chr(92) + 'n'\n"  # an e-acute and a newline escape
+            "b = chr(92)\n"  # a backslash
+            "text = '\\u00e9' + b + 'n'\n"  # an e-acute and a newline escape
             "escaped = ('[\"]' + text + '\",') * n + '0' + (',\"' + text + '[\"]') * n\n"
+            # Masks made of escaped quotes, then of escaped backslashes.
+            "quoted = ('[\"' + b + '\"]\",') * n + '0' + (',\"[' + b + '\"\"]') * n\n"
+            "slashes = ('[\"' + b + b + '\",\"]\",') * n + '0' + (',\"[\",\"' + b + b + '\"]') * n\n"
             "for inner in ('{\"a\":' * n + '0' + '}' * n, '[' * n + ']' * n, masked,\n"
-            "              ('{\"' + text + '\":') * n + '0' + '}' * n, escaped):\n"
+            "              ('{\"' + text + '\":') * n + '0' + '}' * n, escaped, quoted, slashes):\n"
             "    for parse in (parse_annotations, parse_detections):\n"
             "        try:\n"
             "            parse('{\"detections\": ' + inner + '}')\n"
@@ -432,4 +436,4 @@ class TestDecoding:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "not valid JSON: arrays or objects nested too deeply\n" * 10
+        assert proc.stdout == "not valid JSON: arrays or objects nested too deeply\n" * 14

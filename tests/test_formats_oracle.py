@@ -65,9 +65,16 @@ WIDE = [2**63, 2**64 - 1, 2**64, -(2**63) - 1, 10**30]
 #: limit and the 1024 levels some orjson releases allow.
 DEPTHS = [4, 5, 12, 13, 14, 500, 1023, 1024, 1025, 2000]
 
-#: Image ids: small integers and short strings over "ab1".
-_IDS = [*range(-3, 31), *("".join(p) for n in range(3) for p in product("ab1", repeat=n))]
-_LABELS = ["phone", "tablet", ""]
+#: Strings that json.dumps writes with escaped quotes and backslashes, and
+#: with no bracket, so that ``_value_kinds`` finds no nesting in them.
+_ESCAPED = ['say "hi"', "C:\\data", "\\", '\\"']
+#: Image ids: small integers, short strings over "ab1" and escaped strings.
+_IDS = [
+    *range(-3, 31),
+    *("".join(p) for n in range(3) for p in product("ab1", repeat=n)),
+    *_ESCAPED,
+]
+_LABELS = ["phone", "tablet", "", *_ESCAPED]
 #: The largest floats, an integer above them that rounds to one, and -0.0.
 _EDGES = [sys.float_info.max, -sys.float_info.max, BEYOND_FLOAT_MAX, -0.0]
 #: Characters for free text: ASCII, escapes, controls and beyond the BMP.
