@@ -7,11 +7,11 @@ that break a documented invariant raise InvariantError; both carry the
 offending field path. Emission is canonical, so parse(emit(parse(text)))
 equals parse(text) for every valid file.
 
-Annotation and detection files are decoded with orjson, which is 2-3x
-faster than json on them. json stays the reference: a file is decoded
-again with json, and checked again, wherever the orjson pass raises, so
-every error message is json's and every accepted value is the one json
-reads.
+Annotation and detection files are decoded with orjson, 2-3x faster than
+json on them, and their record lists are checked a column at a time. json
+stays the reference: a file that fails on orjson's reading is decoded and
+checked again with json, and one that fails there too is checked record by
+record, so every error message and every accepted value is json's.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import add, gt
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Collection, NamedTuple, Sequence
 
 from .detector import DetectorProfile, builtin_profile, builtin_profile_names
 from .errors import DomainError, InvariantError, RbcScanError, SchemaError, finite, number
@@ -105,7 +106,7 @@ def _decode(text: str) -> Any:
         raise SchemaError("not valid JSON: arrays or objects nested too deeply") from None
 
 
-def _obj(value: Any, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+def _obj(value: Any, path: str, required: Collection[str], optional: tuple[str, ...] = ()) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(f"{path}: expected an object, got {type(value).__name__}")
     unknown = set(value) - set(required) - set(optional)
@@ -195,27 +196,21 @@ def _keys(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# annotations
+# annotations and detections
 # ---------------------------------------------------------------------------
 
 
-# Each record is checked in one pass, field by field in a fixed order. A
-# field gets a direct type() or bound test; only a value that fails it goes
-# to the field's helper (_obj, _num, _image_id, _bbox, ...), which names the
-# fault with its path or accepts a number the bound test is too strict for.
-# Path strings are built only then. A checked record's field values, in
-# Columns field order, go into the file's columns as they are; no record
-# object is built.
+# A record list is checked a column at a time, with builtins that loop in
+# C: the set of types in each column (no allowed set holds bool), the sizes
+# of the records and boxes, and min and max against each bound. A file that
+# passes is read from those columns as they are. One that fails goes to a
+# loop that checks it record by record, in a fixed order, with the field
+# helpers (_obj, _image_id, _bbox, ...) and names the first fault.
 
-_IMAGE_FIELDS = ("image_id", "width", "height")
-_OBJECT_FIELDS = ("image_id", "class_label", "bbox")
-_DETECTION_FIELDS = ("image_id", "class_label", "bbox", "score")
-_IMAGE_KEYS = frozenset(_IMAGE_FIELDS)
-_OBJECT_KEYS = frozenset(_OBJECT_FIELDS)
-_DETECTION_KEYS = frozenset(_DETECTION_FIELDS)
-_image_fields = itemgetter(*_IMAGE_FIELDS)
-_object_fields = itemgetter(*_OBJECT_FIELDS)
-_detection_fields = itemgetter(*_DETECTION_FIELDS)
+#: Each record's fields, in file order, and the types each may hold.
+_IMAGE_FIELDS = {"image_id": {str, int}, "width": {int}, "height": {int}}
+_OBJECT_FIELDS = {"image_id": {str, int}, "class_label": {str}, "bbox": {list}}
+_DETECTION_FIELDS = {**_OBJECT_FIELDS, "score": {int, float}}
 #: A number within +-_FLOAT_MAX is finite and converts to a float.
 _FLOAT_MAX = sys.float_info.max
 #: The box bound on an orjson document. orjson reads an integer literal
@@ -224,30 +219,25 @@ _FLOAT_MAX = sys.float_info.max
 _ORJSON_BOX_MAX = math.nextafter(2.0**63, 0.0)
 
 
-def _record_bbox(value: Any, records: str, i: int, bound: float) -> list:
-    """Record i's checked bbox list: direct tests with each number within
-    +-bound, or _bbox and the field path if one fails.
+def _columns(items: Any, fields: dict[str, set]) -> list[tuple] | None:
+    """The columns of ``fields`` in ``items``, objects with as many keys, or
+    None if one holds a value of another type (a missing field reads None)."""
+    if type(items) is list and set(map(type, items)) <= {dict}:
+        if set(map(len, items)) <= {len(fields)}:
+            columns = [tuple(map(dict.get, items, repeat(field))) for field in fields]
+            if all(set(map(type, c)) <= types for c, types in zip(columns, fields.values())):
+                return columns
+    return None
 
-    On an orjson document (bound _ORJSON_BOX_MAX) a box that fails is not
-    looked at further: SchemaError sends the file to json, which checks it.
-    """
-    if type(value) is list and len(value) == 4:
-        x, y, w, h = value
-        if (
-            (type(x) is float or type(x) is int)
-            and (type(y) is float or type(y) is int)
-            and (type(w) is float or type(w) is int)
-            and (type(h) is float or type(h) is int)
-            and -bound <= x <= bound
-            and -bound <= y <= bound
-            and 0 <= w <= bound
-            and 0 <= h <= bound
-        ):
-            return value
-    path = f"{records}[{i}].bbox"
-    if bound < _FLOAT_MAX:
-        raise SchemaError(f"{path}: to be checked on json's reading")
-    return _bbox(value, path)
+
+def _box_columns(boxes: Sequence[list], bound: float) -> list[list] | None:
+    """The x, y, w, h columns of ``boxes``, four numbers within +-bound, w, h >= 0; or None."""
+    flat = list(chain.from_iterable(boxes))
+    if set(map(len, boxes)) <= {4} and set(map(type, flat)) <= {int, float}:
+        if -bound <= min(flat, default=0) <= max(flat, default=0) <= bound:
+            if min(flat[2::4] + flat[3::4], default=0) >= 0:
+                return [flat[k::4] for k in range(4)]
+    return None
 
 
 #: Every byte but the two bracket pairs and the quote.
@@ -265,13 +255,13 @@ def _orjson_loads(text: str) -> Any:
     orjson decodes only a text first shown shallow, in C. Each escaped
     backslash, then each escaped quote, is deleted: read left to right, as
     JSON reads a string's escapes, so the quotes left alternate between
-    opening and closing a string and no bracket inside a string pairs with
-    one outside. (A backslash outside a string is invalid JSON, which
-    orjson rejects before it converts anything.) Of the remaining UTF-8
-    bytes only brackets and quotes are kept, and each pass deletes the
-    adjacent pairs "", [] and {}. A valid file is empty after two passes.
-    Each pass takes off at most three levels, so a text left empty nests
-    at most 3 * _NESTING_PASSES deep.
+    opening and closing a string. (A backslash outside a string is invalid
+    JSON, which orjson rejects before it converts anything.) Of the UTF-8
+    bytes left only brackets and quotes are kept, and each pass deletes the
+    adjacent pairs "", [] and {}; a valid file is empty after two. Where a
+    string holds an unbalanced bracket, they run again without "" on the
+    brackets outside strings. A pass takes off at most three levels, two
+    without "", so a text left empty nests at most 3 * _NESTING_PASSES deep.
     """
     import orjson  # here, not at the top: `import rbcscan` does not pay for it
 
@@ -279,9 +269,13 @@ def _orjson_loads(text: str) -> Any:
     # Most files hold no backslash at all, which one byte scan shows.
     if b"\\" in data:
         data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
-    skeleton = data.translate(None, _NOT_NESTING)
+    kept = skeleton = data.translate(None, _NOT_NESTING)
     for _ in range(_NESTING_PASSES):
         skeleton = skeleton.replace(b'""', b"").replace(b"[]", b"").replace(b"{}", b"")
+    if skeleton:  # split out the brackets outside strings only now
+        skeleton = b"".join(kept.split(b'"')[::2])
+        for _ in range(_NESTING_PASSES):
+            skeleton = skeleton.replace(b"[]", b"").replace(b"{}", b"")
     if skeleton:
         raise SchemaError("not valid JSON: nested too deeply for orjson; json decodes it")
     try:
@@ -290,74 +284,108 @@ def _orjson_loads(text: str) -> Any:
         raise SchemaError("not valid JSON for orjson; json decodes it") from None
 
 
-def _parse_records(records: Callable[[Any, float], Any], text: str) -> Any:
-    """``records`` of orjson's document, or of json's where that pass raises.
-
-    json is the reference: its document is checked in full, so the value or
-    the error is exactly what json alone gives. ``records`` takes the root
-    value and the bound for box numbers.
-    """
+def _parse_records(columns: Callable[[Any, float], Any], records: Callable, text: str):
+    """``columns`` of orjson's document, else of json's, else ``records`` of
+    json's. ``columns`` takes the root and the bound for box numbers; where
+    a test fails it gives None, or raises the fault ``records`` names first."""
     try:
-        return records(_orjson_loads(text), _ORJSON_BOX_MAX)
+        parsed = columns(_orjson_loads(text), _ORJSON_BOX_MAX)
     except RbcScanError:
-        pass
-    return records(_decode(text), _FLOAT_MAX)
+        parsed = None
+    if parsed is None:
+        doc = _decode(text)
+        parsed = columns(doc, _FLOAT_MAX) or records(doc)
+    return parsed
 
 
 def parse_annotations(text: str) -> AnnotationFile:
-    return _parse_records(_annotations, text)
+    return _parse_records(_annotation_columns, _annotation_records, text)
 
 
-def _annotations(doc: Any, bound: float) -> AnnotationFile:
+def _annotation_columns(doc: Any, bound: float) -> AnnotationFile | None:
+    if type(doc) is not dict or doc.keys() - {"split"} != {"images", "objects"}:
+        return None
+    images = _columns(doc["images"], _IMAGE_FIELDS)
+    objects = _columns(doc["objects"], _OBJECT_FIELDS)
+    box = objects and _box_columns(objects[2], bound)
+    if not (images and box):
+        return None
+    (image_ids, widths, heights), (ids, labels, boxes), (xs, ys, ws, hs) = images, objects, box
+    width_of, height_of = dict(zip(image_ids, widths)), dict(zip(image_ids, heights))
+    known = len(width_of) == len(image_ids) and width_of.keys() >= set(ids)
+    if not known or min(widths + heights, default=1) < 1:
+        return None
+    sides = [*map(width_of.get, ids), *map(height_of.get, ids)]
+    if min(xs + ys, default=0) < 0 or any(map(gt, map(add, xs + ys, ws + hs), sides)):
+        return None
+    # Every record passed: a fault in the split is the first one.
+    infos = tuple(map(ImageInfo, image_ids, widths, heights))
+    return AnnotationFile(infos, Columns(ids, labels, boxes), _split(doc))
+
+
+def _annotation_records(doc: Any) -> AnnotationFile:
+    """``doc`` checked record by record: the file, or its first fault."""
     root = _obj(doc, "$", ("images", "objects"), ("split",))
-
-    images: list[ImageInfo] = []
     by_id: dict[ImageId, ImageInfo] = {}
     for i, item in enumerate(_array(root["images"], "$.images")):
-        if type(item) is not dict or item.keys() != _IMAGE_KEYS:
-            _obj(item, f"$.images[{i}]", _IMAGE_FIELDS)
-        image_id, width, height = _image_fields(item)
-        if type(image_id) is not str and type(image_id) is not int:
-            _image_id(image_id, f"$.images[{i}].image_id")
-        if type(width) is not int:
-            _int(width, f"$.images[{i}].width")
-        if type(height) is not int:
-            _int(height, f"$.images[{i}].height")
-        if width < 1 or height < 1:
-            raise InvariantError(f"$.images[{i}]: image dimensions must be >= 1")
-        if image_id in by_id:
-            raise InvariantError(f"$.images[{i}].image_id: duplicate image id {image_id!r}")
-        info = by_id[image_id] = ImageInfo(image_id, width, height)
-        images.append(info)
-
-    objects: list[tuple] = []
+        at = f"$.images[{i}]"
+        info = _record(item, at, ImageInfo, image_id=_image_id, width=_int, height=_int)
+        if info.width < 1 or info.height < 1:
+            raise InvariantError(f"{at}: image dimensions must be >= 1")
+        if by_id.setdefault(info.image_id, info) is not info:
+            raise InvariantError(f"{at}.image_id: duplicate image id {info.image_id!r}")
     for i, item in enumerate(_array(root["objects"], "$.objects")):
-        if type(item) is not dict or item.keys() != _OBJECT_KEYS:
-            _obj(item, f"$.objects[{i}]", _OBJECT_FIELDS)
-        fields = image_id, label, box = _object_fields(item)
-        if type(image_id) is not str and type(image_id) is not int:
-            _image_id(image_id, f"$.objects[{i}].image_id")
-        info = by_id.get(image_id)
+        at = f"$.objects[{i}]"
+        obj = _obj(item, at, _OBJECT_FIELDS)
+        info = by_id.get(_image_id(obj["image_id"], f"{at}.image_id"))
         if info is None:
-            raise InvariantError(f"$.objects[{i}].image_id: no such image {image_id!r}")
-        x, y, w, h = _record_bbox(box, "$.objects", i, bound)
+            raise InvariantError(f"{at}.image_id: no such image {obj['image_id']!r}")
+        x, y, w, h = _bbox(obj["bbox"], f"{at}.bbox")
         if x < 0 or y < 0 or x + w > info.width or y + h > info.height:
             raise InvariantError(
-                f"$.objects[{i}].bbox: box exceeds the {info.width}x{info.height} image bounds"
+                f"{at}.bbox: box exceeds the {info.width}x{info.height} image bounds"
             )
-        if type(label) is not str:
-            _str(label, f"$.objects[{i}].class_label")
-        objects.append(fields)
+        _str(obj["class_label"], f"{at}.class_label")
+    objects = Columns(*_columns(root["objects"], _OBJECT_FIELDS))
+    return AnnotationFile(tuple(by_id.values()), objects, _split(root))
 
-    split = None
-    if "split" in root:
-        obj = _obj(root["split"], "$.split", (), _SPLIT_KEYS)
-        split = {k: _int(obj[k], f"$.split.{k}") for k in _SPLIT_KEYS if k in obj}
-        for k, v in split.items():
-            if v < 0:
-                raise InvariantError(f"$.split.{k}: counts must be >= 0")
 
-    return AnnotationFile(tuple(images), Columns(*zip(*objects)), split)
+def _split(root: dict) -> dict[str, int] | None:
+    if "split" not in root:
+        return None
+    obj = _obj(root["split"], "$.split", (), _SPLIT_KEYS)
+    split = {k: _int(obj[k], f"$.split.{k}") for k in _SPLIT_KEYS if k in obj}
+    for k, v in split.items():
+        if v < 0:
+            raise InvariantError(f"$.split.{k}: counts must be >= 0")
+    return split
+
+
+def parse_detections(text: str) -> DetectionFile:
+    return _parse_records(_detection_columns, _detection_records, text)
+
+
+def _detection_columns(doc: Any, bound: float) -> DetectionFile | None:
+    if type(doc) is not dict or doc.keys() != {"detections"}:
+        return None
+    columns = _columns(doc["detections"], _DETECTION_FIELDS)
+    if columns and 0 <= min(columns[3], default=0) <= max(columns[3], default=0) <= 1:
+        if _box_columns(columns[2], bound):
+            return DetectionFile(Columns(*columns))
+    return None
+
+
+def _detection_records(doc: Any) -> DetectionFile:
+    """``doc`` checked record by record, as ``_annotation_records`` does."""
+    root = _obj(doc, "$", ("detections",))
+    for i, item in enumerate(_array(root["detections"], "$.detections")):
+        at = f"$.detections[{i}]"
+        obj = _obj(item, at, _DETECTION_FIELDS)
+        number(_num(obj["score"], f"{at}.score"), f"{at}.score:", InvariantError, "within [0, 1]")
+        _image_id(obj["image_id"], f"{at}.image_id")
+        _bbox(obj["bbox"], f"{at}.bbox")
+        _str(obj["class_label"], f"{at}.class_label")
+    return DetectionFile(Columns(*_columns(root["detections"], _DETECTION_FIELDS)))
 
 
 def emit_annotations(af: AnnotationFile) -> str:
@@ -369,34 +397,6 @@ def emit_annotations(af: AnnotationFile) -> str:
     if af.split is not None:
         payload["split"] = dict(af.split)
     return json.dumps(payload, indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# detections
-# ---------------------------------------------------------------------------
-
-
-def parse_detections(text: str) -> DetectionFile:
-    return _parse_records(_detections, text)
-
-
-def _detections(doc: Any, bound: float) -> DetectionFile:
-    root = _obj(doc, "$", ("detections",))
-    dets: list[tuple] = []
-    for i, item in enumerate(_array(root["detections"], "$.detections")):
-        if type(item) is not dict or item.keys() != _DETECTION_KEYS:
-            _obj(item, f"$.detections[{i}]", _DETECTION_FIELDS)
-        fields = image_id, label, box, score = _detection_fields(item)
-        if not ((type(score) is float or type(score) is int) and 0.0 <= score <= 1.0):
-            path = f"$.detections[{i}].score"
-            number(_num(score, path), f"{path}:", InvariantError, "within [0, 1]")
-        if type(image_id) is not str and type(image_id) is not int:
-            _image_id(image_id, f"$.detections[{i}].image_id")
-        _record_bbox(box, "$.detections", i, bound)
-        if type(label) is not str:
-            _str(label, f"$.detections[{i}].class_label")
-        dets.append(fields)
-    return DetectionFile(Columns(*zip(*dets)))
 
 
 def emit_detections(df: DetectionFile) -> str:

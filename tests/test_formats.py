@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -363,6 +364,10 @@ class TestEmitters:
         assert parse_scenario(emit_scenario(sc)) == sc
 
 
+def _fail(*args):
+    raise AssertionError("a slower route was taken")
+
+
 class TestDecoding:
     DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -392,6 +397,16 @@ class TestDecoding:
             text = DETECTIONS_TEXT.replace('"smartphone"', label).replace('"img1"', image_id)
             got = parse_detections(text).columns
             assert (got.labels, got.image_ids) == ((json.loads(label),), (json.loads(image_id),))
+
+    def test_bracket_inside_a_string_is_decoded_by_orjson_alone(self, monkeypatch):
+        # An unbalanced bracket in a string stays in the quick depth skeleton.
+        labels = ['"watch [v2"', '"{"', '"]]"', r'"[\"{"']
+        texts = [DETECTIONS_TEXT.replace('"smartphone"', label) for label in labels]
+        expected = [parse_detections(text) for text in texts]
+        monkeypatch.setattr(formats, "_decode", _fail)
+        for label, text, want in zip(labels, texts, expected):
+            got = parse_detections(text)
+            assert got == want and got.columns.labels == (json.loads(label),)
 
     def test_faults_get_json_messages(self):
         with pytest.raises(SchemaError) as e:
@@ -437,3 +452,84 @@ class TestDecoding:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "not valid JSON: arrays or objects nested too deeply\n" * 14
+
+
+class TestRoutes:
+    """Each file is read from orjson's document by the column tests where
+    they suffice, from json's where orjson may read a box number inexactly,
+    and by the per-record loop only where a column test is too strict."""
+
+    @pytest.fixture
+    def column_route_only(self, monkeypatch):
+        for name in ("_decode", "_annotation_records", "_detection_records"):
+            monkeypatch.setattr(formats, name, _fail)
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        real = getattr(formats, name)
+        monkeypatch.setattr(formats, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_empty_record_lists(self, column_route_only):
+        assert parse_annotations('{"images": [], "objects": []}') == AnnotationFile((), Columns())
+        text = '{"images": [{"image_id": 0, "width": 1, "height": 1}], "objects": []}'
+        assert parse_annotations(text).images == (ImageInfo(0, 1, 1),)
+        assert parse_detections('{"detections": []}') == DetectionFile(Columns())
+
+    @pytest.mark.parametrize("root, kind", [("[]", "list"), ('"x"', "str"), ("null", "NoneType")])
+    def test_root_that_is_no_object_is_rejected(self, root, kind):
+        for parse in (parse_annotations, parse_detections):
+            with pytest.raises(SchemaError, match=re.escape(f"$: expected an object, got {kind}")):
+                parse(root)
+
+    @pytest.mark.parametrize("value", ["{}", '""', "null"])
+    def test_record_list_that_is_no_array_is_rejected(self, value):
+        # An empty object or string would pass every column test but the first.
+        texts = {
+            "$.detections": (parse_detections, f'{{"detections": {value}}}'),
+            "$.images": (parse_annotations, f'{{"images": {value}, "objects": []}}'),
+            "$.objects": (parse_annotations, f'{{"images": [], "objects": {value}}}'),
+        }
+        for path, (parse, text) in texts.items():
+            with pytest.raises(SchemaError, match=re.escape(f"{path}: expected an array, got ")):
+                parse(text)
+
+    def test_split(self, column_route_only):
+        assert parse_annotations(ANNOTATIONS_TEXT).split == {"train": 1600, "dev": 800, "test": 800}
+        text = '{"images": [], "objects": [], "split": {}}'
+        assert parse_annotations(text).split == {}
+
+    def test_integer_and_string_ids_are_distinct(self, column_route_only):
+        images = [
+            {"image_id": 1, "width": 10, "height": 10},
+            {"image_id": "1", "width": 20, "height": 20},
+        ]
+        objects = [
+            {"image_id": "1", "class_label": "x", "bbox": [0, 0, 20, 20]},
+            {"image_id": 1, "class_label": "x", "bbox": [0, 0, 10, 10]},
+        ]
+        af = parse_annotations(json.dumps({"images": images, "objects": objects}))
+        assert af.images == (ImageInfo(1, 10, 10), ImageInfo("1", 20, 20))
+        assert af.columns.image_ids == ("1", 1)
+
+    @pytest.mark.parametrize("value", [2**63, 2**64 + 1, -(2**63) - 1])
+    def test_box_integer_of_64_bits_or_more_is_read_by_json(self, monkeypatch, value):
+        decoded = self.spy(monkeypatch, "_decode")
+        for name in ("_annotation_records", "_detection_records"):
+            monkeypatch.setattr(formats, name, _fail)
+        record = {"image_id": 0, "class_label": "a", "bbox": [value, 0, 1, 1], "score": 0.5}
+        (box,) = parse_detections(json.dumps({"detections": [record]})).columns.boxes
+        assert box == [value, 0, 1, 1] and type(box[0]) is int and len(decoded) == 1
+
+    def test_box_integer_past_the_float_maximum_is_read_by_the_loop(self, monkeypatch):
+        value = 2**1024 - 2**971 + 1  # above the largest float, and rounds to it
+        assert sys.float_info.max < value < 2**1024 - 2**970
+        loops = [self.spy(monkeypatch, f"_{kind}_records") for kind in ("annotation", "detection")]
+        record = {"image_id": 0, "class_label": "a", "bbox": [0, 0, value, 1]}
+        (box,) = parse_detections(json.dumps({"detections": [dict(record, score=1)]})).columns.boxes
+        assert box == [0, 0, value, 1] and type(box[2]) is int
+        images = [{"image_id": 0, "width": 2**1024, "height": 1}]
+        af = parse_annotations(json.dumps({"images": images, "objects": [record]}))
+        assert af.columns.boxes == ([0, 0, value, 1],) and af.images[0].width == 2**1024
+        assert [len(calls) for calls in loops] == [1, 1]

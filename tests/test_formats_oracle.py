@@ -31,6 +31,7 @@ import math
 import random
 import re
 import sys
+from contextlib import ExitStack
 from itertools import combinations, product
 from pathlib import Path
 from unittest import mock
@@ -41,6 +42,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_formats as legacy
+from rbcscan import formats
 from rbcscan.detector import builtin_profile
 from rbcscan.errors import RbcScanError, SchemaError
 from rbcscan.formats import (
@@ -499,6 +501,36 @@ def test_json_path_alone_matches_legacy(fault, name, data):
         _assert_agrees(_KIND[name], doc)
     if fault is None:
         assert loads.called
+
+
+def _fail(*args):
+    raise AssertionError("a slower route was taken")
+
+
+@pytest.mark.parametrize("kind", ["annotations", "detections"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_valid_files_take_the_column_route(kind, data):
+    """A valid file is read by the column tests: from orjson's document
+    unless a box number reaches 2**63 in magnitude, which orjson may read
+    inexactly, and by the per-record loop only for a box integer past the
+    largest float, which the column tests refuse."""
+    text = _dumps(data.draw(_docs(kind)))
+    want = _outcome(_PARSERS[kind][2], text)
+    if type(want) is tuple:  # a float sum rounded past the image edge
+        return
+    doc = json.loads(text)
+    numbers = [v for r in doc.get("objects", doc.get("detections")) for v in r["bbox"]]
+    slow = {"_annotation_records", "_detection_records"}
+    if not any(abs(v) >= 2**63 for v in numbers):
+        slow.add("_decode")
+    if any(abs(v) > sys.float_info.max for v in numbers):
+        slow -= {"_annotation_records", "_detection_records"}
+    with ExitStack() as patches:
+        for name in slow:
+            patches.enter_context(mock.patch.object(formats, name, _fail))
+        got = _PARSERS[kind][0](text)
+    assert got == want and repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("faults, name", _pairs("images", "objects"), ids=_pair_id)
