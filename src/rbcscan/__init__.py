@@ -15,20 +15,58 @@ import importlib
 
 __version__ = "0.1.0"
 
-#: The submodule that defines each exported name, the names split by spaces.
+#: The submodule that defines each exported name.
 _EXPORTS = {
-    "detector": "DetectorProfile SyntheticScene ap_at builtin_profile builtin_profile_names"
-    " detections_to_candidates sample_detections",
-    "errors": "DomainError InvariantError RbcScanError SchemaError UsageError",
-    "geometry": "CameraModel CellGrid PixelSize ReceiverSpec calibrate_focal cell_center"
-    " cell_of_point is_detectable project_size reference_camera",
-    "metrics": "SMALL_OBJECT_CUTOFF_PX STANDARD_IOU_THRESHOLDS BBox Columns Detection EvalResult"
-    " GroundTruthObject MatchResult average_precision evaluate flip_augment iou match_detections",
-    "scanning": "ScanConfig SimulationSummary breakeven_ap simulate_guided simulate_guided_multi"
-    " simulate_traditional t1_analytic t2_analytic",
+    "detector": (
+        "DetectorProfile",
+        "SyntheticScene",
+        "ap_at",
+        "builtin_profile",
+        "builtin_profile_names",
+        "detections_to_candidates",
+        "sample_detections",
+    ),
+    "errors": ("DomainError", "InvariantError", "RbcScanError", "SchemaError", "UsageError"),
+    "geometry": (
+        "CameraModel",
+        "CellGrid",
+        "PixelSize",
+        "ReceiverSpec",
+        "calibrate_focal",
+        "cell_center",
+        "cell_of_point",
+        "is_detectable",
+        "project_size",
+        "reference_camera",
+    ),
+    "metrics": (
+        "SMALL_OBJECT_CUTOFF_PX",
+        "STANDARD_IOU_THRESHOLDS",
+        "BBox",
+        "Columns",
+        "Detection",
+        "EvalResult",
+        "GroundTruthObject",
+        "MatchResult",
+        "average_precision",
+        "evaluate",
+        "flip_augment",
+        "iou",
+        "match_detections",
+    ),
+    "scanning": (
+        "ScanConfig",
+        "SimulationSummary",
+        "breakeven_ap",
+        "simulate_guided",
+        "simulate_guided_multi",
+        "simulate_traditional",
+        "t1_analytic",
+        "t2_analytic",
+    ),
 }
 #: Each lazily bound name, a submodule standing for itself.
-_SOURCE = {name: m for m, names in _EXPORTS.items() for name in (*names.split(), m)}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in (*names, module)}
 
 __all__ = list(_SOURCE)
 

@@ -255,13 +255,13 @@ def _orjson_loads(text: str) -> Any:
     orjson decodes only a text first shown shallow, in C. Each escaped
     backslash, then each escaped quote, is deleted: read left to right, as
     JSON reads a string's escapes, so the quotes left alternate between
-    opening and closing a string. (A backslash outside a string is invalid
-    JSON, which orjson rejects before it converts anything.) Of the UTF-8
-    bytes left only brackets and quotes are kept, and each pass deletes the
-    adjacent pairs "", [] and {}; a valid file is empty after two. Where a
-    string holds an unbalanced bracket, they run again without "" on the
-    brackets outside strings. A pass takes off at most three levels, two
-    without "", so a text left empty nests at most 3 * _NESTING_PASSES deep.
+    opening and closing a string and no bracket inside a string pairs with
+    one outside. (A backslash outside a string is invalid JSON, which
+    orjson rejects before it converts anything.) Of the remaining UTF-8
+    bytes only brackets and quotes are kept, and each pass deletes the
+    adjacent pairs "", [] and {}. A valid file is empty after two passes.
+    Each pass takes off at most three levels, so a text left empty nests
+    at most 3 * _NESTING_PASSES deep.
     """
     import orjson  # here, not at the top: `import rbcscan` does not pay for it
 
@@ -269,13 +269,9 @@ def _orjson_loads(text: str) -> Any:
     # Most files hold no backslash at all, which one byte scan shows.
     if b"\\" in data:
         data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
-    kept = skeleton = data.translate(None, _NOT_NESTING)
+    skeleton = data.translate(None, _NOT_NESTING)
     for _ in range(_NESTING_PASSES):
         skeleton = skeleton.replace(b'""', b"").replace(b"[]", b"").replace(b"{}", b"")
-    if skeleton:  # split out the brackets outside strings only now
-        skeleton = b"".join(kept.split(b'"')[::2])
-        for _ in range(_NESTING_PASSES):
-            skeleton = skeleton.replace(b"[]", b"").replace(b"{}", b"")
     if skeleton:
         raise SchemaError("not valid JSON: nested too deeply for orjson; json decodes it")
     try:

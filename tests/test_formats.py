@@ -398,16 +398,6 @@ class TestDecoding:
             got = parse_detections(text).columns
             assert (got.labels, got.image_ids) == ((json.loads(label),), (json.loads(image_id),))
 
-    def test_bracket_inside_a_string_is_decoded_by_orjson_alone(self, monkeypatch):
-        # An unbalanced bracket in a string stays in the quick depth skeleton.
-        labels = ['"watch [v2"', '"{"', '"]]"', r'"[\"{"']
-        texts = [DETECTIONS_TEXT.replace('"smartphone"', label) for label in labels]
-        expected = [parse_detections(text) for text in texts]
-        monkeypatch.setattr(formats, "_decode", _fail)
-        for label, text, want in zip(labels, texts, expected):
-            got = parse_detections(text)
-            assert got == want and got.columns.labels == (json.loads(label),)
-
     def test_faults_get_json_messages(self):
         with pytest.raises(SchemaError) as e:
             parse_detections('{"detections": [1,]}')
