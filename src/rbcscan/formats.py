@@ -9,9 +9,9 @@ equals parse(text) for every valid file.
 
 Annotation and detection files are decoded with orjson, 2-3x faster than
 json on them, and their record lists are checked a column at a time. json
-stays the reference: a file that fails on orjson's reading is decoded and
-checked again with json, and one that fails there too is checked record by
-record, so every error message and every accepted value is json's.
+stays the reference: a file that fails on orjson's reading is decoded with
+json and checked record by record, so every error message and every
+accepted value is json's.
 """
 
 from __future__ import annotations
@@ -203,19 +203,18 @@ def _keys(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
 # A record list is checked a column at a time, with builtins that loop in
 # C: the set of types in each column (no allowed set holds bool), the sizes
 # of the records and boxes, and min and max against each bound. A file that
-# passes is read from those columns as they are. One that fails goes to a
-# loop that checks it record by record, in a fixed order, with the field
-# helpers (_obj, _image_id, _bbox, ...) and names the first fault.
+# passes is read from those columns as they are. One that fails is decoded
+# with json and goes to a loop that checks it record by record, in a fixed
+# order, with the field helpers (_obj, _image_id, _bbox, ...) and names the
+# first fault.
 
 #: Each record's fields, in file order, and the types each may hold.
 _IMAGE_FIELDS = {"image_id": {str, int}, "width": {int}, "height": {int}}
 _OBJECT_FIELDS = {"image_id": {str, int}, "class_label": {str}, "bbox": {list}}
 _DETECTION_FIELDS = {**_OBJECT_FIELDS, "score": {int, float}}
-#: A number within +-_FLOAT_MAX is finite and converts to a float.
-_FLOAT_MAX = sys.float_info.max
-#: The box bound on an orjson document. orjson reads an integer literal
-#: outside [-2**63, 2**64) as the nearest float, whose magnitude is then at
-#: least 2**63, so a box number within this bound is the number written.
+#: The bound on box numbers. orjson reads an integer literal outside
+#: [-2**63, 2**64) as the nearest float, whose magnitude is then at least
+#: 2**63, so a box number within this bound is the number written.
 _ORJSON_BOX_MAX = math.nextafter(2.0**63, 0.0)
 
 
@@ -230,11 +229,12 @@ def _columns(items: Any, fields: dict[str, set]) -> list[tuple] | None:
     return None
 
 
-def _box_columns(boxes: Sequence[list], bound: float) -> list[list] | None:
-    """The x, y, w, h columns of ``boxes``, four numbers within +-bound, w, h >= 0; or None."""
+def _box_columns(boxes: Sequence[list]) -> list[list] | None:
+    """The x, y, w, h columns of ``boxes``, four numbers within
+    +-_ORJSON_BOX_MAX, w, h >= 0; or None."""
     flat = list(chain.from_iterable(boxes))
     if set(map(len, boxes)) <= {4} and set(map(type, flat)) <= {int, float}:
-        if -bound <= min(flat, default=0) <= max(flat, default=0) <= bound:
+        if -_ORJSON_BOX_MAX <= min(flat, default=0) <= max(flat, default=0) <= _ORJSON_BOX_MAX:
             if min(flat[2::4] + flat[3::4], default=0) >= 0:
                 return [flat[k::4] for k in range(4)]
     return None
@@ -280,30 +280,27 @@ def _orjson_loads(text: str) -> Any:
         raise SchemaError("not valid JSON for orjson; json decodes it") from None
 
 
-def _parse_records(columns: Callable[[Any, float], Any], records: Callable, text: str):
-    """``columns`` of orjson's document, else of json's, else ``records`` of
-    json's. ``columns`` takes the root and the bound for box numbers; where
-    a test fails it gives None, or raises the fault ``records`` names first."""
+def _parse_records(columns: Callable[[Any], Any], records: Callable, text: str):
+    """``columns`` of orjson's document, else ``records`` of json's. Where a
+    test fails ``columns`` gives None, or raises the fault ``records`` names
+    first."""
     try:
-        parsed = columns(_orjson_loads(text), _ORJSON_BOX_MAX)
+        parsed = columns(_orjson_loads(text))
     except RbcScanError:
         parsed = None
-    if parsed is None:
-        doc = _decode(text)
-        parsed = columns(doc, _FLOAT_MAX) or records(doc)
-    return parsed
+    return parsed or records(_decode(text))
 
 
 def parse_annotations(text: str) -> AnnotationFile:
     return _parse_records(_annotation_columns, _annotation_records, text)
 
 
-def _annotation_columns(doc: Any, bound: float) -> AnnotationFile | None:
+def _annotation_columns(doc: Any) -> AnnotationFile | None:
     if type(doc) is not dict or doc.keys() - {"split"} != {"images", "objects"}:
         return None
     images = _columns(doc["images"], _IMAGE_FIELDS)
     objects = _columns(doc["objects"], _OBJECT_FIELDS)
-    box = objects and _box_columns(objects[2], bound)
+    box = objects and _box_columns(objects[2])
     if not (images and box):
         return None
     (image_ids, widths, heights), (ids, labels, boxes), (xs, ys, ws, hs) = images, objects, box
@@ -361,12 +358,12 @@ def parse_detections(text: str) -> DetectionFile:
     return _parse_records(_detection_columns, _detection_records, text)
 
 
-def _detection_columns(doc: Any, bound: float) -> DetectionFile | None:
+def _detection_columns(doc: Any) -> DetectionFile | None:
     if type(doc) is not dict or doc.keys() != {"detections"}:
         return None
     columns = _columns(doc["detections"], _DETECTION_FIELDS)
     if columns and 0 <= min(columns[3], default=0) <= max(columns[3], default=0) <= 1:
-        if _box_columns(columns[2], bound):
+        if _box_columns(columns[2]):
             return DetectionFile(Columns(*columns))
     return None
 

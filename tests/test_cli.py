@@ -12,14 +12,17 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given
 
 import rbcscan
 from rbcscan import cli, scanning
 from rbcscan.cli import MAX_AP_ROWS, _ap_grid, build_parser, main
 from rbcscan.detector import builtin_profile
-from rbcscan.errors import UsageError
+from rbcscan.errors import RbcScanError, UsageError
 from rbcscan.formats import emit_profile, emit_scenario, parse_annotations, parse_scenario
+from rbcscan.metrics import BBox, GroundTruthObject, flip_augment
 from rbcscan.scanning import MAX_TRIALS
+from test_formats_oracle import _docs
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_SCENARIO = ROOT / "scenarios" / "default.json"
@@ -345,6 +348,35 @@ class TestAugmentCommand:
         assert flipped_xs == expected
 
 
+@given(doc=_docs("annotations"))
+def test_augment_mirrors_each_box(tmp_path_factory, doc):
+    """On a valid file, ``augment`` writes the images and objects, then
+    each mirrored: the box ``flip_augment`` gives, int or float alike, which
+    mirrors back to the original to float rounding."""
+    text = json.dumps(doc)
+    try:
+        af = parse_annotations(text)
+    except RbcScanError:  # a float sum rounded past the image edge
+        return
+    tmp = tmp_path_factory.mktemp("augment")
+    (tmp / "gt.json").write_text(text, encoding="utf-8")
+    argv = ["augment", "--annotations", str(tmp / "gt.json"), "--output", str(tmp / "out.json")]
+    assert main(argv) == 0
+    doubled = parse_annotations((tmp / "out.json").read_text(encoding="utf-8"))
+    n = len(af.columns.boxes)
+    assert len(doubled.images) == 2 * len(af.images) and len(doubled.columns.boxes) == 2 * n
+    assert doubled.images[: len(af.images)] == af.images
+    assert repr(doubled.columns.boxes[:n]) == repr(af.columns.boxes)
+    assert doubled.columns.labels == af.columns.labels * 2
+    widths = {im.image_id: im.width for im in af.images}
+    for gt, box in zip(af.objects, doubled.columns.boxes[n:]):
+        width = widths[gt.image_id]
+        assert repr(box) == repr(list(flip_augment(gt, width).bbox))
+        back = flip_augment(GroundTruthObject(gt.image_id, BBox(*box), gt.class_label), width).bbox
+        assert back[1:] == gt.bbox[1:]
+        assert math.isclose(back.x, gt.bbox.x, abs_tol=4 * math.ulp(width))
+
+
 class Case(NamedTuple):
     """One rejected call. ``message`` is the whole error line or a part of
     it; in it and in ``argv``, "{tmp}" is the fixture directory.
@@ -542,6 +574,12 @@ CASES = {
             (AUGMENT, "gt.json", {}),
         ]
     },
+    "augment image width past float range": Case(
+        AUGMENT,
+        2,
+        "error: image_width must be finite, got 1797",
+        files={"gt.json": json.dumps(ANNOTATIONS).replace("1280", str(2**1024), 1)},
+    ),
     "augment negative split": Case(
         AUGMENT, 2, "split", files={"gt.json": json.dumps(dict(ANNOTATIONS, split={"train": -1}))}
     ),

@@ -446,8 +446,9 @@ class TestDecoding:
 
 class TestRoutes:
     """Each file is read from orjson's document by the column tests where
-    they suffice, from json's where orjson may read a box number inexactly,
-    and by the per-record loop only where a column test is too strict."""
+    they suffice, and otherwise from json's by the per-record loop: where
+    orjson rejects the text or may read a number in it inexactly, or a
+    column test fails."""
 
     @pytest.fixture
     def column_route_only(self, monkeypatch):
@@ -503,23 +504,41 @@ class TestRoutes:
         assert af.images == (ImageInfo(1, 10, 10), ImageInfo("1", 20, 20))
         assert af.columns.image_ids == ("1", 1)
 
-    @pytest.mark.parametrize("value", [2**63, 2**64 + 1, -(2**63) - 1])
+    @pytest.mark.parametrize(
+        "value",
+        [2**63, 2**64 + 1, -(2**63) - 1, pytest.param(2**1024 - 2**971 + 1, id="past-float-max")],
+    )
     def test_box_integer_of_64_bits_or_more_is_read_by_json(self, monkeypatch, value):
+        # orjson may read it as a float; the last rounds to the largest one.
         decoded = self.spy(monkeypatch, "_decode")
-        for name in ("_annotation_records", "_detection_records"):
-            monkeypatch.setattr(formats, name, _fail)
-        record = {"image_id": 0, "class_label": "a", "bbox": [value, 0, 1, 1], "score": 0.5}
-        (box,) = parse_detections(json.dumps({"detections": [record]})).columns.boxes
-        assert box == [value, 0, 1, 1] and type(box[0]) is int and len(decoded) == 1
-
-    def test_box_integer_past_the_float_maximum_is_read_by_the_loop(self, monkeypatch):
-        value = 2**1024 - 2**971 + 1  # above the largest float, and rounds to it
-        assert sys.float_info.max < value < 2**1024 - 2**970
         loops = [self.spy(monkeypatch, f"_{kind}_records") for kind in ("annotation", "detection")]
-        record = {"image_id": 0, "class_label": "a", "bbox": [0, 0, value, 1]}
-        (box,) = parse_detections(json.dumps({"detections": [dict(record, score=1)]})).columns.boxes
-        assert box == [0, 0, value, 1] and type(box[2]) is int
-        images = [{"image_id": 0, "width": 2**1024, "height": 1}]
-        af = parse_annotations(json.dumps({"images": images, "objects": [record]}))
-        assert af.columns.boxes == ([0, 0, value, 1],) and af.images[0].width == 2**1024
+        record = {"image_id": 0, "class_label": "a", "bbox": [value, 0, 1, 1], "score": 1}
+        (box,) = parse_detections(json.dumps({"detections": [record]})).columns.boxes
+        assert box == [value, 0, 1, 1] and type(box[0]) is int
+        side = abs(value)
+        images = [{"image_id": 0, "width": side, "height": 1}]
+        objects = [{"image_id": 0, "class_label": "a", "bbox": [0, 0, side, 1]}]
+        af = parse_annotations(json.dumps({"images": images, "objects": objects}))
+        assert af.columns.boxes == ([0, 0, side, 1],) and af.images == (ImageInfo(0, side, 1),)
+        assert type(af.columns.boxes[0][2]) is int and type(af.images[0].width) is int
+        assert [len(calls) for calls in [decoded, *loops]] == [2, 1, 1]
+
+    def test_unbalanced_bracket_in_a_string_is_read_by_the_loop(self, monkeypatch):
+        loops = [self.spy(monkeypatch, f"_{kind}_records") for kind in ("annotation", "detection")]
+        ids = ["cam {2", "lens [", 7]
+        images = [{"image_id": i, "width": 100, "height": 50} for i in ids]
+        labels = ["watch [v2", "case {", "x]"]
+        boxes = [[0.5, 1, 2, 3.25], [1, 2, 3, 4], [0, 0, 99.5, 50]]
+        objects = [
+            {"image_id": i, "class_label": label, "bbox": box}
+            for i, label, box in zip(ids, labels, boxes)
+        ]
+        ann = json.dumps({"images": images, "objects": objects})
+        det = json.dumps({"detections": [dict(r, score=0.5) for r in objects]})
+        af, df = parse_annotations(ann), parse_detections(det)
+        for c, text, name in ((af.columns, ann, "objects"), (df.columns, det, "detections")):
+            records = json.loads(text)[name]
+            want = [[r[key] for r in records] for key in ("image_id", "class_label", "bbox")]
+            assert repr(list(map(list, c[:3]))) == repr(want)
+        assert af.images == tuple(ImageInfo(i, 100, 50) for i in ids)
         assert [len(calls) for calls in loops] == [1, 1]

@@ -511,21 +511,18 @@ def _fail(*args):
 @settings(max_examples=40)
 @given(data=st.data())
 def test_valid_files_take_the_column_route(kind, data):
-    """A valid file is read by the column tests: from orjson's document
+    """A valid file is read by the column tests from orjson's document,
     unless a box number reaches 2**63 in magnitude, which orjson may read
-    inexactly, and by the per-record loop only for a box integer past the
-    largest float, which the column tests refuse."""
+    inexactly: then the per-record loop reads json's."""
     text = _dumps(data.draw(_docs(kind)))
     want = _outcome(_PARSERS[kind][2], text)
     if type(want) is tuple:  # a float sum rounded past the image edge
         return
     doc = json.loads(text)
     numbers = [v for r in doc.get("objects", doc.get("detections")) for v in r["bbox"]]
-    slow = {"_annotation_records", "_detection_records"}
-    if not any(abs(v) >= 2**63 for v in numbers):
-        slow.add("_decode")
-    if any(abs(v) > sys.float_info.max for v in numbers):
-        slow -= {"_annotation_records", "_detection_records"}
+    slow = {"_decode", "_annotation_records", "_detection_records"}
+    if any(abs(v) >= 2**63 for v in numbers):
+        slow = set()
     with ExitStack() as patches:
         for name in slow:
             patches.enter_context(mock.patch.object(formats, name, _fail))
