@@ -185,6 +185,7 @@ def cmd_augment(args: argparse.Namespace) -> str:
     from . import formats
 
     af = formats.parse_annotations(formats.read_text(args.annotations))
+    widths = {im.image_id: im.width for im in af.images}
     # Derived ids get a _flip suffix, extended until unique so re-running on
     # already-augmented output keeps quadrupling instead of colliding.
     used: set = {im.image_id for im in af.images}
@@ -195,18 +196,18 @@ def cmd_augment(args: argparse.Namespace) -> str:
             candidate += "_flip"
         used.add(candidate)
         derived[im.image_id] = candidate
-    c = af.columns
-    widths = {im.image_id: im.width for im in af.images}
-    # The parser holds each box inside its image, which leaves one of
-    # flip_augment's tests: a width past the float range.
-    for image_id in dict.fromkeys(c.image_ids):
-        number(widths[image_id], "image_width", DomainError, "finite", integral=True)
-    # flip_augment's arithmetic, in its order, on the boxes as parsed.
-    boxes = tuple([widths[i] - x - w, y, w, h] for i, (x, y, w, h) in zip(c.image_ids, c.boxes))
-    ids = c.image_ids + tuple(map(derived.get, c.image_ids))
+    flipped_images = [
+        formats.ImageInfo(image_id=derived[im.image_id], width=im.width, height=im.height)
+        for im in af.images
+    ]
+    objects = af.objects
+    flipped_objects = [
+        metrics.flip_augment(gt, widths[gt.image_id])._replace(image_id=derived[gt.image_id])
+        for gt in objects
+    ]
     doubled = formats.AnnotationFile(
-        af.images + tuple(im._replace(image_id=derived[im.image_id]) for im in af.images),
-        metrics.Columns(ids, c.labels * 2, c.boxes + boxes),
+        af.images + tuple(flipped_images),
+        metrics.Columns.of(objects + tuple(flipped_objects)),
         af.split,
     )
     return formats.emit_annotations(doubled)

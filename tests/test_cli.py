@@ -351,8 +351,9 @@ class TestAugmentCommand:
 @given(doc=_docs("annotations"))
 def test_augment_mirrors_each_box(tmp_path_factory, doc):
     """On a valid file, ``augment`` writes the images and objects, then
-    each mirrored: the box ``flip_augment`` gives, int or float alike, which
-    mirrors back to the original to float rounding."""
+    each mirrored: the box ``flip_augment`` gives, ``[width - x - w, y, w, h]``
+    with int or float kept, which mirrors back to the original to float
+    rounding."""
     text = json.dumps(doc)
     try:
         af = parse_annotations(text)
@@ -371,7 +372,9 @@ def test_augment_mirrors_each_box(tmp_path_factory, doc):
     widths = {im.image_id: im.width for im in af.images}
     for gt, box in zip(af.objects, doubled.columns.boxes[n:]):
         width = widths[gt.image_id]
-        assert repr(box) == repr(list(flip_augment(gt, width).bbox))
+        x, y, w, h = gt.bbox
+        mirrored = [width - x - w, y, w, h]
+        assert repr(box) == repr(list(flip_augment(gt, width).bbox)) == repr(mirrored)
         back = flip_augment(GroundTruthObject(gt.image_id, BBox(*box), gt.class_label), width).bbox
         assert back[1:] == gt.bbox[1:]
         assert math.isclose(back.x, gt.bbox.x, abs_tol=4 * math.ulp(width))
