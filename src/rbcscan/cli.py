@@ -149,6 +149,10 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     return _csv_text(header, rows)
 
 
+#: Most rows a ``geometry`` table may have: distances times resolutions.
+MAX_GEOMETRY_ROWS = 100_000
+
+
 def cmd_geometry(args: argparse.Namespace) -> str:
     if args.calibrate is not None:
         obj_cm, dist_cm, obs_px = args.calibrate
@@ -163,8 +167,14 @@ def cmd_geometry(args: argparse.Namespace) -> str:
         width_cm=args.receiver_width_cm, height_cm=args.receiver_height_cm
     )
     resolutions = _parse_list(args.resolutions, "--resolutions", _resolution)
+    distances = _parse_list(args.distances, "--distances", float)
+    if len(distances) * len(resolutions) > MAX_GEOMETRY_ROWS:
+        raise UsageError(
+            f"{len(distances)} --distances times {len(resolutions)} --resolutions "
+            f"asks for more than {MAX_GEOMETRY_ROWS} rows"
+        )
     rows = []
-    for dist in _parse_list(args.distances, "--distances", float):
+    for dist in distances:
         for w, h in resolutions:
             size = geometry.project_size(cam, spec, dist, w, h)
             ok = geometry.is_detectable(size, args.min_width_px, args.min_height_px)

@@ -11,7 +11,7 @@ a pixel cutoff (32 px by default).
 from __future__ import annotations
 
 from itertools import chain, count
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Sized
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Sized
 
 from .errors import DomainError, UsageError, checked, number, shown
 
@@ -29,6 +29,10 @@ STANDARD_IOU_THRESHOLDS: tuple[float, ...] = tuple((50 + 5 * i) / 100 for i in r
 SMALL_OBJECT_CUTOFF_PX = 32.0
 
 _RECALL_SAMPLES = 101
+
+#: Most candidate (detection, box) pairs that one ``evaluate`` or
+#: ``match_detections`` call may enumerate: ~0.8 GB of pair arrays.
+MAX_MATCH_PAIRS = 10**7
 
 
 @checked
@@ -183,13 +187,14 @@ def _pair_ious(boxes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     import numpy as np
 
     x, y, w, h = boxes.T
-    x2, y2 = x + w, y + h
-    area = (x2 - x) * (y2 - y)
-    iw = np.minimum(x2[a], x2[b]) - np.maximum(x[a], x[b])
-    ih = np.minimum(y2[a], y2[b]) - np.maximum(y[a], y[b])
-    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
-    union = area[a] + area[b] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A box past float range gives inf and NaN, as Python floats do, unwarned.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x2, y2 = x + w, y + h
+        area = (x2 - x) * (y2 - y)
+        iw = np.minimum(x2[a], x2[b]) - np.maximum(x[a], x[b])
+        ih = np.minimum(y2[a], y2[b]) - np.maximum(y[a], y[b])
+        inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+        union = area[a] + area[b] - inter
         return np.where(union > 0, inter / union, 0.0)
 
 
@@ -216,47 +221,99 @@ def _components(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
 
 
 def _greedy_assign(
-    boxes: np.ndarray, group: np.ndarray, scores: np.ndarray, thresholds: Sequence[float]
+    boxes: np.ndarray,
+    group: np.ndarray,
+    scores: np.ndarray,
+    thresholds: Sequence[float],
+    name: Callable[[int], str],
 ) -> np.ndarray:
     """Greedy matching in every group (one image and class), all thresholds at once.
 
-    ``boxes`` and ``group`` (one integer per group) hold the D detections,
-    whose ``scores`` are given, then the ground truth. The rule is that of
-    ``match_detections``; thresholds are > 0. Returns (T, D) matched
-    ground-truth indices or -1.
+    ``boxes`` and ``group`` (one integer >= 0 per group) hold the D
+    detections, whose ``scores`` are given, then the ground truth. The
+    rule is that of ``match_detections``; thresholds are > 0. Returns
+    (T, D) matched ground-truth indices or -1. More than
+    ``MAX_MATCH_PAIRS`` candidate pairs raise DomainError, which names
+    the group with the most of them as ``name(group)`` does.
 
-    IoUs are computed once per detection and box of a group, and pairs
-    below the lowest threshold are dropped: a detection matches only a best
-    IoU that reaches the threshold, and ties go to the first box at the
-    best value, all of which survive, so every threshold gets the same
-    match from the surviving pairs. A detection can then only take a box it
-    shares a pair with, so its outcome depends only on the detections ahead
-    of it (by descending score, ties in input order) in its connected
-    component of detections and boxes, and no two components share a box.
-    Round k therefore matches the k-th detection of every component at once,
-    for all thresholds through a (T, G) taken mask.
+    Only a pair that overlaps can reach a threshold, so a detection's
+    candidates are the boxes of its group whose x lies in its window, from
+    its x less the widest box to its right edge. The boxes are sorted by
+    group, then by integer x bin, W = max(widest / 4, x span / (G + 1))
+    wide, so a window is one run of them, found by two searches. IoUs
+    are computed once per candidate pair, and pairs below the lowest
+    threshold are dropped: a detection matches only a best IoU that
+    reaches the threshold, and ties go to the lowest box index at the best
+    value, all of which survive, so every threshold gets the same match
+    from the surviving pairs. A detection can then only take a box it
+    shares a pair with, so its outcome depends only on the detections
+    ahead of it (by descending score, ties in input order) in its
+    connected component of detections and boxes, and no two components
+    share a box. Round k therefore matches the k-th detection of every
+    component at once, for all thresholds through a (T, G) taken mask.
     """
     import numpy as np
 
-    n = len(scores)
-    det_group, gt_group = group[:n], group[n:]
+    n, n_gt = len(scores), len(group) - len(scores)
     assigned = np.full((len(thresholds), n), -1, dtype=np.int64)
     thr = np.asarray(thresholds, dtype=float)[:, None]
-    # Every pair of a detection and a box of its group, by detection, then box.
-    gt_order = np.argsort(gt_group, kind="stable")
-    gt_sorted = gt_group[gt_order]
-    lo = np.searchsorted(gt_sorted, det_group, "left")
-    n_gt = np.searchsorted(gt_sorted, det_group, "right") - lo
-    pair_start = np.cumsum(n_gt) - n_gt
-    pair_det = np.repeat(np.arange(n), n_gt)
-    pair_gt = gt_order[np.repeat(lo - pair_start, n_gt) + np.arange(n_gt.sum())]
+    x, w = boxes[:, 0], boxes[:, 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = x + w
+    # A box with a non-finite right edge has an infinite or NaN area, so
+    # IoU 0 or NaN with every box: it matches nothing and sizes no bin.
+    finite = np.isfinite(x2[n:])
+    if not finite.any():
+        return assigned
+    gx = x[n:]
+    x0, x1 = gx.min(where=finite, initial=np.inf), gx.max(where=finite, initial=-np.inf)
+    widest = w[n:].max(where=finite, initial=0.0)
+    # The span is divided before it is taken, so that it cannot overflow.
+    width = max(widest / 4, x1 / (n_gt + 1) - x0 / (n_gt + 1)) or 1.0
+    n_bins = n_gt + 2
+    # A box and a window end share one bin function, monotone in x, so a
+    # box left of a window's right edge has no higher bin. A box that
+    # overlaps the detection has x2 > x, so its x exceeds x - widest, and
+    # x - widest rounds to no more than that float x: the window's left end
+    # needs no margin. Bins are floored and clipped as floats, NaN to the
+    # low end, so no cast sees NaN or inf; a window ends at most one bin
+    # before it starts, which is an empty run.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gt_bin = np.floor((gx - x0) / width)
+        lo = np.floor((x[:n] - widest - x0) / width)
+        hi = np.floor((x2[:n] - x0) / width)
+    top = n_bins - 1
+    gt_bin = np.fmin(np.fmax(gt_bin, 0), top).astype(np.int64)
+    lo = np.fmin(np.fmax(lo, 0), top).astype(np.int64)
+    hi = np.fmin(np.fmax(hi, -1), top).astype(np.int64)
+    # Key = group * n_bins + bin; groups are numbered densely when that
+    # product could pass int64.
+    code = group
+    if (int(group.max()) + 1) * n_bins > 2**63:
+        code = np.unique(group, return_inverse=True)[1]
+    gt_key = code[n:] * n_bins + gt_bin
+    gt_order = np.argsort(gt_key)
+    keys = gt_key[gt_order]
+    begin = np.searchsorted(keys, code[:n] * n_bins + lo, "left")
+    n_cand = np.searchsorted(keys, code[:n] * n_bins + hi, "right") - begin
+    total = int(n_cand.sum())
+    if total > MAX_MATCH_PAIRS:
+        codes, inverse = np.unique(group[:n], return_inverse=True)
+        most = np.bincount(inverse, weights=n_cand)
+        raise DomainError(
+            f"matching needs {total} candidate pairs, more than MAX_MATCH_PAIRS = "
+            f"{MAX_MATCH_PAIRS}; {name(int(codes[most.argmax()]))} alone needs {int(most.max())}"
+        )
+    pair_start = np.cumsum(n_cand) - n_cand
+    pair_det = np.repeat(np.arange(n), n_cand)
+    pair_gt = gt_order[np.repeat(begin - pair_start, n_cand) + np.arange(total)]
     ious = _pair_ious(boxes, pair_det, n + pair_gt)
     keep = ious >= thr.min()
     pair_det, pair_gt, ious = pair_det[keep], pair_gt[keep], ious[keep]
 
     # Rank each detection with a pair within its component by descending
     # score, ties in input order; then order the detections by rank.
-    label = _components(pair_det, n + pair_gt, n + len(gt_group))
+    label = _components(pair_det, n + pair_gt, len(group))
     n_pairs = np.bincount(pair_det, minlength=n)
     dets = np.flatnonzero(n_pairs)
     by_score = dets[np.lexsort((-scores[dets], label[dets]))]
@@ -264,7 +321,7 @@ def _greedy_assign(
     rank = np.arange(by_score.size) - np.searchsorted(comp, comp)
     by_rank = np.argsort(rank, kind="stable")
     active, ranks = by_score[by_rank], rank[by_rank]
-    # active[i] owns the pairs seg_start[i]:seg_end[i], boxes in index order.
+    # active[i] owns the pairs seg_start[i]:seg_end[i], boxes in bin order.
     seg_len = n_pairs[active]
     seg_end = np.cumsum(seg_len)
     seg_start = seg_end - seg_len
@@ -272,7 +329,7 @@ def _greedy_assign(
     take = np.repeat(pair_of[active] - seg_start, seg_len) + np.arange(seg_len.sum())
     pair_gt, ious = pair_gt[take], ious[take]
 
-    taken = np.zeros((len(thresholds), len(gt_group)), dtype=bool)
+    taken = np.zeros((len(thresholds), n_gt), dtype=bool)
     bounds = np.searchsorted(ranks, np.arange(ranks.max(initial=-1) + 2)).tolist()
     for a, b in zip(bounds[:-1], bounds[1:]):
         p0, p1 = seg_start[a], seg_end[b - 1]
@@ -281,9 +338,9 @@ def _greedy_assign(
         starts = seg_start[a:b] - p0
         best = np.maximum.reduceat(vals, starts, axis=1)
         is_best = vals == np.repeat(best, seg_len[a:b], axis=1)
-        first = np.minimum.reduceat(np.where(is_best, np.arange(p1 - p0), p1 - p0), starts, axis=1)
+        lowest = np.minimum.reduceat(np.where(is_best, cols, n_gt), starts, axis=1)
         t, i = np.nonzero(best >= thr)
-        gt = cols[first[t, i]]
+        gt = lowest[t, i]
         taken[t, gt] = True
         assigned[t, active[a + i]] = gt
     return assigned
@@ -314,8 +371,9 @@ def match_detections(
     scores = np.array([d.score for d in dets], dtype=float)
     one_group = np.zeros(len(dets) + len(gts), dtype=np.int64)
     boxes = _box_array((o.bbox for o in chain(dets, gts)), len(one_group))
-    assigned = _greedy_assign(boxes, one_group, scores, [iou_threshold])[0].tolist()
-    matched = tuple(j if j >= 0 else None for j in assigned)
+    name = f"image {next(iter(ids), None)!r}, class {next(iter(labels), None)!r}"
+    assigned = _greedy_assign(boxes, one_group, scores, [iou_threshold], lambda _: name)[0]
+    matched = tuple(j if j >= 0 else None for j in assigned.tolist())
     return MatchResult(matched, tuple(j in matched for j in range(len(gts))))
 
 
@@ -430,7 +488,11 @@ def evaluate(
     if bad.any():
         i = int(bad.argmax())
         raise DomainError(f"detection {i}: score must be within [0, 1], got {dets.scores[i]}")
-    assigned = _greedy_assign(boxes, group, scores, levels)
+
+    def name(g: int) -> str:  # of an (image, class) group code
+        return f"image {list(image_of)[g // len(classes)]!r}, class {classes[g % len(classes)]!r}"
+
+    assigned = _greedy_assign(boxes, group, scores, levels, name)
 
     # Pool each class's detections by descending score, ties in input order.
     order = np.lexsort((-scores, cls[:n]))
@@ -463,7 +525,10 @@ def flip_augment(gt: GroundTruthObject, image_width: int) -> GroundTruthObject:
     """Mirror an annotation across the vertical image axis.
 
     The flip maps x to image_width - x - w and leaves y, w, h and the
-    class label unchanged; applying it twice restores the original box.
+    class label unchanged. Applying it twice restores the original box
+    when that float arithmetic is exact, as it is for whole-number boxes;
+    otherwise x comes back only to rounding: ``BBox(0.1, 0.0, 0.7, 1.0)``
+    in a 1 px wide image returns with x = 0.09999999999999998.
     """
     number(image_width, "image_width", DomainError, "finite", integral=True)
     b = gt.bbox

@@ -20,7 +20,7 @@ from rbcscan.cli import MAX_AP_ROWS, _ap_grid, build_parser, main
 from rbcscan.detector import builtin_profile
 from rbcscan.errors import RbcScanError, UsageError
 from rbcscan.formats import emit_profile, emit_scenario, parse_annotations, parse_scenario
-from rbcscan.metrics import BBox, GroundTruthObject, flip_augment
+from rbcscan.metrics import MAX_MATCH_PAIRS, BBox, GroundTruthObject, flip_augment
 from rbcscan.scanning import MAX_TRIALS
 from test_formats_oracle import _docs
 
@@ -237,6 +237,19 @@ class TestGeometryCommand:
         assert table[("120", "1280x720")][2:] == ["124", "62", "true"]
         assert table[("120", "640x360")][2:] == ["62", "31", "true"]
         assert table[("350", "640x360")][4] == "false"
+
+    def test_row_cap_is_exact(self, capsys, monkeypatch):
+        # Counted before any row is projected.
+        monkeypatch.setattr("rbcscan.cli.MAX_GEOMETRY_ROWS", 6)
+        argv = ["geometry", "--resolutions", "1280x720,640x360"]
+        rc, captured = _run(capsys, [*argv, "--distances", "120,200,250"])
+        assert rc == 0
+        assert len(_rows(captured.out)) == 1 + 6
+        rc, captured = _run(capsys, [*argv, "--distances", "120,200,250,350"])
+        assert rc == 3
+        assert _error_line(captured) == (
+            "error: 4 --distances times 2 --resolutions asks for more than 6 rows\n"
+        )
 
     def test_table_is_the_pinhole_projection(self, capsys):
         """Every default row, against the pinhole model worked by hand: 124 px
@@ -496,6 +509,11 @@ CASES = {
         ("geometry", "--resolutions", "640x480"), 2, "640x480 does not match"
     ),
     "geometry --resolutions 0x0": Case(("geometry", "--resolutions", "0x0"), 2, "0x0"),
+    "geometry past MAX_GEOMETRY_ROWS": Case(
+        ("geometry", "--distances", "100," * 1001, "--resolutions", "1280x720," * 100),
+        3,
+        "error: 1001 --distances times 100 --resolutions asks for more than 100000 rows\n",
+    ),
     # The reference focal length is scaled by the width, which must fit a float.
     "geometry --ref-width 400 digits": Case(
         ("geometry", "--ref-width", "1" * 400), 2, "error: ref_width must be finite and > 0, got 1"
@@ -560,6 +578,17 @@ CASES = {
         1,
         "digits",
         files={"gt.json": json.dumps(ANNOTATIONS).replace('"width": 1280', '"width": ' + "1" * 5000, 1)},
+    ),
+    # 3,200 equal boxes and detections: every one of their pairs overlaps.
+    "eval past MAX_MATCH_PAIRS": Case(
+        EVAL,
+        2,
+        f"error: matching needs 10240000 candidate pairs, more than MAX_MATCH_PAIRS = "
+        f"{MAX_MATCH_PAIRS}; image 'img1', class 'smartphone' alone needs 10240000\n",
+        files={
+            "gt.json": json.dumps(dict(ANNOTATIONS, objects=ANNOTATIONS["objects"][:1] * 3200)),
+            "det.json": json.dumps({"detections": DETECTIONS["detections"][:1] * 3200}),
+        },
     ),
     "eval nested too deeply": Case(
         EVAL,

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 from oracles import ap_101point_oracle
 from rbcscan.errors import DomainError, UsageError
 from rbcscan.metrics import (
+    MAX_MATCH_PAIRS,
     STANDARD_IOU_THRESHOLDS,
     BBox,
     Columns,
     Detection,
     GroundTruthObject,
+    _greedy_assign,
     _pair_ious,
     average_precision,
     evaluate,
@@ -386,6 +389,66 @@ class TestEvaluate:
         expected = average_precision([f for _, _, f in pooled], len(gts))
         got = evaluate(dets, gts, thresholds=[0.5]).ap_per_threshold[0.5]
         assert got == expected
+
+
+def _peak_bytes(call):
+    """What ``call()`` returns, and the peak of traced memory meanwhile."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCandidatePairs:
+    """Matching enumerates only pairs of a detection and the boxes near it in x."""
+
+    def test_dense_image_fits_in_memory(self):
+        # 2,000 boxes 10-60 px wide in a 4000 x 3000 px image, and a detection
+        # jittered from each: all 4,000,000 pairs would take ~290 MB. One more
+        # box, whose right edge is past float range, matches nothing and
+        # must not widen the bins.
+        rng = np.random.default_rng(2000)
+        k = 2000
+        boxes = np.hstack([rng.uniform((0, 0), (3940, 2940), (k, 2)), rng.uniform(10, 60, (k, 2))])
+        found = boxes + rng.uniform(-3, 3, (k, 4))
+        past = [1e308, 0.0, 1e308, 1.0]
+        gts = Columns(("img",) * (k + 1), ("phone",) * (k + 1), [*boxes.tolist(), past])
+        dets = Columns(("img",) * k, ("phone",) * k, found.tolist(), rng.random(k).tolist())
+        result, peak = _peak_bytes(lambda: evaluate(dets, gts))
+        assert peak < 40e6
+        # Most detections take their own box, at IoU 0.7 to 0.97.
+        assert result.ap_per_threshold[0.5] > 0.9
+
+    def test_past_max_match_pairs_refused_before_pairs_are_made(self):
+        # 3,200 equal boxes and detections: 10,240,000 pairs, 80 MB per array.
+        k, box = 3200, [0.0, 0.0, 10.0, 10.0]
+        dets = Columns(("img",) * k, ("phone",) * k, [box] * k, [0.5] * k)
+        gts = Columns(("img",) * k, ("phone",) * k, [box] * k)
+        assert k * k > MAX_MATCH_PAIRS
+        error, peak = _peak_bytes(lambda: pytest.raises(DomainError, evaluate, dets, gts))
+        assert str(error.value) == (
+            f"matching needs {k * k} candidate pairs, more than MAX_MATCH_PAIRS = "
+            f"{MAX_MATCH_PAIRS}; image 'img', class 'phone' alone needs {k * k}"
+        )
+        assert peak < 5e6
+
+    def test_refusal_names_the_group_with_most_pairs(self, monkeypatch):
+        monkeypatch.setattr("rbcscan.metrics.MAX_MATCH_PAIRS", 4)
+        groups = [(1, "a"), (2, "b"), (2, "b")]
+        dets = [_det(0, 0, 10, 10, 0.5, image_id=i, label=label) for i, label in groups]
+        gts = [_gt(0, 0, 10, 10, image_id=i, label=label) for i, label in groups]
+        with pytest.raises(DomainError, match="needs 5 .* image 2, class 'b' alone needs 4$"):
+            evaluate(dets, gts)
+        with pytest.raises(DomainError, match="needs 12 .* image 2, class 'b' alone needs 12$"):
+            match_detections(dets[1:], gts[1:] * 3, 0.5)
+
+    def test_group_codes_past_int64_over_bins_stay_apart(self):
+        # A bin key is group * n_bins + bin: these codes are renumbered first.
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0]] * 4)
+        for group in ([2**62, 0, 0, 2**62], [1, 0, 0, 1]):
+            assigned = _greedy_assign(boxes, np.array(group), np.array([0.9, 0.8]), [0.5], str)
+            assert assigned.tolist() == [[1, 0]]
 
 
 class TestColumns:

@@ -17,6 +17,7 @@ box and score from the seed.
 """
 
 import json
+import math
 import random
 
 import pytest
@@ -234,3 +235,111 @@ def test_average_precision_matches_legacy(flags, total_gt):
         return
     assert average_precision(flags, total_gt) == legacy.average_precision(flags, total_gt)
 
+
+
+# Matching pairs a detection only with the boxes of its image and class in
+# the x bins, max(widest / 4, x span / (G + 1)) wide, that its window from
+# x - widest to x + w touches. Bin scenes put boxes where a bin could drop
+# a pair that overlaps: on bin edges, far from 0 where a float's step is
+# 0.125 px, at zero width, and beside a box as wide as the image.
+_BIN_KINDS = ("edges", "far", "thin", "wide")
+
+
+def _bin_box(rng, kind, k, origin):
+    if kind == "far":  # x near +-1e15, where edges about 1 px apart round
+        step = math.ulp(origin)
+        w = rng.choice((step * rng.randint(0, 12), rng.uniform(0, 1.5)))
+        return BBox(origin + step * rng.randint(0, 8 * k), 0.0, w, 1.0)
+    y, h = rng.randint(0, 3), rng.randint(1, 4)
+    if kind == "edges":  # integers within k px: with a 4 px box, bins 1 px wide
+        return BBox(rng.randint(0, k), y, rng.randint(0, 4), h)
+    if kind == "thin":
+        return BBox(rng.randint(0, k), y, rng.choice((0, 0, rng.randint(1, 6))), h)
+    return BBox(rng.uniform(0, 3990), y, rng.uniform(0, 10), h)  # "wide", a 4000 px image
+
+
+def _bin_moved(rng, kind, box):
+    """The box shifted and resized a little, at its kind's scale."""
+    if kind == "far":
+        step = math.ulp(box.x)
+        dx, dw = step * rng.randint(-12, 12), step * rng.randint(-4, 4)
+    elif kind == "wide":
+        dx, dw = rng.uniform(-3, 3), rng.uniform(-3, 3)
+    else:
+        dx, dw = rng.randint(-5, 5), rng.randint(-2, 2)
+    return BBox(box.x + dx, box.y + rng.choice((0, 0, 1)), max(box.w + dw, 0), box.h)
+
+
+@st.composite
+def _bin_scenes(draw, images=(0, "b"), labels=("phone", "tablet")):
+    """Ground truth and detections of one bin kind on a few images and classes.
+
+    Hypothesis draws the kind and a seed. Detections sit on moved copies of
+    the boxes or anywhere; a few boxes and detections are repeated, the
+    detections with their scores, so IoUs and scores tie.
+    """
+    kind, rng = draw(st.sampled_from(_BIN_KINDS)), random.Random(draw(st.integers()))
+    k, origin = rng.randint(1, 12), rng.choice((1e15, -1e15, 2.0**52, 3e12))
+    boxes = [_bin_box(rng, kind, k, origin) for _ in range(k)]
+    if kind == "edges":
+        boxes[0] = boxes[0]._replace(w=4)
+    elif kind == "thin" and rng.random() < 0.3:  # no box wider than 0
+        boxes = [b._replace(w=0) for b in boxes]
+    elif kind == "wide":
+        boxes[0] = BBox(0, 0, 4000, 4)
+    boxes += boxes[: rng.randint(0, 2)]
+    gts = [GroundTruthObject(rng.choice(images), b, rng.choice(labels)) for b in boxes]
+    dets = [
+        Detection(g.image_id, _bin_moved(rng, kind, g.bbox), _score(rng), g.class_label)
+        for g in gts
+        if rng.random() < 0.8
+    ]
+    for _ in range(rng.randint(0, 4)):
+        box = _bin_box(rng, kind, k, origin)
+        dets.append(Detection(rng.choice(images), box, _score(rng), rng.choice(labels)))
+    dets += dets[: rng.randint(0, 2)]
+    rng.shuffle(dets)
+    return dets, gts
+
+
+# A pair 1 float step into a box 8 steps wide has IoU about 1/15.
+_low_thresholds = st.lists(st.floats(0.01, 0.3), min_size=1, max_size=3)
+
+
+@given(_bin_scenes(), st.one_of(st.just(STANDARD_IOU_THRESHOLDS), _low_thresholds))
+def test_evaluate_on_bin_scenes_matches_legacy(scene, thresholds):
+    dets, gts = scene
+    _assert_same(evaluate(dets, gts, thresholds), legacy.evaluate(dets, gts, thresholds))
+
+
+@given(_bin_scenes(images=("img",), labels=("phone",)), st.floats(0.01, 1.0))
+def test_match_detections_on_bin_scenes_matches_legacy(scene, threshold):
+    dets, gts = scene
+    assert match_detections(dets, gts, threshold) == legacy.match_detections(dets, gts, threshold)
+
+
+#: Box fields ``BBox`` takes that no record file holds: they, or the sums
+#: they make, are past float range.
+_UNBOUNDED = {
+    "x": (math.nan, math.inf, -math.inf, 1.7e308, -1.7e308),
+    "y": (math.nan, math.inf, -math.inf),
+    "w": (math.inf, 1e308),
+    "h": (math.inf, 1e308),
+}
+
+
+def _unbounded(rng, record):
+    """The record, or a third of the time the record with one field of its
+    box past float range."""
+    if rng.random() < 2 / 3:
+        return record
+    field = rng.choice(list(_UNBOUNDED))
+    box = record.bbox._replace(**{field: rng.choice(_UNBOUNDED[field])})
+    return record._replace(bbox=box)
+
+
+@given(_bin_scenes(images=("img",), labels=("phone",)), st.integers(), st.floats(0.01, 1.0))
+def test_match_detections_with_unbounded_boxes_matches_legacy(scene, seed, threshold):
+    rng = random.Random(seed)
+    dets, gts = ([_unbounded(rng, r) for r in records] for records in scene)
+    assert match_detections(dets, gts, threshold) == legacy.match_detections(dets, gts, threshold)
