@@ -15,10 +15,12 @@ not import numpy, and neither does ``import rbcscan``. ``bool``, ``str``,
 exactly the numbers that ``float()`` turns into a finite float (`finite`),
 so an int passes below ``2**1024 - 2**970`` in magnitude. A refused value,
 or one past the parameter's bound, is a `DomainError` or `UsageError`
-naming the parameter. The elements of hand-built ``Columns``,
-``SyntheticScene.receivers`` and ``simulate_guided_multi``'s cells are
-trusted. Messages show a caller's value through `shown`, so an integer
-too long for ``str`` still gives a short message, not a bare ValueError.
+naming the parameter. A plain int or float within its bound passes on a
+fast path, so the common call costs one bound test. The elements of
+hand-built ``Columns``, ``SyntheticScene.receivers`` and
+``simulate_guided_multi``'s cells are trusted. Messages show a caller's
+value through `shown`, so an integer too long for ``str`` still gives a
+short message, not a bare ValueError.
 
 Records (`checked`): every record is one ``NamedTuple`` class that declares
 each field, its type and its default once. One whose fields are checked
@@ -108,8 +110,11 @@ def number(value, name: str, error: type[RbcScanError], bound: str = "", integra
     """``value`` once it is a number within ``bound``, a key of `_BOUNDS`;
     ``error`` naming ``name`` otherwise. With ``integral`` it must be an
     integer and comes back as an int. A tuple is checked element by element
-    and named whole.
+    and named whole. A plain ``int``, or a plain ``float`` when not
+    ``integral``, within ``bound`` comes back at once, without the type tests.
     """
+    if (type(value) is int or type(value) is float and not integral) and _BOUNDS[bound](value):
+        return value
     values = value if type(value) is tuple else (value,)
     kinds, kind = ((int,), "an integer") if integral else ((int, float), "a number")
     np = sys.modules.get("numpy")  # no numpy scalar exists before numpy is loaded

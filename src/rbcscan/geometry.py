@@ -180,6 +180,7 @@ def cell_of_point(grid: CellGrid, x: float, y: float) -> int:
 
 def cell_center(grid: CellGrid, cell: int) -> tuple[float, float]:
     """Center point of a cell; always maps back to the same cell index."""
+    # Inline test kept: this runs once per pipeline episode, until that loop is array code.
     if type(cell) is not int:
         cell = number(cell, "cell index", DomainError, integral=True)
     rows, cols = grid.rows, grid.cols

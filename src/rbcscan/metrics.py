@@ -50,6 +50,7 @@ class BBox(NamedTuple):
     h: float
 
     def _new(cls, x, y, w, h):
+        # Inline test kept: the (w, h) tuple calls below miss number's fast path.
         if not (float is type(x) is type(y) is type(w) is type(h) and w >= 0 and h >= 0):
             # An int past float range would fail later, in float arithmetic.
             number(x, "box x", DomainError, "within float range")
@@ -73,8 +74,7 @@ class Detection(NamedTuple):
     class_label: str = "smartphone"
 
     def _new(cls, image_id, bbox, score, class_label):
-        if not (type(score) is float and 0.0 <= score <= 1.0):
-            number(score, "detection score", DomainError, "within [0, 1]")
+        number(score, "detection score", DomainError, "within [0, 1]")
         return tuple.__new__(cls, (image_id, bbox, score, class_label))
 
 

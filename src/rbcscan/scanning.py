@@ -264,6 +264,7 @@ def simulate_guided_multi(
     a loop-free path: rank 1 on a hit, else 2 + t - (c < t) for the lowest
     true cell t. Longer lists take the general path.
     """
+    # Inline test kept: this runs once per pipeline episode, until that loop is array code.
     if not (type(trials) is int and trials >= 1 and type(rng_seed) is int and rng_seed >= 0):
         trials = number(trials, "trials", UsageError, ">= 1", integral=True)
         number(rng_seed, "seed", UsageError, ">= 0", integral=True)

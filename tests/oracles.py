@@ -4,9 +4,12 @@ These deliberately avoid the library's code paths: AP is computed
 straight from its definition (max precision at recall >= each sample
 point), expected scan times come from exact rational enumeration of
 every (receiver position, detection outcome) combination, and the spread
-of the scan counts from their exact laws.
+of the scan counts from their exact laws. The CLI's tables are pinned by
+exact rational closed forms, AP grids and pinhole projections, and by
+rounding and threshold rules written out case by case.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -88,3 +91,44 @@ def var_scans_guided(n_cells, ap):
     """
     p = Fraction(ap)
     return (1 - p) * Fraction(n_cells * (n_cells - 2), 12) + p * (1 - p) * Fraction(n_cells, 2) ** 2
+
+
+def scan_times(n_cells, t_scan_s, t_detect_s, ap):
+    """Exact (T1, T2) from the closed forms: (1 + N) T_s / 2 for the blind
+    scan; T_d + AP T_s + (1 - AP) (1 + N / 2) T_s for the guided one, whose
+    miss costs one scan plus a blind scan of the other N - 1 cells."""
+    ts, td, p = Fraction(t_scan_s), Fraction(t_detect_s), Fraction(ap)
+    t1 = (1 + n_cells) * ts / 2
+    return t1, td + p * ts + (1 - p) * (1 + Fraction(n_cells, 2)) * ts
+
+
+def breakeven(n_cells, t_scan_s, t_detect_s):
+    """The exact AP at which T2 = T1, unclamped: (2 T_d + T_s) / (N T_s)."""
+    ts = Fraction(t_scan_s)
+    return (2 * Fraction(t_detect_s) + ts) / (n_cells * ts)
+
+
+def ap_grid(start, stop, step):
+    """The exact sweep start + i * step for every i that stays at or below stop."""
+    start, step = Fraction(start), Fraction(step)
+    return [start + i * step for i in range(math.floor((Fraction(stop) - start) / step) + 1)]
+
+
+def pinhole_px(focal_px, ref_width, out_width, size_cm, distance_cm):
+    """Exact on-image size in pixels at out_width: focal * size / distance at
+    the reference width, scaled by out_width / ref_width."""
+    scale = Fraction(out_width, ref_width)
+    return Fraction(focal_px) * scale * Fraction(size_cm) / Fraction(distance_cm)
+
+
+def round_half_even(x):
+    """The integer nearest x; a tie goes to the even neighbour."""
+    below = math.floor(x)
+    rest = x - below
+    return below + (rest > Fraction(1, 2) or (rest == Fraction(1, 2) and below % 2 == 1))
+
+
+def detectable(w_px, h_px, min_w, min_h):
+    """Long side against the larger threshold, short side against the smaller,
+    each inclusive."""
+    return max(w_px, h_px) >= max(min_w, min_h) and min(w_px, h_px) >= min(min_w, min_h)
