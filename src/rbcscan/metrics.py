@@ -142,11 +142,11 @@ class MatchResult(NamedTuple):
 
     ``matched_gt_index[i]`` is the index (into the ground-truth list) the
     i-th detection matched, or None for a false positive; order follows
-    the detection input order.
+    the detection input order. The boxes that matched are its non-None
+    entries.
     """
 
     matched_gt_index: tuple[int | None, ...]
-    gt_matched: tuple[bool, ...]
 
     @property
     def tp_flags(self) -> tuple[bool, ...]:
@@ -373,8 +373,7 @@ def match_detections(
     boxes = _box_array((o.bbox for o in chain(dets, gts)), len(one_group))
     name = f"image {next(iter(ids), None)!r}, class {next(iter(labels), None)!r}"
     assigned = _greedy_assign(boxes, one_group, scores, [iou_threshold], lambda _: name)[0]
-    matched = tuple(j if j >= 0 else None for j in assigned.tolist())
-    return MatchResult(matched, tuple(j in matched for j in range(len(gts))))
+    return MatchResult(tuple(j if j >= 0 else None for j in assigned.tolist()))
 
 
 def average_precision(tp_flags: Sequence[bool], total_gt: int) -> float:

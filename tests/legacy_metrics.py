@@ -79,7 +79,7 @@ def match_detections(
         if best_j is not None and best_iou >= iou_threshold:
             matched_gt[i] = best_j
             gt_taken[best_j] = True
-    return MatchResult(tuple(matched_gt), tuple(gt_taken))
+    return MatchResult(tuple(matched_gt))
 
 
 def average_precision(tp_flags: Sequence[bool], total_gt: int) -> float:

@@ -151,7 +151,7 @@ API: dict[str, Numeric | str] = {
     "GroundTruthObject": "takes an image id, a box and a label",
     "Columns": "holds columns, whose elements are trusted",
     "EvalResult": "a result record of APs, built by evaluate",
-    "MatchResult": "a result record of indices and flags",
+    "MatchResult": "a result record of matched indices",
     "iou": "takes two boxes",
     "match_detections": Numeric(partial(match_detections, [DET], [GT]), (("iou_threshold", 0.5),)),
     "average_precision": Numeric(partial(average_precision, [True, False]), (("total_gt", 1),)),

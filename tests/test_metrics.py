@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -147,7 +148,7 @@ class TestMatchDetections:
         dets = [_det(0, 1, 10, 10, 0.9)]  # IoU = 90/110 ~ 0.82
         result = match_detections(dets, gts, 0.5)
         assert result.tp_flags == (True,)
-        assert result.gt_matched == (True,)
+        assert result.matched_gt_index == (0,)
 
     def test_greedy_prefers_higher_score(self):
         gts = [_gt(0, 0, 10, 10)]
@@ -170,7 +171,7 @@ class TestMatchDetections:
         dets = [_det(8, 8, 10, 10, 0.9)]
         result = match_detections(dets, gts, 0.5)
         assert result.tp_flags == (False,)
-        assert result.gt_matched == (False,)
+        assert result.matched_gt_index == (None,)
 
     def test_each_gt_matches_at_most_once(self):
         gts = [_gt(0, 0, 10, 10), _gt(100, 100, 10, 10)]
@@ -199,6 +200,16 @@ class TestMatchDetections:
     def test_bad_threshold_rejected(self):
         with pytest.raises(UsageError):
             match_detections([], [], 0.0)
+
+    def test_twenty_thousand_misses_return_within_two_seconds(self):
+        # 20,000 detections in a row above 20,000 boxes: each pair misses.
+        k = 20_000
+        dets = [_det(20 * i, 0, 10, 10, 0.5) for i in range(k)]
+        gts = [_gt(20 * i, 100, 10, 10) for i in range(k)]
+        start = time.perf_counter()
+        result = match_detections(dets, gts, 0.5)
+        assert time.perf_counter() - start < 2.0
+        assert result.matched_gt_index == (None,) * k
 
 
 class TestAveragePrecision:

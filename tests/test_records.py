@@ -103,8 +103,8 @@ RECORDS = {
         None,
     ),
     "MatchResult": Record(
-        MatchResult((0, None), (True,)),
-        "MatchResult(matched_gt_index=(0, None), gt_matched=(True,))",
+        MatchResult((0, None)),
+        "MatchResult(matched_gt_index=(0, None))",
         {},
         None,
     ),
@@ -187,7 +187,7 @@ FIELDS = {
     "PixelSize": ("w_px", "h_px"),
     "Columns": ("image_ids", "labels", "boxes", "scores"),
     "EvalResult": ("ap_per_threshold", "map_value", "ap_small"),
-    "MatchResult": ("matched_gt_index", "gt_matched"),
+    "MatchResult": ("matched_gt_index",),
     "DetectorProfile": ("name", "per_image_latency_s", "ap_vs_iou", "ap_vs_distance", "notes"),
     "SyntheticScene": ("grid", "receivers"),
     "ScanConfig": ("n_cells", "t_scan_s", "t_detect_s", "ap"),
