@@ -14,8 +14,6 @@ violation, 3 usage error); an OSError exits 1.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 from pathlib import Path
@@ -37,11 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    # Fields are fixed words, numbers, WxH sizes or "" beside others: none needs quoting.
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _parse_list(raw: str, flag: str, convert: Callable[[str], T]) -> list[T]:
@@ -198,12 +193,18 @@ def cmd_augment(args: argparse.Namespace) -> str:
     widths = {im.image_id: im.width for im in af.images}
     # Derived ids get a _flip suffix, extended until unique so re-running on
     # already-augmented output keeps quadrupling instead of colliding.
+    # ``ends`` maps each id a walk passed to the id that walk ended on; all ids
+    # between are taken, so a later walk jumps there instead of re-walking them.
     used: set = {im.image_id for im in af.images}
+    ends: dict = {}
     derived: dict = {}
     for im in af.images:
         candidate = f"{im.image_id}_flip"
+        passed = []
         while candidate in used:
-            candidate += "_flip"
+            passed.append(candidate)
+            candidate = ends.get(candidate, candidate) + "_flip"
+        ends.update(dict.fromkeys(passed, candidate))
         used.add(candidate)
         derived[im.image_id] = candidate
     flipped_images = [

@@ -332,6 +332,15 @@ class TestEvaluate:
         # Flags for the small score: [FP(0.95), TP(0.8)] over 1 small GT -> 0.5.
         assert result.ap_small == pytest.approx(0.5, abs=1e-12)
 
+    def test_equal_iou_goes_to_the_first_box_in_the_file(self):
+        """Both boxes overlap the first detection at IoU 2/3; it takes the
+        first in the file, so the order of one image's boxes can change AP,
+        as in the legacy evaluator."""
+        dets = [_det(2, 0, 10, 10, 0.9), _det(0, 0, 10, 10, 0.8)]
+        gts = [_gt(0, 0, 10, 10), _gt(4, 0, 10, 10)]
+        assert evaluate(dets, gts, [0.5]).ap_per_threshold[0.5] == 0.504950495049505
+        assert evaluate(dets, gts[::-1], [0.5]).ap_per_threshold[0.5] == 1.0
+
     def test_per_class_average(self):
         gts = [_gt(0, 0, 50, 50, label="smartphone"), _gt(100, 100, 50, 50, label="laptop")]
         dets = [_det(0, 0, 50, 50, 0.9, label="smartphone")]  # laptop missed
