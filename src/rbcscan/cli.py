@@ -19,7 +19,10 @@ import sys
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from . import geometry, metrics, scanning
+# Siblings by full name: `from . import x` would ask the package for x and load its export table.
+import rbcscan.geometry as geometry
+import rbcscan.metrics as metrics
+import rbcscan.scanning as scanning
 from .errors import DomainError, RbcScanError, UsageError, number
 
 T = TypeVar("T")
@@ -65,7 +68,8 @@ def _resolution(text: str) -> tuple[int, int]:
 
 
 def cmd_eval(args: argparse.Namespace) -> str:
-    from . import formats  # here, not at the top: only file commands load formats and detector
+    # Here, not at the top: only file commands load formats and detector.
+    import rbcscan.formats as formats
 
     gts = formats.parse_annotations(formats.read_text(args.ground_truth))
     dets = formats.parse_detections(formats.read_text(args.detections))
@@ -118,7 +122,7 @@ def cmd_analytic(args: argparse.Namespace) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> str:
-    from . import formats
+    import rbcscan.formats as formats
 
     scenario = formats.parse_scenario(formats.read_text(args.scenario))
     formats.resolve_profile(scenario.profile, Path(args.scenario).parent)
@@ -187,7 +191,7 @@ def cmd_geometry(args: argparse.Namespace) -> str:
 
 
 def cmd_augment(args: argparse.Namespace) -> str:
-    from . import formats
+    import rbcscan.formats as formats
 
     af = formats.parse_annotations(formats.read_text(args.annotations))
     widths = {im.image_id: im.width for im in af.images}

@@ -902,6 +902,33 @@ def test_every_export_resolves_on_first_read():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+_BARE_IMPORT = """
+import sys
+import rbcscan
+module_dunders = {"__name__", "__doc__", "__package__", "__loader__", "__spec__",
+                  "__path__", "__file__", "__cached__", "__builtins__"}
+extra = set(vars(rbcscan)) - module_dunders
+assert extra == {"__version__", "__getattr__", "__dir__"}, sorted(extra)
+assert "rbcscan._exports" not in sys.modules
+try:
+    rbcscan.no_such_name
+except AttributeError as e:
+    assert str(e) == "module 'rbcscan' has no attribute 'no_such_name'", str(e)
+else:
+    raise AssertionError("rbcscan.no_such_name resolved")
+assert rbcscan.__all__ is vars(rbcscan)["__all__"]  # bound on first read
+"""
+
+
+def test_import_binds_only_the_version_and_the_export_hooks():
+    """A fresh ``import rbcscan`` binds ``__version__``, ``__getattr__`` and
+    ``__dir__`` beside the module dunders, and does not load the export
+    table in ``rbcscan._exports``; an unknown name still raises the usual
+    ``AttributeError`` text, and ``__all__`` is bound on its first read."""
+    proc = _python("-c", _BARE_IMPORT)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 class TestParser:
     def test_missing_subcommand_lists_the_declared_ones(self, capsys):
         parser = build_parser()
