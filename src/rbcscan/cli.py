@@ -102,22 +102,21 @@ def _ap_grid(start: float, stop: float, step: float) -> list[float]:
         raise UsageError(
             f"--ap-step {step} asks for more than {MAX_AP_ROWS} rows from {start} to {stop}"
         )
-    return [round(start + i * step, 10) for i in range(math.floor(span) + 1)]
+    # The slack or the rounding may put a last row just past stop: it prints as stop.
+    return [min(stop, round(start + i * step, 10)) for i in range(math.floor(span) + 1)]
 
 
 def cmd_analytic(args: argparse.Namespace) -> str:
     base = scanning.ScanConfig(
         n_cells=args.n_cells, t_scan_s=args.t_scan, t_detect_s=args.t_detect, ap=0.0
     )
-    t1 = scanning.t1_analytic(base)
-    rows = []
-    for ap in _ap_grid(args.ap_start, args.ap_stop, args.ap_step):
-        t2 = scanning.t2_analytic(base._replace(ap=ap))
-        rows.append(["curve", _fmt(ap), _fmt(t1), _fmt(t2)])
+    t1 = _fmt(scanning.t1_analytic(base))
+    # _ap_grid keeps every AP within [0, 1], where base's check bounds T2.
+    aps = _ap_grid(args.ap_start, args.ap_stop, args.ap_step)
+    rows = [["curve", _fmt(ap), t1, _fmt(scanning._t2_at(base, ap))] for ap in aps]
     ap_star, in_range = scanning.breakeven_ap(base)
     kind = "breakeven" if in_range else "breakeven_clamped"
-    t2_star = scanning.t2_analytic(base._replace(ap=ap_star))
-    rows.append([kind, _fmt(ap_star), _fmt(t1), _fmt(t2_star)])
+    rows.append([kind, _fmt(ap_star), t1, _fmt(scanning._t2_at(base, ap_star))])
     return _csv_text(["kind", "ap", "t1_s", "t2_s"], rows)
 
 

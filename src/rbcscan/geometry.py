@@ -127,7 +127,10 @@ def project_size(
     """
     number(distance_cm, "distance_cm", DomainError, "finite and > 0")
     size = f"output resolution {shown(out_width, str)}x{shown(out_height, str)}"
-    out_width, out_height = number((out_width, out_height), size, DomainError, "> 0", integral=True)
+    # Finite, so the scale below is a float.
+    out_width, out_height = number(
+        (out_width, out_height), size, DomainError, "finite and > 0", integral=True
+    )
     # Integer cross-multiplication keeps the comparison exact.
     if out_width * cam.ref_height != out_height * cam.ref_width:
         raise DomainError(
@@ -135,10 +138,11 @@ def project_size(
             f"{shown(cam.ref_width)}x{shown(cam.ref_height)} aspect ratio"
         )
     scale = out_width / cam.ref_width
-    return PixelSize(
-        cam.focal_px * scale * spec.width_cm / distance_cm,
-        cam.focal_px * scale * spec.height_cm / distance_cm,
-    )
+    w_px = cam.focal_px * scale * spec.width_cm / distance_cm
+    h_px = cam.focal_px * scale * spec.height_cm / distance_cm
+    if not (math.isfinite(w_px) and math.isfinite(h_px)):
+        raise DomainError(f"projected size at distance {distance_cm} cm, {size}, is not finite")
+    return tuple.__new__(PixelSize, (w_px, h_px))  # PixelSize's check, done just above
 
 
 def is_detectable(

@@ -96,11 +96,12 @@ def t2_analytic(cfg: ScanConfig) -> float:
     T_d + AP * T_s + (1 - AP) * (1 + N / 2) * T_s; meaningful for N >= 2,
     where the miss branch has somewhere left to fall back to.
     """
-    return (
-        cfg.t_detect_s
-        + cfg.ap * cfg.t_scan_s
-        + (1 - cfg.ap) * (1 + cfg.n_cells / 2) * cfg.t_scan_s
-    )
+    return _t2_at(cfg, cfg.ap)
+
+
+def _t2_at(cfg: ScanConfig, ap: float) -> float:
+    """`t2_analytic` at an ``ap`` in [0, 1], which ``cfg``'s check bounds, with no config per AP."""
+    return cfg.t_detect_s + ap * cfg.t_scan_s + (1 - ap) * (1 + cfg.n_cells / 2) * cfg.t_scan_s
 
 
 def breakeven_ap(cfg: ScanConfig) -> tuple[float, bool]:
@@ -112,13 +113,9 @@ def breakeven_ap(cfg: ScanConfig) -> tuple[float, bool]:
     guiding never pays off at any achievable AP).
     """
     if cfg.n_cells < 2:
-        raise UsageError(f"breakeven_ap requires n_cells >= 2, got {cfg.n_cells}")
+        raise UsageError(f"n_cells must be >= 2 for a breakeven AP, got {cfg.n_cells}")
     denom = cfg.n_cells * cfg.t_scan_s / 2
-    raw = (
-        cfg.t_detect_s
-        + (1 + cfg.n_cells / 2) * cfg.t_scan_s
-        - (1 + cfg.n_cells) * cfg.t_scan_s / 2
-    ) / denom
+    raw = (_t2_at(cfg, 0.0) - t1_analytic(cfg)) / denom
     clamped = min(1.0, max(0.0, raw))
     return clamped, clamped == raw
 

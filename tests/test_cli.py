@@ -154,6 +154,23 @@ class TestAnalyticCommand:
             in _error_line(captured)
         )
 
+    @pytest.mark.parametrize("stop, step", [("0.5", "0.5000000001"), ("1", "1.0000000005")])
+    def test_a_row_the_slack_admits_prints_as_the_stop(self, capsys, stop, step):
+        rc, captured = _run(capsys, ["analytic", "--ap-stop", stop, "--ap-step", step])
+        assert rc == 0, captured.err
+        assert [row[1] for row in _rows(captured.out)[1:] if row[0] == "curve"] == ["0", stop]
+
+    def test_the_sweep_builds_one_config(self, capsys, monkeypatch):
+        new, calls = scanning.ScanConfig.__new__, []
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args or kwargs)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(scanning.ScanConfig, "__new__", counted)
+        assert _run(capsys, ["analytic", "--ap-step", "0.001"])[0] == 0
+        assert len(calls) == 1
+
     def test_row_cap_is_exact(self):
         # Counted by _ap_grid before any row of the sweep is computed.
         assert len(_ap_grid(0.0, 1.0, 1 / (MAX_AP_ROWS - 1))) == MAX_AP_ROWS
@@ -514,6 +531,9 @@ CASES = {
         f"analytic --ap-step={step}": Case(("analytic", f"--ap-step={step}"), 3, "--ap-step")
         for step in ("nan", "-0.1", "0", "1e-12", "1e-320")
     },
+    "analytic --n-cells 1": Case(
+        ("analytic", "--n-cells", "1"), 3, "error: n_cells must be >= 2 for a breakeven AP, got 1\n"
+    ),
     "analytic --t-scan 1e308": Case(("analytic", "--t-scan", "1e308"), 2, "error: scan times overflow"),
     "analytic --n-cells 1e400": Case(
         ("analytic", "--n-cells", str(10**400)), 2, "error: scan times overflow"
@@ -599,6 +619,11 @@ CASES = {
         ("geometry", "--distances", "100," * 1001, "--resolutions", "1280x720," * 100),
         3,
         "error: 1001 --distances times 100 --resolutions asks for more than 100000 rows\n",
+    ),
+    "geometry --focal-px 1e308 --distances 1e-300": Case(
+        ("geometry", "--focal-px", "1e308", "--distances", "1e-300"),
+        2,
+        "error: projected size at distance 1e-300 cm, output resolution 1280x720, is not finite\n",
     ),
     # The reference focal length is scaled by the width, which must fit a float.
     "geometry --ref-width 400 digits": Case(
@@ -719,7 +744,7 @@ def test_rejected_call(tmp_path, capsys, case):
 #: non-numeric and malformed list or resolution values.
 HOSTILE = [
     "nan", "inf", "-inf", "1e400", "0", "-1", "-0", "1e-320", "1e308", "2.5", "1" * 5000,
-    "", "abc", "1,,2", "1x1", "0x0", "1e308x1",
+    "", "abc", "1,,2", "1x1", "0x0", "1e308x1", f"{16 * 2**1100}x{9 * 2**1100}",
 ]
 
 

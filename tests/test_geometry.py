@@ -116,6 +116,13 @@ class TestProjectSize:
         with pytest.raises(DomainError, match=ASPECT_MISMATCH):
             project_size(self.cam, self.phone, 120, 640, 480)
 
+    def test_size_past_float_range_rejected(self):
+        # A resolution whose scale overflows a float, and a size that overflows one.
+        with pytest.raises(DomainError, match=r"output resolution \d+x\d+ must be finite"):
+            project_size(reference_camera(), ReceiverSpec(14, 7), 120, 16 * 2**1100, 9 * 2**1100)
+        with pytest.raises(DomainError, match="distance 1e-320 cm, output resolution 1280x720"):
+            project_size(self.cam, self.phone, 1e-320, 1280, 720)
+
     def test_bad_distance_rejected(self):
         with pytest.raises(DomainError):
             project_size(self.cam, self.phone, 0, 1280, 720)
